@@ -36,7 +36,7 @@ from .poset import (
     minimal_elements,
     single_move_neighbors,
 )
-from .series_poly import Poly, affine_thin, mul, psi, stop_loss
+from .series_poly import Poly, affine_thin, mul, stop_loss
 from .spectral import SpectrumReport, cospectral_pair_check, majorizes, spectrum
 from .tree_core import (
     RootedTree,
@@ -60,7 +60,7 @@ __all__ = [
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
     "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
-    "minimal_elements", "mul", "path", "prune", "psi", "root_at", "sample",
+    "minimal_elements", "mul", "path", "prune", "root_at", "sample",
     "shape_compare", "single_move_neighbors", "spectrum", "st_compare",
     "stop_loss", "synecdochic_compare", "tvar", "tvar_contribution",
     "tvar_contribution_table",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from dataclasses import dataclass
 
@@ -163,7 +164,7 @@ def cmd_compare(cfg: RunConfig) -> None:
         verdict, method = orders.OrderVerdict(orders.Relation.EQ), "identical"
     else:
         try:
-            verdict = orders.shape_compare(t1, t2, alpha, model.lam)
+            verdict = orders.shape_compare(t1, t2, alpha)
             method = "single_move_criterion"
         except ValueError:
             verdict, method = _compare_via_poset(t1, t2, cfg, model.lam)
@@ -225,14 +226,16 @@ def cmd_mc(cfg: RunConfig) -> None:
     tv = 0.5 * float(np.abs(emp - ana).sum()) + 0.5 * agg.tail_mass
     report = {"n": n, "seed": cfg.seed, "tv_distance": tv, "vertices": {}}
     ok = tv < 5e-3
+    # z-sigma bands, Bonferroni-corrected so the 2d per-vertex checks
+    # together raise a false alarm at most 0.27% of the time, as one 3-sigma band
+    z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * model.tree.d))
     for i, v in enumerate(model.tree.vertices):
         mean = float(draws[:, i].mean())
-        # 3-sigma band for the empirical mean of a Poisson(lambda) marginal
-        band = 3.0 * (model.lam / n) ** 0.5
+        band = z * (model.lam / n) ** 0.5
         cov = float(np.cov(draws[:, i], total)[0, 1])
         cov_true = mpmrf.cov_with_sum(model, v)
         prod = (draws[:, i] - model.lam) * (total - float(total.mean()))
-        cov_band = 3.0 * float(prod.std()) / n ** 0.5
+        cov_band = z * float(prod.std()) / n ** 0.5
         v_ok = abs(mean - model.lam) < band and abs(cov - cov_true) < cov_band
         ok = ok and v_ok
         report["vertices"][str(v)] = {
@@ -249,12 +252,7 @@ def cmd_mc(cfg: RunConfig) -> None:
 def cmd_spectral(cfg: RunConfig) -> None:
     if cfg.model_path is None:
         raise UsageError("--model is required")
-    obj = _load_json(cfg.model_path)
-    try:
-        tree = tree_core.Tree.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad tree file {cfg.model_path}: {exc}") from exc
-    report = spectral.spectrum(tree)
+    report = spectral.spectrum(_load_tree(cfg.model_path))
     _write(json.dumps(report.to_json(), sort_keys=True) + "\n", cfg.output)
 
 
@@ -288,12 +286,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset", help="shape poset with Hasse diagram (DOT + JSON)")
     common(p, model=False)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", type=float, default=None, metavar="LAM")
     p.add_argument("--alpha-grid", type=float, nargs="+", default=None)
     p = sub.add_parser("mc", help="Monte Carlo validation of the sampler")
     common(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", dest="n_samples", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, metavar="N_SAMPLES")
     p = sub.add_parser("spectral", help="adjacency spectrum report as JSON")
     common(p)
     return ap
@@ -314,21 +312,6 @@ _CONFIG_KEYS = {
     "format": "format",
 }
 
-_NS_KEYS = {
-    "model": "model_path",
-    "tree2": "tree2_path",
-    "tol": "tol",
-    "seed": "seed",
-    "n_samples": "n_samples",
-    "kappa": "kappa",
-    "table": "table_vertex",
-    "d": "d",
-    "lam": "lam",
-    "alpha_grid": "alpha_grid",
-    "output": "output",
-    "format": "format",
-}
-
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=ns.command)
@@ -341,8 +324,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             if field is None:
                 raise InputError(f"unknown config key {key!r}")
             setattr(cfg, field, tuple(value) if field == "alpha_grid" else value)
-    for attr, field in _NS_KEYS.items():
-        value = getattr(ns, attr, None)
+    for key, field in _CONFIG_KEYS.items():
+        value = getattr(ns, key, None)
         if value is not None:
             setattr(cfg, field, tuple(value) if field == "alpha_grid" else value)
     return cfg

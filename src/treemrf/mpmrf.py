@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series_poly import Poly, T, affine_thin, mul
-from .tree_core import Tree, _norm_edge, path, root_at
+from .tree_core import RootedTree, Tree, _norm_edge, root_at
 
 PMF_SUM_TOL = 1e-9
 DEFAULT_TOL = 1e-12
@@ -160,16 +160,24 @@ def _alpha_of(alpha, a: int, b: int) -> float:
     return float(alpha)
 
 
-def h_poly(tree: Tree, root: int, alpha) -> Poly:
-    """pgf of H_root as a polynomial; alpha is a scalar or an edge map."""
-    rooted = root_at(tree, root)
-    polys: dict[int, Poly] = {}
+def _eta(rooted: RootedTree, alpha) -> dict[int, Poly]:
+    """pgf of the events each vertex seeds in its own rooted subtree.
+
+    eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
+    built leaves first; alpha is a scalar or an edge map.
+    """
+    eta: dict[int, Poly] = {}
     for v in reversed(rooted.order):
         p = T
         for c in rooted.children[v]:
-            p = mul(p, affine_thin(polys[c], _alpha_of(alpha, v, c)))
-        polys[v] = p
-    return polys[root]
+            p = mul(p, affine_thin(eta[c], _alpha_of(alpha, v, c)))
+        eta[v] = p
+    return eta
+
+
+def h_poly(tree: Tree, root: int, alpha) -> Poly:
+    """pgf of H_root as a polynomial; alpha is a scalar or an edge map."""
+    return _eta(root_at(tree, root), alpha)[root]
 
 
 def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
@@ -187,12 +195,7 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
     """
     tree = model.tree
     rooted = root_at(tree, root)
-    eta: dict[int, Poly] = {}
-    for v in reversed(rooted.order):
-        p = T
-        for c in rooted.children[v]:
-            p = mul(p, affine_thin(eta[c], model.edge_alpha(v, c)))
-        eta[v] = p
+    eta = _eta(rooted, model.alpha)
     weights = {}
     for v in tree.vertices:
         weights[v] = 1.0 if v == root else 1.0 - model.edge_alpha(rooted.parent[v], v)
@@ -289,16 +292,26 @@ def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: floa
 
 
 def cov_with_sum(model: MpmrfModel, v: int) -> float:
-    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e."""
+    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e.
+
+    One walk rooted at v: each path product extends its parent's by one edge,
+    so the factors multiply in path order from v outwards.
+    """
     if v not in model.tree.vertices:
         raise ValueError(f"invalid vertex {v}")
+    rooted = root_at(model.tree, v)
+    prod = {v: 1.0}
+    for j in rooted.order[1:]:
+        p = rooted.parent[j]
+        prod[j] = prod[p] * model.edge_alpha(p, j)
     acc = 0.0
     for j in model.tree.vertices:
-        prod = 1.0
-        for (a, b) in path(model.tree, v, j):
-            prod *= model.edge_alpha(a, b)
-        acc += prod
+        acc += prod[j]
     return model.lam * acc
+
+
+def _allocation(model: MpmrfModel, agg: DiscreteDist, v: int) -> AllocationTable:
+    return AllocationTable(v, model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf))
 
 
 def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> AllocationTable:
@@ -308,10 +321,7 @@ def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> 
     read coefficientwise, i.e. lambda times the convolution of the H_v and M
     pmfs. Entries total E[N_v] = lambda up to the truncation tail.
     """
-    agg = aggregate_dist(model, tol)
-    h = h_dist(model, v)
-    by_k = model.lam * np.convolve(h.pmf, agg.pmf)
-    return AllocationTable(v, by_k)
+    return _allocation(model, aggregate_dist(model, tol), v)
 
 
 def tvar(dist: DiscreteDist, kappa: float) -> float:
@@ -341,9 +351,7 @@ def tvar_contribution(model: MpmrfModel, v: int, kappa: float, tol: float = DEFA
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must be in [0, 1)")
     agg = aggregate_dist(model, tol)
-    h = h_dist(model, v)
-    alloc = AllocationTable(v, model.lam * np.convolve(h.pmf, agg.pmf))
-    return _euler_contribution(agg, alloc, model.lam, kappa)
+    return _euler_contribution(agg, _allocation(model, agg, v), model.lam, kappa)
 
 
 def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -354,8 +362,7 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL)
     agg = aggregate_dist(model, tol)
     out: dict[int, np.ndarray] = {}
     for v in model.tree.vertices:
-        h = h_dist(model, v)
-        alloc = AllocationTable(v, model.lam * np.convolve(h.pmf, agg.pmf))
+        alloc = _allocation(model, agg, v)
         out[v] = np.array([_euler_contribution(agg, alloc, model.lam, k) for k in kappas])
     return out
 
@@ -385,13 +392,18 @@ def closeness_indices(model: MpmrfModel) -> dict[int, Closeness]:
     """Freeman closeness and its exponential transform, per vertex.
 
     The exponential transform sum_j alpha^|path(v,j)| needs one common alpha;
-    lambda times it equals Cov(N_v, M) in that case.
+    lambda times it equals Cov(N_v, M) in that case. Path lengths are the
+    depths of one walk rooted at v.
     """
     if not model.is_homogeneous():
         raise ValueError("exponential-transform closeness needs homogeneous alpha")
     alpha = next(iter(model.alpha.values())) if model.alpha else 0.0
     out = {}
     for v in model.tree.vertices:
-        lengths = [len(path(model.tree, v, j)) for j in model.tree.vertices]
+        rooted = root_at(model.tree, v)
+        depth = {v: 0}
+        for j in rooted.order[1:]:
+            depth[j] = depth[rooted.parent[j]] + 1
+        lengths = [depth[j] for j in model.tree.vertices]
         out[v] = Closeness(sum(lengths), float(sum(alpha ** l for l in lengths)))
     return out

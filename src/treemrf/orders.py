@@ -105,8 +105,7 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
     return u, v, w
 
 
-def shape_compare(t1: Tree, t2: Tree, alpha: float, lam: float = 1.0,
-                  tol: float = CDF_TOL) -> OrderVerdict:
+def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> OrderVerdict:
     """Convex-order criterion between two trees one re-anchoring move apart.
 
     LE certifies M(t1) <=_cx M(t2) under a common edge parameter alpha: the

@@ -70,15 +70,6 @@ def mul(a: Poly, b: Poly) -> Poly:
     return Poly(np.convolve(a.coeffs, b.coeffs))
 
 
-def power(p: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative power")
-    out = ONE
-    for _ in range(n):
-        out = mul(out, p)
-    return out
-
-
 def affine_thin(p: Poly, alpha: float) -> Poly:
     """(1 - alpha) + alpha * p, the edge-thinning transform of a pgf."""
     if not 0.0 <= alpha <= 1.0:
@@ -86,23 +77,6 @@ def affine_thin(p: Poly, alpha: float) -> Poly:
     c = alpha * np.asarray(p.coeffs).copy()
     c[0] += 1.0 - alpha
     return Poly(c)
-
-
-def psi(y: Poly, alpha: float, chi: int, k: int) -> Poly:
-    """k-fold composition in y of  y -> t * (1 - alpha + alpha*y)^chi.
-
-    The 0-fold composition is the monomial t.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
-    if chi < 0 or k < 0:
-        raise ValueError("chi and k must be nonnegative")
-    if k == 0:
-        return T
-    acc = y
-    for _ in range(k):
-        acc = mul(T, power(affine_thin(acc, alpha), chi))
-    return acc
 
 
 def stop_loss(p, c: int) -> float:

@@ -2,9 +2,8 @@
 tree comparisons: adjacency spectrum, spectral radius, Estrada index,
 Laplacian algebraic connectivity, and degree majorization.
 
-Eigenvalues come from a cyclic Jacobi rotation solver: the matrices are tiny
-and this keeps results reproducible with no numerical dependencies beyond
-numpy arrays.
+Eigenvalues come from numpy's symmetric eigenvalue solver
+(`np.linalg.eigvalsh`, ascending order); no eigenvectors are used.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from .tree_core import Tree, degree_vector
 
-JACOBI_EPS = 1e-14
 SPECTRUM_TOL = 1e-9
 
 
@@ -50,52 +48,10 @@ def laplacian_matrix(tree: Tree) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def jacobi_eigh(matrix: np.ndarray, eps: float = JACOBI_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi sweeps; columns of the returned matrix are eigenvectors.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be square and symmetric")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.abs(a).max()))
-    for _sweep in range(100):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= eps * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau)) if tau >= 0 else \
-                    -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi rotations failed to converge")
-    order = np.argsort(a.diagonal(), kind="stable")
-    return a.diagonal()[order].copy(), v[:, order]
-
-
 def spectrum(tree: Tree) -> SpectrumReport:
-    """Full adjacency eigendecomposition plus the Fiedler value."""
-    mu, _ = jacobi_eigh(adjacency_matrix(tree))
-    lmu, _ = jacobi_eigh(laplacian_matrix(tree))
+    """Adjacency eigenvalues plus the Fiedler value."""
+    mu = np.linalg.eigvalsh(adjacency_matrix(tree))
+    lmu = np.linalg.eigvalsh(laplacian_matrix(tree))
     fiedler = float(lmu[1]) if tree.d > 1 else 0.0
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in mu),
@@ -127,6 +83,6 @@ def cospectral_pair_check(t1: Tree, t2: Tree, tol: float = SPECTRUM_TOL) -> bool
     """True when the sorted adjacency spectra coincide within tol."""
     if t1.d != t2.d:
         raise ValueError("trees must have the same vertex count")
-    mu1, _ = jacobi_eigh(adjacency_matrix(t1))
-    mu2, _ = jacobi_eigh(adjacency_matrix(t2))
+    mu1 = np.linalg.eigvalsh(adjacency_matrix(t1))
+    mu2 = np.linalg.eigvalsh(adjacency_matrix(t2))
     return bool(np.max(np.abs(mu1 - mu2)) <= tol)

@@ -108,10 +108,12 @@ class Tree:
 
 
 class RootedTree:
-    """Read-only rooted view of a tree: parent/children maps and descendant sets.
+    """Read-only rooted view of a tree: parent/children maps and BFS order.
 
     children lists are sorted ascending so every downstream product over
-    children is deterministic.
+    children is deterministic. `order` lists every vertex once, root first,
+    each parent before its children, so one forward walk visits a vertex
+    after its parent and one reversed walk visits it after its children.
     """
 
     def __init__(self, tree: Tree, root: int):
@@ -137,14 +139,7 @@ class RootedTree:
             children[p] = children[p] + (v,)
         self.parent = parent
         self.children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        # BFS order: parents always precede children
         self.order = tuple(order)
-        dsc: dict[int, set[int]] = {v: set() for v in tree.vertices}
-        for v in reversed(self.order):
-            for c in self.children[v]:
-                dsc[v].add(c)
-                dsc[v] |= dsc[c]
-        self.dsc = {v: frozenset(s) for v, s in dsc.items()}
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]

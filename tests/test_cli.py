@@ -156,6 +156,18 @@ class TestMc:
         assert obj["tv_distance"] < 5e-3
         assert obj["vertices"]["1"]["ok"] and obj["vertices"]["2"]["ok"]
 
+    def test_bands_allow_for_many_vertices(self, tmp_path):
+        # this stream's worst per-vertex deviation is about 3.4 sigma: a false
+        # alarm under uncorrected 3-sigma bands, inside the corrected ones
+        model = write_model(tmp_path / "m.json", 6,
+                            [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)], alpha=0.5)
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--model", model, "--n", "200000", "--seed", "41",
+                     "-o", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert obj["ok"] is True
+        assert all(v["ok"] for v in obj["vertices"].values())
+
     def test_deterministic_given_seed(self, tmp_path):
         # n is small enough that the TV band may fail; the report must still
         # be written and be byte-identical across reruns

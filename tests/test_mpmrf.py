@@ -214,6 +214,28 @@ class TestCovWithSum:
         with pytest.raises(ValueError):
             cov_with_sum(m, 11)
 
+    def test_equals_product_over_each_path(self):
+        # same multiplication and summation order as the path oracle: exact
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            m = random_model(rng, d_max=20)
+            for v in m.tree.vertices:
+                acc = 0.0
+                for j in m.tree.vertices:
+                    prod = 1.0
+                    for (a, b) in path(m.tree, v, j):
+                        prod *= m.edge_alpha(a, b)
+                    acc += prod
+                assert cov_with_sum(m, v) == m.lam * acc
+
+    def test_long_path_closed_form(self):
+        # sum_j 0.5^|v-j| on a path: 2 - 0.5^(d-1) at an end, about 3 inside
+        d = 2000
+        m = MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5)
+        assert abs(cov_with_sum(m, 1) - 2.0) < 1e-12
+        assert abs(cov_with_sum(m, d) - 2.0) < 1e-12
+        assert abs(cov_with_sum(m, d // 2) - 3.0) < 1e-12
+
 
 class TestExpectedAllocation:
     def test_totals_to_lambda(self, hub6):
@@ -290,6 +312,24 @@ class TestCloseness:
         c = closeness_indices(m)
         for v in hub6.vertices:
             assert abs(m.lam * c[v].exp_transform - cov_with_sum(m, v)) < 1e-12
+
+    def test_equals_sums_over_path_lengths(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(2, 21)))
+            alpha = float(rng.uniform(0.05, 0.95))
+            c = closeness_indices(MpmrfModel.homogeneous(t, 1.0, alpha))
+            for v in t.vertices:
+                lengths = [len(path(t, v, j)) for j in t.vertices]
+                assert c[v].freeman == sum(lengths)
+                assert c[v].exp_transform == sum(alpha ** l for l in lengths)
+
+    def test_long_path_freeman_sums(self):
+        d = 2000
+        c = closeness_indices(MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5))
+        for v in range(1, d + 1):
+            assert c[v].freeman == (v - 1) * v // 2 + (d - v) * (d - v + 1) // 2
+            assert abs(c[v].exp_transform - (3.0 - 0.5 ** (v - 1) - 0.5 ** (d - v))) < 1e-12
 
     def test_heterogeneous_alpha_rejected(self):
         m = MpmrfModel(path_tree(3), 1.0, {(1, 2): 0.2, (2, 3): 0.7})

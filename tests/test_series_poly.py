@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treemrf.series_poly import ONE, T, Poly, affine_thin, mul, power, psi, stop_loss
+from treemrf.series_poly import ONE, T, Poly, affine_thin, mul, stop_loss
 from treemrf.mpmrf import DiscreteDist
 
 from helpers import poisson_pmf
@@ -81,36 +81,6 @@ class TestAffineThin:
             w = rng.random(6)
             p = Poly(w / w.sum())
             assert abs(sum(affine_thin(p, float(rng.random())).coeffs) - 1.0) < 1e-12
-
-
-class TestPsi:
-    def test_zero_compositions_give_t(self):
-        assert psi(Poly([0.3, 0.7]), 0.4, 3, 0) == T
-
-    def test_single_composition(self):
-        assert psi(T, 0.5, 1, 1).isclose(mul(T, Poly([0.5, 0.5])), 1e-15)
-
-    def test_double_composition_hand_expanded(self):
-        # t*(1-a + a*t*(1-a+a*t)) for a=0.4: t*(0.6 + 0.4t(0.6+0.4t))
-        a = 0.4
-        got = psi(T, a, 1, 2)
-        inner = np.array([1 - a, a * (1 - a), a * a])  # 1-a + a*t*(1-a+a*t)
-        want = np.concatenate([[0.0], inner])
-        assert got.isclose(Poly(want), 1e-15)
-
-    def test_chi_power(self):
-        a = 0.3
-        got = psi(T, a, 2, 1)
-        want = mul(T, power(affine_thin(T, a), 2))
-        assert got.isclose(want, 1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            psi(T, 1.5, 1, 1)
-        with pytest.raises(ValueError):
-            psi(T, 0.5, -1, 1)
-        with pytest.raises(ValueError):
-            psi(T, 0.5, 1, -1)
 
 
 class TestStopLoss:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from treemrf.poset import corollary_chain
-from treemrf.spectral import (
-    adjacency_matrix,
-    cospectral_pair_check,
-    jacobi_eigh,
-    laplacian_matrix,
-    majorizes,
-    spectrum,
-)
+from treemrf.spectral import cospectral_pair_check, majorizes, spectrum
 from treemrf.orders import Relation, shape_compare
 from treemrf.tree_core import Tree, canonical_code, degree_vector
 
@@ -69,29 +62,6 @@ class TestSpectrum:
     def test_single_vertex(self):
         rep = spectrum(Tree.of(1, []))
         assert rep.eigenvalues == (0.0,) and rep.rho == 0.0
-
-
-class TestJacobi:
-    def test_eigenpair_residuals_on_random_trees(self):
-        rng = np.random.default_rng(33)
-        for _ in range(15):
-            t = random_tree(rng, int(rng.integers(2, 13)))
-            a = adjacency_matrix(t)
-            mu, vecs = jacobi_eigh(a)
-            res = a @ vecs - vecs * mu
-            assert np.max(np.abs(res)) < 1e-9
-            lap = laplacian_matrix(t)
-            mu2, vecs2 = jacobi_eigh(lap)
-            assert np.max(np.abs(lap @ vecs2 - vecs2 * mu2)) < 1e-9
-            assert mu2[0] > -1e-9  # Laplacian is positive semidefinite
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_matches_known_two_by_two(self):
-        mu, _ = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(mu, [1.0, 3.0], atol=1e-12)
 
 
 class TestMajorizes:

@@ -58,24 +58,27 @@ class TestRootAt:
     def test_path3_rooted_at_middle(self):
         r = root_at(path_tree(3), 2)
         assert r.children[2] == (1, 3)
-        assert r.dsc[2] == {1, 3}
+        assert r.order == (2, 1, 3)
         assert r.is_leaf(1) and r.is_leaf(3)
 
     def test_star10_rooted_at_center(self, star10):
         r = root_at(star10, 1)
         assert r.children[1] == tuple(range(2, 11))
         assert all(r.is_leaf(v) for v in range(2, 11))
-        assert r.dsc[1] == set(range(2, 11))
+        assert r.order == tuple(range(1, 11))
 
     def test_single_vertex(self):
         r = root_at(Tree.of(1, []), 1)
         assert r.children[1] == ()
-        assert r.dsc[1] == frozenset()
+        assert r.order == (1,) and r.parent == {}
 
     def test_root_descendants_are_everything_else(self):
         t = random_tree(np.random.default_rng(5), 8)
         for v in t.vertices:
-            assert root_at(t, v).dsc[v] == set(t.vertices) - {v}
+            r = root_at(t, v)
+            assert r.order[0] == v
+            assert sorted(r.order) == list(t.vertices)
+            assert set(r.parent) == set(t.vertices) - {v}
 
     def test_invalid_root(self):
         with pytest.raises(ValueError):
@@ -87,9 +90,11 @@ class TestRootAt:
             t = random_tree(rng, int(rng.integers(2, 10)))
             r = root_at(t, int(rng.choice(t.vertices)))
             assert sum(len(r.children[v]) for v in t.vertices) == t.d - 1
-            # descendant sets nest along parent links
+            # every parent precedes its child in the BFS order
+            pos = {v: i for i, v in enumerate(r.order)}
             for v, p in r.parent.items():
-                assert r.dsc[v] | {v} <= r.dsc[p]
+                assert pos[p] < pos[v]
+                assert v in r.children[p]
 
 
 class TestPath:
