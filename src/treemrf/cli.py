@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -224,8 +225,16 @@ def cmd_mc(cfg: RunConfig) -> None:
     ana = np.zeros(k_hi + 1)
     ana[: len(agg.pmf)] = agg.pmf
     tv = 0.5 * float(np.abs(emp - ana).sum()) + 0.5 * agg.tail_mass
-    report = {"n": n, "seed": cfg.seed, "tv_distance": tv, "vertices": {}}
-    ok = tv < 5e-3
+    # A correct sampler's TV distance has mean at most
+    # 0.5 * sum_k sqrt(p_k (1 - p_k) / n) plus the tail mass, and one draw moves
+    # it by at most 1/n, so by McDiarmid's inequality it passes that mean by
+    # sqrt(ln(1/0.0027) / (2n)) at most 0.27% of the time.
+    p = agg.pmf
+    tv_limit = (0.5 * float(np.sqrt(p * (1.0 - p) / n).sum())
+                + math.sqrt(math.log(1 / 0.0027) / (2 * n)) + agg.tail_mass)
+    report = {"n": n, "seed": cfg.seed, "tv_distance": tv, "tv_limit": tv_limit,
+              "vertices": {}}
+    ok = tv < tv_limit
     # z-sigma bands, Bonferroni-corrected so the 2d per-vertex checks
     # together raise a false alarm at most 0.27% of the time, as one 3-sigma band
     z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * model.tree.d))

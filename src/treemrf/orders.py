@@ -59,15 +59,30 @@ def _verdict(not_le_at: int | None, not_ge_at: int | None) -> OrderVerdict:
     return OrderVerdict(Relation.INCOMPARABLE, not_le_at, not_ge_at)
 
 
+def _first_index(bad: np.ndarray) -> list[int | None]:
+    """Per row, the first column where `bad` holds, or None."""
+    first = bad.argmax(axis=1)
+    return [int(k) if hit else None for k, hit in zip(first, bad.any(axis=1))]
+
+
+def st_compare_rows(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> list[OrderVerdict]:
+    """Usual stochastic order, one verdict per row of two stacked cdf arrays.
+
+    fa and fb have the same shape (rows, k); row r of the result compares
+    the laws with cdfs fa[r] and fb[r]. LE means F_a >= F_b pointwise up
+    to tol.
+    """
+    not_le = _first_index(fa < fb - tol)  # a <=_st b needs F_a(k) >= F_b(k)
+    not_ge = _first_index(fb < fa - tol)
+    return [_verdict(le, ge) for le, ge in zip(not_le, not_ge)]
+
+
 def st_compare(a: DiscreteDist, b: DiscreteDist, tol: float = CDF_TOL) -> OrderVerdict:
     """Usual stochastic order: LE means a <=_st b, i.e. F_a >= F_b pointwise."""
     n = max(len(a.pmf), len(b.pmf))
     fa = np.cumsum(np.pad(a.pmf, (0, n - len(a.pmf))))
     fb = np.cumsum(np.pad(b.pmf, (0, n - len(b.pmf))))
-    le_bad = np.nonzero(fa < fb - tol)[0]  # a <=_st b needs F_a(k) >= F_b(k)
-    ge_bad = np.nonzero(fb < fa - tol)[0]
-    return _verdict(int(le_bad[0]) if le_bad.size else None,
-                    int(ge_bad[0]) if ge_bad.size else None)
+    return st_compare_rows(fa[None], fb[None], tol)[0]
 
 
 def synecdochic_compare(model: MpmrfModel, v: int, w: int, tol: float = CDF_TOL) -> OrderVerdict:

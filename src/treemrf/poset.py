@@ -6,20 +6,25 @@ gets the same directed verdict at every alpha of the evaluation grid; moves
 whose verdict varies across the grid are recorded in `flags` instead, and
 moves that are INCOMPARABLE at every grid point in `undecided`. Antisymmetry
 of the resulting relation is a conjecture, asserted loudly at build time.
+
+A move compares H laws on its residual tree, and an H law depends only on
+the rooted shape. So one build evaluates each rooted shape (keyed by its AHU
+code) once, for the whole alpha grid, and compares the stacked cdfs of a
+move at every grid alpha in one array operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .mpmrf import DiscreteDist, MpmrfModel, aggregate_dist, h_poly
-from .orders import st_compare
+from .orders import st_compare_rows
 from .tree_core import (
     ShapeCode,
     Tree,
+    _ahu_encoding,
     _norm_edge,
     canonical_code,
     enumerate_shapes,
@@ -77,7 +82,9 @@ class ShapePoset:
             "d": self.d,
             "shapes": [c.hex for c in self.shapes],
             "hasse": [list(e) for e in self.hasse],
+            "alpha_grid": list(self.alpha_grid),
             "flags": [f.to_json() for f in self.flags],
+            "undecided": [u.to_json() for u in self.undecided],
         }
 
 
@@ -108,18 +115,36 @@ def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=300_000)
-def _h_dist_cached(tree: Tree, root: int, alpha: float) -> DiscreteDist:
-    return DiscreteDist.from_poly(h_poly(tree, root, alpha))
+def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.ndarray:
+    """cdfs of H_x on `residual`, one row per grid alpha.
+
+    H_x depends only on the rooted shape of (residual, x), so `laws` keeps
+    one array per AHU code and every isomorphic rooting reuses it.
+    """
+    key = _ahu_encoding(residual, x)
+    cdfs = laws.get(key)
+    if cdfs is None:
+        rows = [DiscreteDist.from_poly(h_poly(residual, x, a)).cdf() for a in grid]
+        k = max(len(r) for r in rows)
+        cdfs = laws[key] = np.vstack([_widen(r[None], k) for r in rows])
+    return cdfs
 
 
-def _grid_verdicts(residual: Tree, v: int, w: int, alpha_grid) -> tuple[str, ...]:
-    rels = []
-    for alpha in alpha_grid:
-        hv = _h_dist_cached(residual, v, alpha)
-        hw = _h_dist_cached(residual, w, alpha)
-        rels.append(st_compare(hv, hw).relation.value)
-    return tuple(rels)
+def _widen(cdfs: np.ndarray, k: int) -> np.ndarray:
+    """Extend each cdf row to length k by repeating its last value."""
+    extra = k - cdfs.shape[1]
+    if not extra:
+        return cdfs
+    return np.hstack([cdfs, np.repeat(cdfs[:, -1:], extra, axis=1)])
+
+
+def _grid_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...],
+                   laws: dict) -> tuple[str, ...]:
+    fv = _h_cdfs(residual, v, grid, laws)
+    fw = _h_cdfs(residual, w, grid, laws)
+    k = max(fv.shape[1], fw.shape[1])
+    verdicts = st_compare_rows(_widen(fv, k), _widen(fw, k))
+    return tuple(vd.relation.value for vd in verdicts)
 
 
 def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> ShapePoset:
@@ -144,13 +169,14 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> Shap
     index = {c: i for i, c in enumerate(codes)}
     n = len(reps)
 
+    laws: dict[bytes, np.ndarray] = {}
     arcs = np.eye(n, dtype=bool)
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
     for i, tree in enumerate(reps):
         for u, v, w, residual, moved in _moves(tree):
             j = index[canonical_code(moved)]
-            rels = _grid_verdicts(residual, v, w, grid)
+            rels = _grid_verdicts(residual, v, w, grid, laws)
             rec = MoveRecord(i, j, u, v, w, rels)
             le_ok = all(r in ("LE", "EQ") for r in rels)
             ge_ok = all(r in ("GE", "EQ") for r in rels)

@@ -9,7 +9,7 @@ a center-rooted AHU encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 Edge = tuple[int, int]
@@ -65,23 +65,20 @@ class Tree:
     def d(self) -> int:
         return len(self.vertices)
 
-    def adjacency(self) -> dict[int, list[int]]:
+    @cached_property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours in ascending order, built once per tree."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for (a, b) in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     def has_edge(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in set(self.edges)
 
     def _component(self, start: int) -> set[int]:
-        adj = {v: [] for v in self.vertices}
-        for (a, b) in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+        adj = self.neighbors
         comp = {start}
         stack = [start]
         while stack:
@@ -121,24 +118,22 @@ class RootedTree:
             raise ValueError(f"invalid root {root}")
         self.tree = tree
         self.root = root
-        adj = tree.adjacency()
+        adj = tree.neighbors
         parent: dict[int, int] = {}
+        children: dict[int, tuple[int, ...]] = {}
         order = [root]
-        seen = {root}
         i = 0
         while i < len(order):
             v = order[i]
             i += 1
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    parent[u] = v
-                    order.append(u)
-        children: dict[int, tuple[int, ...]] = {v: () for v in tree.vertices}
-        for v, p in parent.items():
-            children[p] = children[p] + (v,)
+            # every neighbour but the parent is a child, met in ascending order
+            cs = tuple(u for u in adj[v] if u != parent.get(v))
+            for u in cs:
+                parent[u] = v
+            children[v] = cs
+            order.extend(cs)
         self.parent = parent
-        self.children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+        self.children = children
         self.order = tuple(order)
 
     def is_leaf(self, v: int) -> bool:
@@ -222,10 +217,8 @@ def _centers(tree: Tree) -> list[int]:
     """Center vertex (or the two of a bicenter) by iterative leaf removal."""
     if tree.d == 1:
         return [tree.vertices[0]]
-    deg = {v: 0 for v in tree.vertices}
-    adj = tree.adjacency()
-    for v in tree.vertices:
-        deg[v] = len(adj[v])
+    adj = tree.neighbors
+    deg = {v: len(adj[v]) for v in tree.vertices}
     remaining = set(tree.vertices)
     layer = [v for v in tree.vertices if deg[v] == 1]
     while len(remaining) > 2:
@@ -252,8 +245,7 @@ def isomorphic(t1: Tree, t2: Tree) -> bool:
 
 def degree_vector(tree: Tree) -> tuple[int, ...]:
     """Vertex degrees in decreasing order."""
-    adj = tree.adjacency()
-    return tuple(sorted((len(adj[v]) for v in tree.vertices), reverse=True))
+    return tuple(sorted((len(ns) for ns in tree.neighbors.values()), reverse=True))
 
 
 MAX_ENUM_D = 12  # combinatorial growth; n_12 = 551 shapes

@@ -17,7 +17,6 @@ from treemrf.mpmrf import (
 from treemrf.orders import Relation, shape_compare, st_compare, synecdochic_compare
 from treemrf.poset import (
     DEFAULT_ALPHA_GRID,
-    _h_dist_cached,
     build_poset,
     corollary_chain,
     is_lattice,
@@ -109,7 +108,6 @@ def test_criterion_4_shape_order_beats_spectral(spectral_exception9):
 
 
 def test_criterion_5_poset_structure():
-    _h_dist_cached.cache_clear()
     t0 = time.monotonic()
     lines = []
     for d in range(4, 10):

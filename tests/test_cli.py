@@ -1,8 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
+from treemrf import mpmrf
 from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from treemrf.poset import DEFAULT_ALPHA_GRID
+from treemrf.tree_core import Tree
 
 from helpers import poisson_pmf
 
@@ -136,6 +140,15 @@ class TestPoset:
         obj = json.loads((tmp_path / "poset4.json").read_text())
         assert obj["d"] == 4 and len(obj["shapes"]) == 2
 
+    def test_d8_json_lists_undecided_moves_and_grid(self, tmp_path):
+        prefix = tmp_path / "poset8"
+        assert main(["poset", "--d", "8", "--format", "json", "-o", str(prefix)]) == EXIT_OK
+        obj = json.loads((tmp_path / "poset8.json").read_text())
+        assert obj["alpha_grid"] == list(DEFAULT_ALPHA_GRID)
+        assert len(obj["undecided"]) == 20 and obj["flags"] == []
+        for move in obj["undecided"]:
+            assert move["relations"] == ["INCOMPARABLE"] * len(DEFAULT_ALPHA_GRID)
+
     def test_out_of_range(self, tmp_path):
         assert main(["poset", "--d", "3"]) == EXIT_INPUT
 
@@ -167,6 +180,33 @@ class TestMc:
         obj = json.loads(out.read_text())
         assert obj["ok"] is True
         assert all(v["ok"] for v in obj["vertices"].values())
+
+    @pytest.mark.parametrize("seed", [4, 49])
+    def test_tv_limit_scales_with_n(self, tmp_path, seed):
+        # these streams read a TV distance above 5e-3, which a fixed cut once
+        # rejected; at n=200000 the limit is about 8.4e-3
+        model = write_model(tmp_path / "m.json", 6,
+                            [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)], alpha=0.5)
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--model", model, "--n", "200000", "--seed", str(seed),
+                     "-o", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert 5e-3 < obj["tv_distance"] < obj["tv_limit"] < 9e-3
+        assert obj["ok"] is True
+
+    def test_tv_limit_catches_a_wrong_sampler(self, tmp_path, monkeypatch):
+        # draws from alpha=0.55 checked against the alpha=0.5 law
+        edges = [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)]
+        wrong = mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 1.0, 0.55)
+        sample = mpmrf.sample
+        monkeypatch.setattr(mpmrf, "sample",
+                            lambda _model, root, seed, n: sample(wrong, root, seed, n))
+        model = write_model(tmp_path / "m.json", 6, edges, alpha=0.5)
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--model", model, "--n", "200000", "--seed", "4",
+                     "-o", str(out)]) == EXIT_TOLERANCE
+        obj = json.loads(out.read_text())
+        assert obj["tv_distance"] > 2 * obj["tv_limit"]
 
     def test_deterministic_given_seed(self, tmp_path):
         # n is small enough that the TV band may fail; the report must still

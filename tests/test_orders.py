@@ -7,6 +7,7 @@ from treemrf.orders import (
     cx_check_empirical,
     shape_compare,
     st_compare,
+    st_compare_rows,
     synecdochic_compare,
 )
 from treemrf.poset import _moves
@@ -61,6 +62,25 @@ class TestStCompare:
         v = st_compare(point_mass(1), point_mass(2))
         obj = v.to_json()
         assert obj["relation"] == "LE" and obj["witness"] is None
+
+    def test_rows_agree_with_pairwise_verdicts(self, incomparable12):
+        t, _tp = incomparable12
+        residual, _ = prune(t, 4, 2)
+        pairs = [(point_mass(1), point_mass(2)), (point_mass(2), point_mass(1)),
+                 (point_mass(2), point_mass(2))]
+        pairs += [(DiscreteDist(eta_by_hand(residual, 2, a)),
+                   DiscreteDist(eta_by_hand(residual, 3, a))) for a in (0.1, 0.5, 0.9)]
+        n = max(len(x.pmf) for pair in pairs for x in pair)
+        fa, fb = (np.array([np.cumsum(np.pad(x.pmf, (0, n - len(x.pmf)))) for x in col])
+                  for col in zip(*pairs))
+        rows = st_compare_rows(fa, fb)
+        assert rows == [st_compare(a, b) for a, b in pairs]
+        assert [v.relation for v in rows[:3]] == [Relation.LE, Relation.GE, Relation.EQ]
+
+    def test_rows_tolerance(self):
+        fa = np.array([[0.5, 1.0], [0.5, 1.0]])
+        fb = np.array([[0.5 + 5e-13, 1.0], [0.5 + 5e-12, 1.0]])
+        assert [v.relation for v in st_compare_rows(fa, fb)] == [Relation.EQ, Relation.GE]
 
 
 class TestSynecdochicCompare:

@@ -3,6 +3,7 @@ import pytest
 
 from treemrf.orders import Relation, shape_compare
 from treemrf.poset import (
+    DEFAULT_ALPHA_GRID,
     AntisymmetryError,
     ShapePoset,
     _assert_distinct_aggregates,
@@ -14,7 +15,7 @@ from treemrf.poset import (
     minimal_elements,
     single_move_neighbors,
 )
-from treemrf.tree_core import Tree, canonical_code, enumerate_shapes
+from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
 
 GRID = (0.1, 0.5, 0.9)
 
@@ -124,8 +125,57 @@ class TestBuildPoset:
 
     def test_json_schema(self, posets):
         obj = posets(4).to_json()
-        assert set(obj) == {"d", "shapes", "hasse", "flags"}
+        assert set(obj) == {"d", "shapes", "hasse", "alpha_grid", "flags", "undecided"}
         assert obj["d"] == 4 and len(obj["shapes"]) == 2 and obj["hasse"] == [[0, 1]]
+        assert obj["alpha_grid"] == list(DEFAULT_ALPHA_GRID)
+        assert obj["flags"] == [] and obj["undecided"] == []
+
+
+class TestPosetOracle:
+    """build_poset's shared per-shape cdfs against per-alpha shape_compare
+    on the labelled residual of every move."""
+
+    ORACLE_GRID = (0.15, 0.5, 0.85)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_matches_per_alpha_shape_compare(self, d):
+        ps = build_poset(d, self.ORACLE_GRID)
+        index = {c: i for i, c in enumerate(ps.shapes)}
+        n = len(ps.shapes)
+        arcs = np.eye(n, dtype=bool)
+        expected = {}
+        for i, tree in enumerate(ps.reps):
+            for moved, u, v, w in _all_moves(tree):
+                rels = tuple(shape_compare(tree, moved, a).relation.value
+                             for a in self.ORACLE_GRID)
+                j = index[canonical_code(moved)]
+                expected[(i, u, v, w)] = (j, rels)
+                if set(rels) <= {"LE", "EQ"}:
+                    arcs[i, j] = True
+                if set(rels) <= {"GE", "EQ"}:
+                    arcs[j, i] = True
+        for rec in ps.flags + ps.undecided:
+            assert expected[(rec.source, rec.u, rec.v, rec.w)] == (rec.target, rec.relations)
+        closure = arcs
+        while True:
+            nxt = closure | ((closure.astype(int) @ closure.astype(int)) > 0)
+            if (nxt == closure).all():
+                break
+            closure = nxt
+        assert (ps.relation == closure).all()
+        undecided = sum(set(rels) == {"INCOMPARABLE"} for _j, rels in expected.values())
+        assert len(ps.undecided) == undecided
+
+
+def _all_moves(tree: Tree):
+    """Every re-anchoring move of `tree`: (moved tree, u, v, w), edge (u,v) -> (u,w)."""
+    for (a, b) in tree.edges:
+        for u, v in ((a, b), (b, a)):
+            residual, _detached = prune(tree, u, v)
+            for w in residual.vertices:
+                if w != v:
+                    edges = [e for e in tree.edges if e != (min(u, v), max(u, v))]
+                    yield Tree.on(tree.vertices, edges + [(u, w)]), u, v, w
 
 
 class TestHasseDot:

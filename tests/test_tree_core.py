@@ -97,6 +97,24 @@ class TestRootAt:
                 assert v in r.children[p]
 
 
+    def test_children_are_the_sorted_neighbours_below(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            t = random_tree(rng, int(rng.integers(2, 12)))
+            # a pruned part keeps its labels, so labels need not be 1..d;
+            # the direct constructor keeps edges in the order given
+            part = prune(t, *t.edges[0])[0] if t.d > 2 else t
+            part = Tree(part.vertices, tuple((b, a) for a, b in reversed(part.edges)))
+            nbrs = {v: sorted({b for e in part.edges for b in e if v in e} - {v})
+                    for v in part.vertices}
+            assert part.neighbors == {v: tuple(ns) for v, ns in nbrs.items()}
+            for root in part.vertices:
+                r = root_at(part, root)
+                for v in part.vertices:
+                    below = [u for u in nbrs[v] if u != r.parent.get(v)]
+                    assert r.children[v] == tuple(below)
+
+
 class TestPath:
     def test_path3(self):
         assert path(path_tree(3), 1, 3) == [(1, 2), (2, 3)]
