@@ -6,6 +6,7 @@ from .mpmrf import (
     AllocationTable,
     DiscreteDist,
     MpmrfModel,
+    ToleranceError,
     aggregate_dist,
     allocation_to_csv,
     closeness_indices,
@@ -24,6 +25,7 @@ from .orders import (
     cx_check_empirical,
     shape_compare,
     st_compare,
+    stop_loss,
     synecdochic_compare,
 )
 from .poset import (
@@ -36,7 +38,6 @@ from .poset import (
     minimal_elements,
     single_move_neighbors,
 )
-from .series_poly import Poly, affine_thin, mul, stop_loss
 from .spectral import SpectrumReport, cospectral_pair_check, majorizes, spectrum
 from .tree_core import (
     RootedTree,
@@ -53,14 +54,14 @@ from .tree_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationTable", "DiscreteDist", "MpmrfModel", "OrderVerdict", "Poly",
+    "AllocationTable", "DiscreteDist", "MpmrfModel", "OrderVerdict",
     "Relation", "RootedTree", "ShapeCode", "ShapePoset", "SpectrumReport",
-    "Tree", "aggregate_dist", "affine_thin", "allocation_to_csv",
+    "ToleranceError", "Tree", "aggregate_dist", "allocation_to_csv",
     "build_poset", "canonical_code", "closeness_indices", "corollary_chain",
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
     "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
-    "minimal_elements", "mul", "path", "prune", "root_at", "sample",
+    "minimal_elements", "path", "prune", "root_at", "sample",
     "shape_compare", "single_move_neighbors", "spectrum", "st_compare",
     "stop_loss", "synecdochic_compare", "tvar", "tvar_contribution",
     "tvar_contribution_table",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpmrf, orders, poset as poset_mod, spectral, tree_core
+from .mpmrf import ToleranceError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +43,6 @@ class UsageError(Exception):
 
 
 class InputError(Exception):
-    pass
-
-
-class ToleranceError(Exception):
     pass
 
 

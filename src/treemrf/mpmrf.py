@@ -9,7 +9,9 @@ rooting.
 Key derived objects:
   * H_v: total events, anywhere on the tree, originating from vertex v when
     the tree is rooted at v. Its pgf is the recursive product over children
-    of (1 - alpha + alpha * child pgf), times t.
+    of (1 - alpha + alpha * child pgf), times t. Every pgf is a plain float
+    array of coefficients, entry k holding the coefficient of t^k, and
+    h_poly returns one.
   * M = sum of all components: compound Poisson with rate
     lambda * (d - sum(alpha_e)) and severity a mixture of the H_v laws,
     evaluated by Panjer recursion.
@@ -24,12 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series_poly import Poly, T, affine_thin, mul
 from .tree_core import RootedTree, Tree, _norm_edge, root_at
 
 PMF_SUM_TOL = 1e-9
 DEFAULT_TOL = 1e-12
 MAX_TOL = 1e-3
+
+
+class ToleranceError(ArithmeticError):
+    """A requested numerical tolerance cannot be reached."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,6 @@ class DiscreteDist:
         total = float(p.sum()) + self.tail_mass
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"pmf plus tail mass sums to {total}, not 1")
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "DiscreteDist":
-        return cls(np.array(p.coeffs))
 
     @property
     def k_max(self) -> int:
@@ -160,29 +161,42 @@ def _alpha_of(alpha, a: int, b: int) -> float:
     return float(alpha)
 
 
-def _eta(rooted: RootedTree, alpha) -> dict[int, Poly]:
-    """pgf of the events each vertex seeds in its own rooted subtree.
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing zero coefficients (c has a nonzero entry)."""
+    return c[: np.flatnonzero(c)[-1] + 1]
+
+
+def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
+    """pgf coefficients of the events each vertex seeds in its own subtree.
 
     eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
-    built leaves first; alpha is a scalar or an edge map.
+    built leaves first; alpha is a scalar or an edge map. Each thinned factor
+    and each product is trimmed of trailing zeros (they appear where
+    alpha * eta_c underflows), so every convolution runs over the support.
     """
-    eta: dict[int, Poly] = {}
+    eta: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
-        p = T
+        p = np.array([0.0, 1.0])
         for c in rooted.children[v]:
-            p = mul(p, affine_thin(eta[c], _alpha_of(alpha, v, c)))
+            a = _alpha_of(alpha, v, c)
+            f = a * eta[c]
+            f[0] += 1.0 - a
+            p = _trim(np.convolve(p, _trim(f)))
         eta[v] = p
     return eta
 
 
-def h_poly(tree: Tree, root: int, alpha) -> Poly:
-    """pgf of H_root as a polynomial; alpha is a scalar or an edge map."""
+def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
+    """pgf coefficients of H_root; alpha is a scalar or an edge map in [0, 1]."""
+    for a in alpha.values() if isinstance(alpha, dict) else (alpha,):
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha {a} outside [0, 1]")
     return _eta(root_at(tree, root), alpha)[root]
 
 
 def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     """Exact law of H_root: support within {1..d}, no mass at 0."""
-    return DiscreteDist.from_poly(h_poly(model.tree, root, model.alpha))
+    return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
 def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
@@ -203,7 +217,7 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
     rate = model.lam * total
     sev = np.zeros(tree.d + 1)
     for v in tree.vertices:
-        c = eta[v].coeffs
+        c = eta[v]
         sev[: len(c)] += (weights[v] / total) * c
     return rate, sev
 
@@ -226,7 +240,11 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None
     """Law of M = sum of all components, truncated once the tail is below tol.
 
     The rooting only affects intermediate quantities; the result is the same
-    for every choice (tested to 1e-10 pointwise).
+    for every choice (tested to 1e-10 pointwise). K starts near the mean and
+    doubles while the tail is at or above tol; ToleranceError is raised when
+    a doubling leaves the tail no smaller, since then no K reaches tol (the
+    Panjer start exp(-rate) underflowed, or rounding left the severity short
+    of mass 1 and the rate scaled that deficit above tol).
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
@@ -235,11 +253,17 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None
     rate, sev = _severity_mixture(model, root)
     d, lam = model.tree.d, model.lam
     k = max(8, math.ceil(d * lam + 10.0 * math.sqrt(d * lam * d)))
+    last = math.inf
     while True:
         pmf = _panjer_compound_poisson(rate, sev, k)
         tail = max(0.0, 1.0 - float(pmf.sum()))
         if tail < tol:
             return DiscreteDist(pmf, tail)
+        if tail >= last:
+            raise ToleranceError(
+                f"aggregate tail mass {tail!r} did not shrink when K doubled to {k} "
+                f"(compound-Poisson rate {rate!r}); tol {tol!r} is out of reach")
+        last = tail
         k *= 2
 
 

@@ -2,6 +2,10 @@
 
 All criteria here are sufficient conditions: INCOMPARABLE means the check is
 inconclusive, never a proof that no ordering exists.
+
+The single-move criterion for shapes lives in `single_move_verdicts`, which
+both `shape_compare` (one alpha) and `poset.build_poset` (its whole grid)
+call.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import DiscreteDist, MpmrfModel, h_dist, h_poly
-from .tree_core import Tree, prune
+from .tree_core import Tree, _ahu_encoding, prune
 
 CDF_TOL = 1e-12
 MEAN_TOL = 1e-8
@@ -120,6 +124,45 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
     return u, v, w
 
 
+def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.ndarray:
+    """cdfs of H_x on `residual`, one row per grid alpha.
+
+    H_x depends only on the rooted shape of (residual, x), so `laws` keeps
+    one array per AHU code and every isomorphic rooting reuses it.
+    """
+    key = _ahu_encoding(residual, x)
+    cdfs = laws.get(key)
+    if cdfs is None:
+        rows = [np.cumsum(h_poly(residual, x, a)) for a in grid]
+        k = max(len(r) for r in rows)
+        cdfs = laws[key] = np.vstack([_widen(r[None], k) for r in rows])
+    return cdfs
+
+
+def _widen(cdfs: np.ndarray, k: int) -> np.ndarray:
+    """Extend each cdf row to length k by repeating its last value."""
+    extra = k - cdfs.shape[1]
+    if not extra:
+        return cdfs
+    return np.hstack([cdfs, np.repeat(cdfs[:, -1:], extra, axis=1)])
+
+
+def single_move_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...],
+                         laws: dict, tol: float = CDF_TOL) -> list[OrderVerdict]:
+    """The convex-order criterion of one re-anchoring move, per grid alpha.
+
+    The move detaches a subtree from v and re-anchors it at w, both vertices
+    of `residual`; LE at a grid alpha certifies that the tree before the move
+    has the smaller aggregate in convex order. H_v and H_w on the residual
+    are compared in the usual stochastic order. `laws` caches the H cdfs by
+    rooted shape for the caller.
+    """
+    fv = _h_cdfs(residual, v, grid, laws)
+    fw = _h_cdfs(residual, w, grid, laws)
+    k = max(fv.shape[1], fw.shape[1])
+    return st_compare_rows(_widen(fv, k), _widen(fw, k), tol)
+
+
 def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> OrderVerdict:
     """Convex-order criterion between two trees one re-anchoring move apart.
 
@@ -133,9 +176,7 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> Ord
     residual, detached = prune(t1, u, v)
     if w not in residual.vertices:
         raise ValueError("re-anchoring target is inside the detached subtree")
-    hv = DiscreteDist.from_poly(h_poly(residual, v, alpha))
-    hw = DiscreteDist.from_poly(h_poly(residual, w, alpha))
-    return st_compare(hv, hw, tol)
+    return single_move_verdicts(residual, v, w, (alpha,), {}, tol)[0]
 
 
 def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL) -> OrderVerdict:
@@ -160,3 +201,14 @@ def _stop_loss_curve(pmf: np.ndarray, n: int) -> np.ndarray:
     sf = 1.0 - np.cumsum(np.pad(pmf, (0, max(0, n - len(pmf)))))[:n]
     sf = np.maximum(sf, 0.0)
     return np.cumsum(sf[::-1])[::-1]
+
+
+def stop_loss(p, c: int) -> float:
+    """Stop-loss premium E[(X - c)+] of a pmf on {0,1,...}.
+
+    Accepts a DiscreteDist or any sequence of probabilities.
+    """
+    pmf = np.asarray(getattr(p, "pmf", p), dtype=float)
+    ks = np.arange(len(pmf))
+    over = ks > c
+    return float(np.sum((ks[over] - c) * pmf[over]))

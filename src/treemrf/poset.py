@@ -7,10 +7,13 @@ whose verdict varies across the grid are recorded in `flags` instead, and
 moves that are INCOMPARABLE at every grid point in `undecided`. Antisymmetry
 of the resulting relation is a conjecture, asserted loudly at build time.
 
-A move compares H laws on its residual tree, and an H law depends only on
-the rooted shape. So one build evaluates each rooted shape (keyed by its AHU
-code) once, for the whole alpha grid, and compares the stacked cdfs of a
-move at every grid alpha in one array operation.
+The move criterion itself is `orders.single_move_verdicts`, the one that
+`orders.shape_compare` applies at a single alpha. A move compares H laws on
+its residual tree, and an H law depends only on the rooted shape; one build
+hands the criterion one dict, so each rooted shape (keyed by its AHU code)
+is evaluated once for the whole alpha grid, and a move's stacked cdfs are
+compared at every grid alpha in one array operation. The H pgfs are the
+plain coefficient arrays of `mpmrf.h_poly`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpmrf import DiscreteDist, MpmrfModel, aggregate_dist, h_poly
-from .orders import st_compare_rows
+from .mpmrf import MpmrfModel, aggregate_dist
+from .orders import single_move_verdicts
 from .tree_core import (
     ShapeCode,
     Tree,
-    _ahu_encoding,
     _norm_edge,
     canonical_code,
     enumerate_shapes,
@@ -115,38 +117,6 @@ def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
     return out
 
 
-def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.ndarray:
-    """cdfs of H_x on `residual`, one row per grid alpha.
-
-    H_x depends only on the rooted shape of (residual, x), so `laws` keeps
-    one array per AHU code and every isomorphic rooting reuses it.
-    """
-    key = _ahu_encoding(residual, x)
-    cdfs = laws.get(key)
-    if cdfs is None:
-        rows = [DiscreteDist.from_poly(h_poly(residual, x, a)).cdf() for a in grid]
-        k = max(len(r) for r in rows)
-        cdfs = laws[key] = np.vstack([_widen(r[None], k) for r in rows])
-    return cdfs
-
-
-def _widen(cdfs: np.ndarray, k: int) -> np.ndarray:
-    """Extend each cdf row to length k by repeating its last value."""
-    extra = k - cdfs.shape[1]
-    if not extra:
-        return cdfs
-    return np.hstack([cdfs, np.repeat(cdfs[:, -1:], extra, axis=1)])
-
-
-def _grid_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...],
-                   laws: dict) -> tuple[str, ...]:
-    fv = _h_cdfs(residual, v, grid, laws)
-    fw = _h_cdfs(residual, w, grid, laws)
-    k = max(fv.shape[1], fw.shape[1])
-    verdicts = st_compare_rows(_widen(fv, k), _widen(fw, k))
-    return tuple(vd.relation.value for vd in verdicts)
-
-
 def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> ShapePoset:
     """Construct the shape poset for all d-vertex trees.
 
@@ -176,7 +146,8 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> Shap
     for i, tree in enumerate(reps):
         for u, v, w, residual, moved in _moves(tree):
             j = index[canonical_code(moved)]
-            rels = _grid_verdicts(residual, v, w, grid, laws)
+            rels = tuple(vd.relation.value
+                         for vd in single_move_verdicts(residual, v, w, grid, laws))
             rec = MoveRecord(i, j, u, v, w, rels)
             le_ok = all(r in ("LE", "EQ") for r in rels)
             ge_ok = all(r in ("GE", "EQ") for r in rels)

@@ -185,16 +185,13 @@ def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
         raise ValueError(f"({u},{v}) is not an edge")
     e = _norm_edge(u, v)
     rest = [x for x in tree.edges if x != e]
-    adj: dict[int, list[int]] = {x: [] for x in tree.vertices}
-    for (a, b) in rest:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = tree.neighbors
     side = {u}
     stack = [u]
     while stack:
         x = stack.pop()
         for y in adj[x]:
-            if y not in side:
+            if y not in side and (x, y) != (u, v):
                 side.add(y)
                 stack.append(y)
     detached = Tree.on(side, [x for x in rest if x[0] in side])

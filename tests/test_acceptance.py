@@ -73,8 +73,8 @@ def test_criterion_3_incomparable_pair(incomparable12):
     t0 = time.monotonic()
     t, tp = incomparable12
     residual, _ = prune(t, 4, 2)
-    h2 = DiscreteDist.from_poly(h_poly(residual, 2, 0.9))
-    h3 = DiscreteDist.from_poly(h_poly(residual, 3, 0.9))
+    h2 = DiscreteDist(h_poly(residual, 2, 0.9))
+    h3 = DiscreteDist(h_poly(residual, 3, 0.9))
     verdict = st_compare(h2, h3)
     assert verdict.relation is Relation.INCOMPARABLE
     f2, f3 = h2.cdf(), h3.cdf()

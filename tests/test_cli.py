@@ -60,6 +60,17 @@ class TestPmf:
     def test_missing_file(self, tmp_path):
         assert main(["pmf", "--model", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("edges,lam,alpha", [
+        ([(i, i + 1) for i in range(1, 800)], 1.0, 0.0),
+        ([(i, i + 1) for i in range(1, 1000)], 0.5, 0.5),
+        ([(1, i) for i in range(2, 1001)], 1.0, 0.5),
+    ])
+    def test_stuck_tail_exits_4(self, tmp_path, capsys, edges, lam, alpha):
+        model = write_model(tmp_path / "m.json", len(edges) + 1, edges, lam=lam, alpha=alpha)
+        assert main(["pmf", "--model", model, "-o", str(tmp_path / "pmf.csv")]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance:") and "did not shrink" in err
+
     def test_bad_tol(self, tmp_path):
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
         assert main(["pmf", "--model", model, "--tol", "0.5"]) == EXIT_INPUT

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,11 +7,13 @@ import scipy.stats
 from treemrf.mpmrf import (
     DiscreteDist,
     MpmrfModel,
+    ToleranceError,
     aggregate_dist,
     closeness_indices,
     cov_with_sum,
     expected_allocation,
     h_dist,
+    h_poly,
     sample,
     tvar,
     tvar_contribution,
@@ -17,11 +21,15 @@ from treemrf.mpmrf import (
 )
 from treemrf.tree_core import Tree, path
 
-from helpers import agg_pmf_series_exp, poisson_pmf, random_tree, tv_distance
+from helpers import agg_pmf_series_exp, eta_by_hand, poisson_pmf, random_tree, tv_distance
 
 
 def path_tree(d):
     return Tree.of(d, [(i, i + 1) for i in range(1, d)])
+
+
+def star_tree(d):
+    return Tree.of(d, [(1, i) for i in range(2, d + 1)])
 
 
 def random_model(rng, d_max=8) -> MpmrfModel:
@@ -90,6 +98,119 @@ class TestHDist:
                 assert abs(d.pmf.sum() - 1.0) < 1e-12
 
 
+class TestHArray:
+    """The H pgf as a plain coefficient array."""
+
+    def test_alpha_zero_is_t(self):
+        # every thinned factor is the constant 1, so each product stays t
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(1, 12)))
+            for v in t.vertices:
+                h = h_poly(t, v, 0.0)
+                assert np.array_equal(h, [0.0, 1.0]) and h.dtype == float
+
+    def test_alpha_one_path_is_t_power_d(self):
+        for d in (1, 2, 5, 40):
+            want = np.zeros(d + 1)
+            want[d] = 1.0
+            for v in (1, (d + 1) // 2, d):
+                assert np.array_equal(h_poly(path_tree(d), v, 1.0), want)
+
+    def test_mass_is_one(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            t = random_tree(rng, int(rng.integers(1, 60)))
+            alphas = [float(rng.uniform()), {e: float(rng.uniform()) for e in t.edges}]
+            for alpha in alphas:
+                for v in t.vertices[:5]:
+                    assert abs(h_poly(t, v, alpha).sum() - 1.0) < 1e-12
+
+    def test_no_trailing_zero(self):
+        # alpha * eta_c underflows at alpha = 1e-200, leaving zeros to trim
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(1, 30)))
+            per_edge = {e: float(rng.choice([1e-200, 1e-160, 0.5, 0.0, 1.0])) for e in t.edges}
+            for alpha in (0.0, 1e-200, 1e-100, 0.3, 1.0, per_edge):
+                for v in t.vertices:
+                    assert h_poly(t, v, alpha)[-1] != 0.0
+
+    def test_alpha_out_of_range_raises(self):
+        for alpha in (-0.1, 1.1, float("nan")):
+            for t in (Tree.of(1, []), path_tree(3)):
+                with pytest.raises(ValueError):
+                    h_poly(t, 1, alpha)
+
+    def test_single_edge_half(self):
+        assert np.array_equal(h_poly(path_tree(2), 1, 0.5), [0.0, 0.5, 0.5])
+
+    def test_cherry_is_a_bernoulli_square(self):
+        # root 1 of the 3-star: t * (1/2 + t/2)^2
+        assert np.array_equal(h_poly(star_tree(3), 1, 0.5), [0.0, 0.25, 0.5, 0.25])
+
+    def test_middle_of_a_3_path_is_a_binomial_square(self):
+        # t * (1 - a + a t)^2, exact for dyadic a
+        for a in (0.25, 0.5, 0.75):
+            want = [0.0, (1 - a) ** 2, 2 * a * (1 - a), a * a]
+            assert np.array_equal(h_poly(path_tree(3), 2, a), want)
+
+    def test_single_vertex_is_t(self):
+        # no children: the empty product of thinned factors is the constant 1
+        for alpha in (0.0, 0.3, 1.0, {}):
+            assert np.array_equal(h_poly(Tree.of(1, []), 1, alpha), [0.0, 1.0])
+
+    def test_zero_edge_cuts_off_what_hangs_beyond(self):
+        # 1 - 2 -0- 3 - (random subtree): the factor thinned at alpha 0 is 1
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            d = int(rng.integers(3, 20))
+            edges = [(1, 2), (2, 3)] + [(int(rng.integers(3, k)), k) for k in range(4, d + 1)]
+            t = Tree.of(d, edges)
+            alpha = {e: float(rng.uniform()) for e in t.edges}
+            alpha[(1, 2)], alpha[(2, 3)] = 0.5, 0.0
+            assert np.array_equal(h_poly(t, 1, alpha), [0.0, 0.5, 0.5])
+
+    def test_degree_is_d(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            t = random_tree(rng, int(rng.integers(1, 40)))
+            v = int(rng.choice(t.vertices))
+            assert len(h_poly(t, v, float(rng.uniform(0.01, 0.99)))) == t.d + 1
+
+    def test_relabelling_only_reorders_factors(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            t = random_tree(rng, int(rng.integers(2, 50)))
+            perm = dict(zip(t.vertices, (int(x) for x in rng.permutation(t.vertices))))
+            alpha = float(rng.uniform())
+            for v in t.vertices[:4]:
+                a, b = h_poly(t, v, alpha), h_poly(t.relabel(perm), perm[v], alpha)
+                assert len(a) == len(b) and np.max(np.abs(a - b)) < 1e-12
+
+    def test_matches_hand_expansion_and_pointwise_recursion(self):
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(1, 25)))
+            alpha = float(rng.uniform())
+            for v in t.vertices[:3]:
+                h = h_poly(t, v, alpha)
+                hand = eta_by_hand(t, v, alpha)
+                assert np.max(np.abs(h - hand[: len(h)])) < 1e-15
+                for x in (0.0, 0.3, 0.9, 1.0, 1.7):
+                    want = _eta_at(t, v, None, alpha, x)
+                    assert abs(np.polyval(h[::-1], x) - want) < 1e-12 * max(1.0, want)
+
+
+def _eta_at(tree, v, parent, alpha, x):
+    """eta_v(x) = x * prod over children (1 - alpha + alpha * eta_c(x)), as a number."""
+    out = x
+    for c in tree.neighbors[v]:
+        if c != parent:
+            out *= 1.0 - alpha + alpha * _eta_at(tree, c, v, alpha, x)
+    return out
+
+
 class TestAggregateDist:
     def test_independence_gives_poisson(self):
         m = MpmrfModel.homogeneous(path_tree(3), 1.0, 0.0)
@@ -151,6 +272,19 @@ class TestAggregateDist:
         for bad in (0.0, 1e-2, -1.0):
             with pytest.raises(ValueError):
                 aggregate_dist(m, tol=bad)
+
+    @pytest.mark.parametrize("shape,d,lam,alpha", [
+        ("path", 800, 1.0, 0.0),   # exp(-800) underflows: the tail stays 1
+        ("path", 1000, 0.5, 0.5),  # the pmf sum sits on its rounding floor
+        ("star", 1000, 1.0, 0.5),
+    ])
+    def test_stuck_tail_raises(self, shape, d, lam, alpha):
+        tree = path_tree(d) if shape == "path" else star_tree(d)
+        m = MpmrfModel.homogeneous(tree, lam, alpha)
+        t0 = time.monotonic()
+        with pytest.raises(ToleranceError, match=r"tail mass .* K doubled to \d+ .*rate"):
+            aggregate_dist(m)
+        assert time.monotonic() - t0 < 5.0
 
     def test_tail_mass_below_tolerance(self):
         m = MpmrfModel.homogeneous(path_tree(4), 2.0, 0.6)
@@ -363,6 +497,14 @@ class TestDiscreteDist:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DiscreteDist(np.array([1.1, -0.1]))
+
+    def test_tiny_negative_clamped(self):
+        d = DiscreteDist(np.array([1.0, -1e-16]))
+        assert d.pmf[0] == 1.0 and d.pmf[1] == 0.0
+
+    def test_large_negative_rejected(self):
+        with pytest.raises(ValueError):
+            DiscreteDist(np.array([1.0, -1e-10]))
 
     def test_quantile_inf_definition(self):
         d = DiscreteDist(np.array([0.25, 0.25, 0.5]))

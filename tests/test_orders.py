@@ -8,6 +8,7 @@ from treemrf.orders import (
     shape_compare,
     st_compare,
     st_compare_rows,
+    stop_loss,
     synecdochic_compare,
 )
 from treemrf.poset import _moves
@@ -230,3 +231,21 @@ def test_shape_verdicts_imply_aggregate_convex_order(d):
                     assert cx.relation in (Relation.GE, Relation.EQ)
                 else:
                     assert cx.relation is Relation.EQ
+
+
+class TestStopLoss:
+    def test_point_mass(self):
+        d = DiscreteDist(np.array([0.0, 0.0, 0.0, 1.0]))
+        assert stop_loss(d, 1) == 2.0
+
+    def test_beyond_support_is_zero(self):
+        d = DiscreteDist(np.array([0.2, 0.3, 0.5]))
+        assert stop_loss(d, 2) == 0.0
+        assert stop_loss(d, 10) == 0.0
+
+    def test_at_zero_recovers_mean(self):
+        pmf = poisson_pmf(1.0, 40)  # tail far below 1e-12
+        assert abs(stop_loss(pmf, 0) - 1.0) < 1e-9
+
+    def test_accepts_plain_sequences(self):
+        assert stop_loss([0.5, 0.0, 0.5], 0) == 1.0

@@ -17,6 +17,8 @@ from treemrf.poset import (
 )
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
 
+from helpers import eta_by_hand
+
 GRID = (0.1, 0.5, 0.9)
 
 
@@ -132,10 +134,22 @@ class TestBuildPoset:
 
 
 class TestPosetOracle:
-    """build_poset's shared per-shape cdfs against per-alpha shape_compare
-    on the labelled residual of every move."""
+    """build_poset's per-alpha verdicts against the single-move criterion
+    evaluated per alpha by hand: cdfs of H_v and H_w on the labelled residual
+    of every move, expanded by helpers.eta_by_hand and compared pointwise."""
 
     ORACLE_GRID = (0.15, 0.5, 0.85)
+    TOL = 1e-12
+
+    @classmethod
+    def _relation(cls, residual: Tree, v: int, w: int, alpha: float) -> str:
+        hv, hw = eta_by_hand(residual, v, alpha), eta_by_hand(residual, w, alpha)
+        n = max(len(hv), len(hw))
+        fv = np.cumsum(np.pad(hv, (0, n - len(hv))))
+        fw = np.cumsum(np.pad(hw, (0, n - len(hw))))
+        le = bool(np.all(fv >= fw - cls.TOL))  # H_v <=_st H_w
+        ge = bool(np.all(fw >= fv - cls.TOL))
+        return "EQ" if le and ge else "LE" if le else "GE" if ge else "INCOMPARABLE"
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
     def test_matches_per_alpha_shape_compare(self, d):
@@ -146,8 +160,8 @@ class TestPosetOracle:
         expected = {}
         for i, tree in enumerate(ps.reps):
             for moved, u, v, w in _all_moves(tree):
-                rels = tuple(shape_compare(tree, moved, a).relation.value
-                             for a in self.ORACLE_GRID)
+                residual, _detached = prune(tree, u, v)
+                rels = tuple(self._relation(residual, v, w, a) for a in self.ORACLE_GRID)
                 j = index[canonical_code(moved)]
                 expected[(i, u, v, w)] = (j, rels)
                 if set(rels) <= {"LE", "EQ"}:
@@ -165,6 +179,9 @@ class TestPosetOracle:
         assert (ps.relation == closure).all()
         undecided = sum(set(rels) == {"INCOMPARABLE"} for _j, rels in expected.values())
         assert len(ps.undecided) == undecided
+        recorded = sum(not (set(rels) <= {"LE", "EQ"} or set(rels) <= {"GE", "EQ"})
+                       for _j, rels in expected.values())
+        assert len(ps.flags) + len(ps.undecided) == recorded
 
 
 def _all_moves(tree: Tree):
