@@ -5,8 +5,9 @@ Subcommands: pmf, allocate, compare, poset, mc, spectral. Exit codes:
 arguments and seed give byte-identical outputs.
 
 An optional --config JSON file supplies defaults for any long flag
-(keys named like the flags: model, tol, seed, n, kappa, d, lambda,
-alpha_grid, output, format); explicit flags win.
+(keys named like the flags: model, tree2, tol, seed, n, kappa, table, d,
+alpha_grid, output, format); explicit flags win. A config value goes
+through its flag's type conversion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,31 +46,15 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model_path: str | None = None
-    tree2_path: str | None = None
-    tol: float = 1e-12
-    seed: int = 0
-    n_samples: int = 100_000
-    kappa: float = 0.95
-    table_vertex: int | None = None
-    d: int | None = None
-    lam: float = 1.0
-    alpha_grid: tuple[float, ...] = poset_mod.DEFAULT_ALPHA_GRID
-    output: str | None = None
-    format: str | None = None
-
-    def validate(self) -> None:
-        if not 0.0 < self.tol <= 1e-3:
-            raise InputError(f"tol {self.tol} outside (0, 1e-3]")
-        if self.n_samples < 1:
-            raise UsageError("n must be >= 1")
-        if self.format is not None and self.format not in FORMATS[self.command]:
-            raise UsageError(
-                f"format {self.format!r} not supported by {self.command} "
-                f"(expects one of {', '.join(FORMATS[self.command])})")
+def _validate(ns: argparse.Namespace) -> None:
+    if not 0.0 < ns.tol <= 1e-3:
+        raise InputError(f"tol {ns.tol} outside (0, 1e-3]")
+    if getattr(ns, "n", 1) < 1:
+        raise UsageError("n must be >= 1")
+    if ns.format is not None and ns.format not in FORMATS[ns.command]:
+        raise UsageError(
+            f"format {ns.format!r} not supported by {ns.command} "
+            f"(expects one of {', '.join(FORMATS[ns.command])})")
 
 
 def _fmt(x: float) -> str:
@@ -93,44 +77,38 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_model(path: str) -> mpmrf.MpmrfModel:
+def _load(path: str, kind=mpmrf.MpmrfModel):
+    """A model, or with kind=Tree a tree, read from a JSON file."""
     obj = _load_json(path)
     try:
-        return mpmrf.MpmrfModel.from_json(obj)
+        return kind.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad model file {path}: {exc}") from exc
+        what = "tree" if kind is tree_core.Tree else "model"
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_tree(path: str) -> tree_core.Tree:
-    obj = _load_json(path)
-    try:
-        return tree_core.Tree.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad tree file {path}: {exc}") from exc
-
-
-def _require_model(cfg: RunConfig) -> mpmrf.MpmrfModel:
-    if cfg.model_path is None:
+def _require_model(ns: argparse.Namespace, kind=mpmrf.MpmrfModel):
+    if ns.model is None:
         raise UsageError("--model is required")
-    return _load_model(cfg.model_path)
+    return _load(ns.model, kind)
 
 
-def cmd_pmf(cfg: RunConfig) -> None:
-    model = _require_model(cfg)
-    dist = mpmrf.aggregate_dist(model, cfg.tol)
-    _write(mpmrf.dist_to_csv(dist), cfg.output)
+def cmd_pmf(ns: argparse.Namespace) -> None:
+    model = _require_model(ns)
+    dist = mpmrf.aggregate_dist(model, ns.tol)
+    _write(mpmrf.dist_to_csv(dist), ns.output)
 
 
-def cmd_allocate(cfg: RunConfig) -> None:
-    model = _require_model(cfg)
-    if cfg.table_vertex is not None:
-        if cfg.table_vertex not in model.tree.vertices:
-            raise InputError(f"vertex {cfg.table_vertex} not in the tree")
-        table = mpmrf.expected_allocation(model, cfg.table_vertex, cfg.tol)
-        _write(mpmrf.allocation_to_csv(table), cfg.output)
+def cmd_allocate(ns: argparse.Namespace) -> None:
+    model = _require_model(ns)
+    if ns.table is not None:
+        if ns.table not in model.tree.vertices:
+            raise InputError(f"vertex {ns.table} not in the tree")
+        table = mpmrf.expected_allocation(model, ns.table, ns.tol)
+        _write(mpmrf.allocation_to_csv(table), ns.output)
         return
-    agg = mpmrf.aggregate_dist(model, cfg.tol)
-    contrib = mpmrf.tvar_contribution_table(model, [cfg.kappa], cfg.tol)
+    agg = mpmrf.aggregate_dist(model, ns.tol)
+    contrib = mpmrf.tvar_contribution_table(model, [ns.kappa], ns.tol)
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0
     for v in model.tree.vertices:
@@ -141,18 +119,18 @@ def cmd_allocate(cfg: RunConfig) -> None:
         lines.append(f"{v},{_fmt(model.lam)},{_fmt(cov)},{_fmt(c)}")
     d = model.tree.d
     lines.append(f"# sum,{_fmt(d * model.lam)},{_fmt(total_cov)},{_fmt(total_c)}")
-    lines.append(f"# tvar_check,,,{_fmt(mpmrf.tvar(agg, cfg.kappa))}")
-    _write("\n".join(lines) + "\n", cfg.output)
+    lines.append(f"# tvar_check,,,{_fmt(mpmrf.tvar(agg, ns.kappa))}")
+    _write("\n".join(lines) + "\n", ns.output)
 
 
-def cmd_compare(cfg: RunConfig) -> None:
-    model = _require_model(cfg)
-    if cfg.tree2_path is None:
+def cmd_compare(ns: argparse.Namespace) -> None:
+    model = _require_model(ns)
+    if ns.tree2 is None:
         raise UsageError("a second tree file is required")
     t1 = model.tree
-    obj2 = _load_json(cfg.tree2_path)
-    t2 = (_load_model(cfg.tree2_path).tree if "lambda" in obj2
-          else _load_tree(cfg.tree2_path))
+    obj2 = _load_json(ns.tree2)
+    t2 = (_load(ns.tree2).tree if "lambda" in obj2
+          else _load(ns.tree2, tree_core.Tree))
     if t1.vertices != t2.vertices:
         raise InputError("trees must share the same vertex count")
     if not model.is_homogeneous():
@@ -165,58 +143,47 @@ def cmd_compare(cfg: RunConfig) -> None:
             verdict = orders.shape_compare(t1, t2, alpha)
             method = "single_move_criterion"
         except ValueError:
-            verdict, method = _compare_via_poset(t1, t2, cfg, model.lam)
+            verdict, method = _compare_via_poset(t1, t2, ns.alpha_grid)
     out = verdict.to_json()
     out["method"] = method
     if verdict.relation is orders.Relation.INCOMPARABLE:
         out["note"] = "criterion inconclusive: the sufficient condition is not met"
-    _write(json.dumps(out, sort_keys=True) + "\n", cfg.output)
+    _write(json.dumps(out, sort_keys=True) + "\n", ns.output)
 
 
-def _compare_via_poset(t1, t2, cfg: RunConfig, lam: float):
+def _compare_via_poset(t1, t2, alpha_grid):
     lo, hi = poset_mod.POSET_D_RANGE
     if not lo <= t1.d <= hi:
         raise InputError(
             f"trees differ by several moves and d={t1.d} is outside the poset range [{lo},{hi}]")
-    ps = poset_mod.build_poset(t1.d, cfg.alpha_grid, lam)
+    ps = poset_mod.build_poset(t1.d, alpha_grid)
     c1, c2 = tree_core.canonical_code(t1), tree_core.canonical_code(t2)
-    if c1 == c2:
-        return orders.OrderVerdict(orders.Relation.EQ), "poset_closure"
-    le, ge = ps.leq(c1, c2), ps.leq(c2, c1)
-    rel = (orders.Relation.LE if le else
+    le, ge = ps.leq(c1, c2), ps.leq(c2, c1)  # both only when c1 == c2: antisymmetry
+    rel = (orders.Relation.EQ if le and ge else orders.Relation.LE if le else
            orders.Relation.GE if ge else orders.Relation.INCOMPARABLE)
     return orders.OrderVerdict(rel), "poset_closure"
 
 
-def cmd_poset(cfg: RunConfig) -> None:
-    if cfg.d is None:
+def cmd_poset(ns: argparse.Namespace) -> None:
+    if ns.d is None:
         raise UsageError("--d is required")
     try:
-        ps = poset_mod.build_poset(cfg.d, cfg.alpha_grid, cfg.lam)
+        ps = poset_mod.build_poset(ns.d, ns.alpha_grid)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    dot = poset_mod.hasse_dot(ps)
-    blob = json.dumps(ps.to_json(), sort_keys=True) + "\n"
-    if cfg.output is None:
-        if cfg.format in (None, "dot"):
-            sys.stdout.write(dot)
-        if cfg.format in (None, "json"):
-            sys.stdout.write(blob)
-    else:
-        if cfg.format in (None, "dot"):
-            with open(cfg.output + ".dot", "w") as fh:
-                fh.write(dot)
-        if cfg.format in (None, "json"):
-            with open(cfg.output + ".json", "w") as fh:
-                fh.write(blob)
+    texts = {"dot": poset_mod.hasse_dot(ps),
+             "json": json.dumps(ps.to_json(), sort_keys=True) + "\n"}
+    for fmt, text in texts.items():
+        if ns.format in (None, fmt):
+            _write(text, None if ns.output is None else f"{ns.output}.{fmt}")
 
 
-def cmd_mc(cfg: RunConfig) -> None:
-    model = _require_model(cfg)
-    n = cfg.n_samples
-    draws = mpmrf.sample(model, model.tree.vertices[0], cfg.seed, n)
+def cmd_mc(ns: argparse.Namespace) -> None:
+    model = _require_model(ns)
+    n = ns.n
+    draws = mpmrf.sample(model, model.tree.vertices[0], ns.seed, n)
     total = draws.sum(axis=1)
-    agg = mpmrf.aggregate_dist(model, cfg.tol)
+    agg = mpmrf.aggregate_dist(model, ns.tol)
     k_hi = max(int(total.max()), agg.k_max)
     emp = np.bincount(total, minlength=k_hi + 1) / n
     ana = np.zeros(k_hi + 1)
@@ -229,7 +196,7 @@ def cmd_mc(cfg: RunConfig) -> None:
     p = agg.pmf
     tv_limit = (0.5 * float(np.sqrt(p * (1.0 - p) / n).sum())
                 + math.sqrt(math.log(1 / 0.0027) / (2 * n)) + agg.tail_mass)
-    report = {"n": n, "seed": cfg.seed, "tv_distance": tv, "tv_limit": tv_limit,
+    report = {"n": n, "seed": ns.seed, "tv_distance": tv, "tv_limit": tv_limit,
               "vertices": {}}
     ok = tv < tv_limit
     # z-sigma bands, Bonferroni-corrected so the 2d per-vertex checks
@@ -250,91 +217,89 @@ def cmd_mc(cfg: RunConfig) -> None:
             "ok": v_ok,
         }
     report["ok"] = ok
-    _write(json.dumps(report, sort_keys=True) + "\n", cfg.output)
+    _write(json.dumps(report, sort_keys=True) + "\n", ns.output)
     if not ok:
         raise ToleranceError("Monte Carlo statistics fall outside tolerance bands")
 
 
-def cmd_spectral(cfg: RunConfig) -> None:
-    if cfg.model_path is None:
-        raise UsageError("--model is required")
-    report = spectral.spectrum(_load_tree(cfg.model_path))
-    _write(json.dumps(report.to_json(), sort_keys=True) + "\n", cfg.output)
+def cmd_spectral(ns: argparse.Namespace) -> None:
+    report = spectral.spectrum(_require_model(ns, tree_core.Tree))
+    _write(json.dumps(report.to_json(), sort_keys=True) + "\n", ns.output)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and each subcommand's arguments keyed by their dest, which
+    is also their config key."""
     ap = argparse.ArgumentParser(
         prog="treemrf",
         description="Tree-structured Poisson Markov random fields: aggregate "
                     "laws, risk allocations, stochastic-order comparisons and "
                     "the tree-shape partial order.")
     sub = ap.add_subparsers(dest="command", required=True)
+    args: dict[str, dict[str, argparse.Action]] = {}
 
-    def common(p, model=True):
-        p.add_argument("--config", default=None, help="JSON file with flag defaults")
+    def command(name, help, model=True):
+        p = sub.add_parser(name, help=help)
+        acts = args[name] = {}
+
+        def add(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            acts[action.dest] = action
+
+        add("--config", default=None, help="JSON file with flag defaults")
         if model:
-            p.add_argument("--model", default=None, help="model JSON file")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", default=None)
-        p.add_argument("-o", "--output", default=None)
+            add("--model", default=None, help="model JSON file")
+        add("--tol", type=float, default=mpmrf.DEFAULT_TOL)
+        add("--format", default=None)
+        add("-o", "--output", default=None)
+        return add
 
-    p = sub.add_parser("pmf", help="aggregate pmf as CSV")
-    common(p)
-    p = sub.add_parser("allocate", help="per-vertex covariance and TVaR contributions")
-    common(p)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--table", type=int, default=None, metavar="VERTEX",
-                   help="write one vertex's k,value allocation table instead")
-    p = sub.add_parser("compare", help="shape comparison verdict as JSON")
-    common(p)
-    p.add_argument("tree2", nargs="?", default=None, help="second tree or model JSON file")
-    p.add_argument("--alpha-grid", type=float, nargs="+", default=None)
-    p = sub.add_parser("poset", help="shape poset with Hasse diagram (DOT + JSON)")
-    common(p, model=False)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--lambda", type=float, default=None, metavar="LAM")
-    p.add_argument("--alpha-grid", type=float, nargs="+", default=None)
-    p = sub.add_parser("mc", help="Monte Carlo validation of the sampler")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, metavar="N_SAMPLES")
-    p = sub.add_parser("spectral", help="adjacency spectrum report as JSON")
-    common(p)
-    return ap
+    command("pmf", "aggregate pmf as CSV")
+    add = command("allocate", "per-vertex covariance and TVaR contributions")
+    add("--kappa", type=float, default=0.95)
+    add("--table", type=int, default=None, metavar="VERTEX",
+        help="write one vertex's k,value allocation table instead")
+    add = command("compare", "shape comparison verdict as JSON")
+    add("tree2", nargs="?", default=None, help="second tree or model JSON file")
+    add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
+    add = command("poset", "shape poset with Hasse diagram (DOT + JSON)", model=False)
+    add("--d", type=int, default=None)
+    add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
+    add = command("mc", "Monte Carlo validation of the sampler")
+    add("--seed", type=int, default=0)
+    add("--n", type=int, default=100_000, metavar="N_SAMPLES")
+    command("spectral", "adjacency spectrum report as JSON")
+    return ap, args
 
 
-_CONFIG_KEYS = {
-    "model": "model_path",
-    "tree2": "tree2_path",
-    "tol": "tol",
-    "seed": "seed",
-    "n": "n_samples",
-    "kappa": "kappa",
-    "table": "table_vertex",
-    "d": "d",
-    "lambda": "lam",
-    "alpha_grid": "alpha_grid",
-    "output": "output",
-    "format": "format",
-}
+def _config_defaults(path: str, args: dict[str, dict[str, argparse.Action]],
+                     command: str) -> None:
+    """Make the config file's values the defaults of `command`'s arguments.
+
+    A key names a flag of any subcommand; keys of other subcommands are
+    ignored. Each value is converted as its flag's text would be.
+    """
+    blob = _load_json(path)
+    if not isinstance(blob, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    known = set().union(*args.values()) - {"config"}
+    for key, value in blob.items():
+        if key not in known:
+            raise InputError(f"unknown config key {key!r}")
+        action = args[command].get(key)
+        if action is None:
+            continue
+        try:
+            action.default = _as_flag(action, value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"config key {key!r}: {exc}") from exc
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    if getattr(ns, "config", None):
-        blob = _load_json(ns.config)
-        if not isinstance(blob, dict):
-            raise InputError(f"config file {ns.config} must hold a JSON object")
-        for key, value in blob.items():
-            field = _CONFIG_KEYS.get(key)
-            if field is None:
-                raise InputError(f"unknown config key {key!r}")
-            setattr(cfg, field, tuple(value) if field == "alpha_grid" else value)
-    for key, field in _CONFIG_KEYS.items():
-        value = getattr(ns, key, None)
-        if value is not None:
-            setattr(cfg, field, tuple(value) if field == "alpha_grid" else value)
-    return cfg
+def _as_flag(action: argparse.Action, value):
+    """A config value converted as its text given to the flag would be."""
+    def one(x):
+        return x if action.type is None else action.type(str(x))
+    return [one(x) for x in value] if action.nargs == "+" else one(value)
 
 
 COMMANDS = {
@@ -348,24 +313,25 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    ap, args = _parser()
     try:
-        ns = _parser().parse_args(argv)
+        ns = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from(ns)
-        cfg.validate()
-        COMMANDS[cfg.command](cfg)
+        if ns.config:
+            # the config sets defaults, so flags given explicitly still win
+            _config_defaults(ns.config, args, ns.command)
+            ns = ap.parse_args(argv)
+        _validate(ns)
+        COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ToleranceError as exc:
         print(f"error: tolerance: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -219,7 +219,9 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
     for v in tree.vertices:
         c = eta[v]
         sev[: len(c)] += (weights[v] / total) * c
-    return rate, sev
+    # rounding can leave the mixture short of mass 1, and Panjer would lose
+    # rate times that shortfall at every K
+    return rate, sev / sev.sum()
 
 
 def _panjer_compound_poisson(rate: float, sev: np.ndarray, k_max: int) -> np.ndarray:
@@ -243,8 +245,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None
     for every choice (tested to 1e-10 pointwise). K starts near the mean and
     doubles while the tail is at or above tol; ToleranceError is raised when
     a doubling leaves the tail no smaller, since then no K reaches tol (the
-    Panjer start exp(-rate) underflowed, or rounding left the severity short
-    of mass 1 and the rate scaled that deficit above tol).
+    Panjer start exp(-rate) underflowed, at rates above about 745).
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")

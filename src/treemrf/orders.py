@@ -125,7 +125,7 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
 
 
 def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.ndarray:
-    """cdfs of H_x on `residual`, one row per grid alpha.
+    """cdfs of H_x on `residual` over {0..residual.d}, one row per grid alpha.
 
     H_x depends only on the rooted shape of (residual, x), so `laws` keeps
     one array per AHU code and every isomorphic rooting reuses it.
@@ -133,18 +133,12 @@ def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.n
     key = _ahu_encoding(residual, x)
     cdfs = laws.get(key)
     if cdfs is None:
-        rows = [np.cumsum(h_poly(residual, x, a)) for a in grid]
-        k = max(len(r) for r in rows)
-        cdfs = laws[key] = np.vstack([_widen(r[None], k) for r in rows])
+        pmfs = np.zeros((len(grid), residual.d + 1))  # H_x lives on {1..d}
+        for row, a in zip(pmfs, grid):
+            p = h_poly(residual, x, a)
+            row[: len(p)] = p
+        cdfs = laws[key] = pmfs.cumsum(axis=1)
     return cdfs
-
-
-def _widen(cdfs: np.ndarray, k: int) -> np.ndarray:
-    """Extend each cdf row to length k by repeating its last value."""
-    extra = k - cdfs.shape[1]
-    if not extra:
-        return cdfs
-    return np.hstack([cdfs, np.repeat(cdfs[:, -1:], extra, axis=1)])
 
 
 def single_move_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...],
@@ -157,10 +151,8 @@ def single_move_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...]
     are compared in the usual stochastic order. `laws` caches the H cdfs by
     rooted shape for the caller.
     """
-    fv = _h_cdfs(residual, v, grid, laws)
-    fw = _h_cdfs(residual, w, grid, laws)
-    k = max(fv.shape[1], fw.shape[1])
-    return st_compare_rows(_widen(fv, k), _widen(fw, k), tol)
+    return st_compare_rows(_h_cdfs(residual, v, grid, laws),
+                           _h_cdfs(residual, w, grid, laws), tol)
 
 
 def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> OrderVerdict:

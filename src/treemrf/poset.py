@@ -117,7 +117,7 @@ def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
     return out
 
 
-def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> ShapePoset:
+def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     """Construct the shape poset for all d-vertex trees.
 
     Every move of every shape representative is evaluated at every grid
@@ -166,7 +166,7 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID, lam: float = 1.0) -> Shap
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise AntisymmetryError(f"shapes {codes[i].hex} and {codes[j].hex} compare both ways")
-    _assert_distinct_aggregates(reps, codes, lam)
+    _assert_distinct_aggregates(reps, codes)
 
     strict = relation & ~np.eye(n, dtype=bool)
     two_step = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
@@ -184,14 +184,14 @@ def _transitive_closure(arcs: np.ndarray) -> np.ndarray:
         r = nxt
 
 
-def _assert_distinct_aggregates(reps, codes, lam: float, alpha: float = 0.5) -> None:
-    dists = [aggregate_dist(MpmrfModel.homogeneous(t, lam, alpha), 1e-12) for t in reps]
-    n = max(len(x.pmf) for x in dists)
-    mat = np.zeros((len(dists), n))
-    for i, x in enumerate(dists):
-        mat[i, : len(x.pmf)] = x.pmf
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
+def _assert_distinct_aggregates(reps, codes, alpha: float = 0.5) -> None:
+    # lambda = 1 loses nothing: the shape order, and whether two aggregate
+    # laws coincide, do not depend on lambda
+    pmfs = [aggregate_dist(MpmrfModel.homogeneous(t, 1.0, alpha), 1e-12).pmf for t in reps]
+    n = max(len(p) for p in pmfs)
+    mat = np.array([np.pad(p, (0, n - len(p))) for p in pmfs])
+    for i in range(len(mat)):
+        for j in range(i + 1, len(mat)):
             if np.max(np.abs(mat[i] - mat[j])) < 1e-10:
                 raise AntisymmetryError(
                     f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")

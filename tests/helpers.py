@@ -136,6 +136,20 @@ def agg_pmf_series_exp(tree: Tree, lam: float, alpha: float, k_max: int) -> np.n
     return math.exp(-rate) * acc
 
 
+def path_star_moments(shape: str, d: int, lam: float, alpha: float) -> tuple[float, float]:
+    """Closed-form mean d*lam and variance lam*V of M on a d-path or d-star.
+
+    Var(M) = lam * sum over vertex pairs of alpha^distance, so
+    V = d + 2 sum_{k=1}^{d-1} (d-k) alpha^k on the path and
+    V = d + 2(d-1) alpha + (d-1)(d-2) alpha^2 on the star.
+    """
+    if shape == "path":
+        v = d + 2 * sum((d - k) * alpha ** k for k in range(1, d))
+    else:
+        v = d + 2 * (d - 1) * alpha + (d - 1) * (d - 2) * alpha ** 2
+    return d * lam, lam * v
+
+
 def stop_loss_brute(pmf, c: int) -> float:
     return sum((k - c) * p for k, p in enumerate(pmf) if k > c)
 

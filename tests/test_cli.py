@@ -8,7 +8,7 @@ from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from treemrf.poset import DEFAULT_ALPHA_GRID
 from treemrf.tree_core import Tree
 
-from helpers import poisson_pmf
+from helpers import path_star_moments, poisson_pmf
 
 
 def write_model(path, d, edges, lam=1.0, alpha=0.5):
@@ -62,14 +62,30 @@ class TestPmf:
 
     @pytest.mark.parametrize("edges,lam,alpha", [
         ([(i, i + 1) for i in range(1, 800)], 1.0, 0.0),
-        ([(i, i + 1) for i in range(1, 1000)], 0.5, 0.5),
-        ([(1, i) for i in range(2, 1001)], 1.0, 0.5),
     ])
     def test_stuck_tail_exits_4(self, tmp_path, capsys, edges, lam, alpha):
         model = write_model(tmp_path / "m.json", len(edges) + 1, edges, lam=lam, alpha=alpha)
         assert main(["pmf", "--model", model, "-o", str(tmp_path / "pmf.csv")]) == EXIT_TOLERANCE
         err = capsys.readouterr().err
         assert err.startswith("error: tolerance:") and "did not shrink" in err
+
+    @pytest.mark.parametrize("shape,d,lam,alpha", [
+        ("path", 1000, 0.5, 0.5),
+        ("star", 1000, 1.0, 0.5),
+    ])
+    def test_rounding_floor_models_return(self, tmp_path, shape, d, lam, alpha):
+        edges = ([(i, i + 1) for i in range(1, d)] if shape == "path"
+                 else [(1, i) for i in range(2, d + 1)])
+        model = write_model(tmp_path / "m.json", d, edges, lam=lam, alpha=alpha)
+        out = tmp_path / "pmf.csv"
+        assert main(["pmf", "--model", model, "-o", str(out)]) == EXIT_OK
+        lines = out.read_text().strip().splitlines()
+        assert float(lines[-1].split(",")[1]) < 1e-12  # the tail mass trailer
+        pmf = np.array([float(l.split(",")[1]) for l in lines[1:-1]])
+        ks = np.arange(len(pmf))
+        mean, var = path_star_moments(shape, d, lam, alpha)
+        assert ks @ pmf == pytest.approx(mean, rel=1e-9)
+        assert (ks - mean) ** 2 @ pmf == pytest.approx(var, rel=1e-9)
 
     def test_bad_tol(self, tmp_path):
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
@@ -133,6 +149,25 @@ class TestCompare:
         out = tmp_path / "verdict.json"
         assert main(["compare", "--model", model, tree2,
                      "--alpha-grid", "0.3", "0.6", "-o", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert obj["relation"] == "LE" and obj["method"] == "poset_closure"
+
+    def test_isomorphic_pair_through_poset(self, tmp_path):
+        # vertex labels reversed: several edges differ, the shape is the same
+        model = write_model(tmp_path / "m.json", 9, SPIDER9)
+        tree2 = write_tree(tmp_path / "t2.json", 9, [(10 - a, 10 - b) for a, b in SPIDER9])
+        out = tmp_path / "verdict.json"
+        assert main(["compare", "--model", model, tree2, "-o", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert obj["relation"] == "EQ" and obj["method"] == "poset_closure"
+
+    def test_poset_fallback_ignores_lambda(self, tmp_path):
+        # the shape poset depends on alpha alone; a large lambda once failed
+        # the fallback's aggregate sanity check
+        model = write_model(tmp_path / "m.json", 9, SPIDER9, lam=200.0)
+        tree2 = write_tree(tmp_path / "t2.json", 9, CATERPILLAR9)
+        out = tmp_path / "verdict.json"
+        assert main(["compare", "--model", model, tree2, "-o", str(out)]) == EXIT_OK
         obj = json.loads(out.read_text())
         assert obj["relation"] == "LE" and obj["method"] == "poset_closure"
 
@@ -283,6 +318,57 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["pmf", "--config", str(cfg)]) == EXIT_INPUT
+
+    # key, argv without it, the key as flags, the key as a config value;
+    # "{m}", "{t2}" and "{out}" stand for the model, second tree and output paths
+    @pytest.mark.parametrize("key,argv,flag,value", [
+        ("model", ["pmf"], ["--model", "{m}"], "{m}"),
+        ("tree2", ["compare", "--model", "{m}"], ["{t2}"], "{t2}"),
+        ("tol", ["pmf", "--model", "{m}"], ["--tol", "0.5"], 0.5),  # out of range
+        ("seed", ["mc", "--model", "{m}", "--n", "2000"], ["--seed", "5"], 5),
+        ("n", ["mc", "--model", "{m}"], ["--n", "3000"], 3000),
+        ("kappa", ["allocate", "--model", "{m}"], ["--kappa", "0.7"], 0.7),
+        ("table", ["allocate", "--model", "{m}"], ["--table", "2"], 2),
+        ("d", ["poset"], ["--d", "5"], 5),
+        ("alpha_grid", ["poset", "--d", "5"], ["--alpha-grid", "0.2", "0.7"], [0.2, 0.7]),
+        ("output", ["pmf", "--model", "{m}"], ["-o", "{out}"], "{out}"),
+        ("format", ["poset", "--d", "4"], ["--format", "json"], "json"),
+    ])
+    def test_config_key_matches_flag(self, tmp_path, capsys, key, argv, flag, value):
+        paths = {"m": write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (2, 4)]),
+                 "t2": write_tree(tmp_path / "t2.json", 4, [(1, 2), (2, 3), (3, 4)])}
+
+        def fill(x, out):
+            return x.format(out=out, **paths) if isinstance(x, str) else x
+
+        runs = []
+        for how in ("flag", "config", "neither"):
+            out = tmp_path / f"out-{how}"
+            args = [fill(a, out) for a in argv]
+            if how == "flag":
+                args += [fill(a, out) for a in flag]
+            elif how == "config":
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({key: fill(value, str(out))}))
+                args += ["--config", str(cfg)]
+            code = main(args)
+            written = out.read_bytes() if out.exists() else None
+            runs.append((code, capsys.readouterr().out, written))
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]  # the key is not a no-op
+
+    @pytest.mark.parametrize("command,blob", [
+        (["pmf", "--model", "{m}"], {"tol": "abc"}),
+        (["pmf", "--model", "{m}"], {"tol": [1]}),
+        (["poset"], {"d": "x"}),
+    ])
+    def test_wrong_typed_value_exits_3(self, tmp_path, capsys, command, blob):
+        model = write_model(tmp_path / "m.json", 2, [(1, 2)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        argv = [a.format(m=model) for a in command] + ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert repr(next(iter(blob))) in capsys.readouterr().err
 
 
 class TestUsage:

@@ -117,7 +117,7 @@ class TestBuildPoset:
         reps = [path_tree(5), Tree.of(5, [(2, 1), (1, 3), (3, 4), (4, 5)])]
         codes = [canonical_code(t) for t in reps]
         with pytest.raises(AntisymmetryError):
-            _assert_distinct_aggregates(reps, codes, 1.0)
+            _assert_distinct_aggregates(reps, codes)
 
     def test_composite_pair_in_closure(self, posets, composite9):
         t, tp = composite9
