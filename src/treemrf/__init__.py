@@ -46,7 +46,6 @@ from .tree_core import (
     canonical_code,
     degree_vector,
     enumerate_shapes,
-    path,
     prune,
     root_at,
 )
@@ -61,8 +60,7 @@ __all__ = [
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
     "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
-    "minimal_elements", "path", "prune", "root_at", "sample",
-    "shape_compare", "single_move_neighbors", "spectrum", "st_compare",
-    "stop_loss", "synecdochic_compare", "tvar", "tvar_contribution",
-    "tvar_contribution_table",
+    "minimal_elements", "prune", "root_at", "sample", "shape_compare",
+    "single_move_neighbors", "spectrum", "st_compare", "stop_loss",
+    "synecdochic_compare", "tvar", "tvar_contribution", "tvar_contribution_table",
 ]

@@ -7,7 +7,7 @@ arguments and seed give byte-identical outputs.
 An optional --config JSON file supplies defaults for any long flag
 (keys named like the flags: model, tree2, tol, seed, n, kappa, table, d,
 alpha_grid, output, format); explicit flags win. A config value goes
-through its flag's type conversion.
+through its flag's type conversion; paths and names must be strings.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str, kind=mpmrf.MpmrfModel):
-    """A model, or with kind=Tree a tree, read from a JSON file."""
-    obj = _load_json(path)
+def _parse(obj, path: str, kind=mpmrf.MpmrfModel):
+    """A model, or with kind=Tree a tree, from `obj`, the JSON read from `path`."""
     try:
         return kind.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
@@ -90,7 +89,7 @@ def _load(path: str, kind=mpmrf.MpmrfModel):
 def _require_model(ns: argparse.Namespace, kind=mpmrf.MpmrfModel):
     if ns.model is None:
         raise UsageError("--model is required")
-    return _load(ns.model, kind)
+    return _parse(_load_json(ns.model), ns.model, kind)
 
 
 def cmd_pmf(ns: argparse.Namespace) -> None:
@@ -108,7 +107,7 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         _write(mpmrf.allocation_to_csv(table), ns.output)
         return
     agg = mpmrf.aggregate_dist(model, ns.tol)
-    contrib = mpmrf.tvar_contribution_table(model, [ns.kappa], ns.tol)
+    contrib = mpmrf._contribution_table(model, agg, [ns.kappa])
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0
     for v in model.tree.vertices:
@@ -129,8 +128,8 @@ def cmd_compare(ns: argparse.Namespace) -> None:
         raise UsageError("a second tree file is required")
     t1 = model.tree
     obj2 = _load_json(ns.tree2)
-    t2 = (_load(ns.tree2).tree if "lambda" in obj2
-          else _load(ns.tree2, tree_core.Tree))
+    is_model = isinstance(obj2, dict) and "lambda" in obj2
+    t2 = _parse(obj2, ns.tree2).tree if is_model else _parse(obj2, ns.tree2, tree_core.Tree)
     if t1.vertices != t2.vertices:
         raise InputError("trees must share the same vertex count")
     if not model.is_homogeneous():
@@ -296,8 +295,10 @@ def _config_defaults(path: str, args: dict[str, dict[str, argparse.Action]],
 
 
 def _as_flag(action: argparse.Action, value):
-    """A config value converted as its text given to the flag would be."""
+    """A config value converted as its flag's text would be; untyped flags take strings."""
     def one(x):
+        if action.type is None and not isinstance(x, str):
+            raise TypeError(f"expected a string, not {x!r}")
         return x if action.type is None else action.type(str(x))
     return [one(x) for x in value] if action.nargs == "+" else one(value)
 

@@ -8,10 +8,10 @@ rooting.
 
 Key derived objects:
   * H_v: total events, anywhere on the tree, originating from vertex v when
-    the tree is rooted at v. Its pgf is the recursive product over children
-    of (1 - alpha + alpha * child pgf), times t. Every pgf is a plain float
-    array of coefficients, entry k holding the coefficient of t^k, and
-    h_poly returns one.
+    the tree is rooted at v. Its pgf, a plain float array whose entry k is
+    the coefficient of t^k (h_poly returns one), is t times the product over
+    children of (1 - alpha + alpha * child pgf). Every vertex's H law comes
+    from one down-and-up pass of O(d) convolutions.
   * M = sum of all components: compound Poisson with rate
     lambda * (d - sum(alpha_e)) and severity a mixture of the H_v laws,
     evaluated by Panjer recursion.
@@ -166,24 +166,53 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: np.flatnonzero(c)[-1] + 1]
 
 
+def _thin(a: float, p: np.ndarray) -> np.ndarray:
+    """1 - a + a * p(t), trimmed of the trailing zeros left where a * p underflows."""
+    f = a * p
+    f[0] += 1.0 - a
+    return _trim(f)
+
+
 def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
     """pgf coefficients of the events each vertex seeds in its own subtree.
 
     eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
-    built leaves first; alpha is a scalar or an edge map. Each thinned factor
-    and each product is trimmed of trailing zeros (they appear where
-    alpha * eta_c underflows), so every convolution runs over the support.
+    built leaves first; alpha is a scalar or an edge map. Products are trimmed
+    like the factors (_thin), so every convolution runs over the support.
     """
     eta: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
         p = np.array([0.0, 1.0])
         for c in rooted.children[v]:
-            a = _alpha_of(alpha, v, c)
-            f = a * eta[c]
-            f[0] += 1.0 - a
-            p = _trim(np.convolve(p, _trim(f)))
+            p = _trim(np.convolve(p, _thin(_alpha_of(alpha, v, c), eta[c])))
         eta[v] = p
     return eta
+
+
+def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
+    """pgf coefficients of every H_v: one rooted _eta pass, then one pass down.
+
+    H_v is t times the thinned pgfs of its neighbours' sides, in ascending
+    neighbour order. Going down, each child gets the thinned pgf of its
+    parent's side: t times the parent's other factors, a prefix product
+    times a suffix product (no division). O(d) convolutions in all.
+    """
+    rooted = root_at(tree, tree.vertices[0])
+    eta = _eta(rooted, alpha)
+    up, h = {}, {}  # up: child -> thinned pgf of its parent's side; read once, like eta
+    for v in rooted.order:
+        parent, ns = rooted.parent.get(v), tree.neighbors[v]
+        factors = [up.pop(v) if u == parent else _thin(_alpha_of(alpha, v, u), eta.pop(u)) for u in ns]
+        suffix = [np.array([1.0])]  # suffix[-1 - i]: the product of the factors after i
+        for f in reversed(factors[1:]):
+            suffix.append(_trim(np.convolve(f, suffix[-1])))
+        p = np.array([0.0, 1.0])  # t times the factors before i; H_v at the end
+        for u, f, after in zip(ns, factors, reversed(suffix)):
+            if u != parent:
+                up[u] = _thin(_alpha_of(alpha, v, u), _trim(np.convolve(p, after)))
+            p = _trim(np.convolve(p, f))
+        h[v] = p
+    return h
 
 
 def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
@@ -210,15 +239,13 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
     tree = model.tree
     rooted = root_at(tree, root)
     eta = _eta(rooted, model.alpha)
-    weights = {}
-    for v in tree.vertices:
-        weights[v] = 1.0 if v == root else 1.0 - model.edge_alpha(rooted.parent[v], v)
+    weights = {v: 1.0 if v == root else 1.0 - model.edge_alpha(rooted.parent[v], v)
+               for v in tree.vertices}
     total = sum(weights.values())  # = d - sum(alpha_e)
     rate = model.lam * total
     sev = np.zeros(tree.d + 1)
     for v in tree.vertices:
-        c = eta[v]
-        sev[: len(c)] += (weights[v] / total) * c
+        sev[: len(eta[v])] += (weights[v] / total) * eta[v]
     # rounding can leave the mixture short of mass 1, and Panjer would lose
     # rate times that shortfall at every K
     return rate, sev / sev.sum()
@@ -335,8 +362,8 @@ def cov_with_sum(model: MpmrfModel, v: int) -> float:
     return model.lam * acc
 
 
-def _allocation(model: MpmrfModel, agg: DiscreteDist, v: int) -> AllocationTable:
-    return AllocationTable(v, model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf))
+def _allocation(model: MpmrfModel, agg: DiscreteDist, v: int, h_pmf: np.ndarray) -> AllocationTable:
+    return AllocationTable(v, model.lam * np.convolve(h_pmf, agg.pmf))
 
 
 def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> AllocationTable:
@@ -346,7 +373,7 @@ def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> 
     read coefficientwise, i.e. lambda times the convolution of the H_v and M
     pmfs. Entries total E[N_v] = lambda up to the truncation tail.
     """
-    return _allocation(model, aggregate_dist(model, tol), v)
+    return _allocation(model, aggregate_dist(model, tol), v, h_dist(model, v).pmf)
 
 
 def tvar(dist: DiscreteDist, kappa: float) -> float:
@@ -376,7 +403,7 @@ def tvar_contribution(model: MpmrfModel, v: int, kappa: float, tol: float = DEFA
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must be in [0, 1)")
     agg = aggregate_dist(model, tol)
-    return _euler_contribution(agg, _allocation(model, agg, v), model.lam, kappa)
+    return _euler_contribution(agg, _allocation(model, agg, v, h_dist(model, v).pmf), model.lam, kappa)
 
 
 def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -384,12 +411,15 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL)
     kappas = [float(k) for k in kappas]
     if any(not 0.0 <= k < 1.0 for k in kappas):
         raise ValueError("kappa must be in [0, 1)")
-    agg = aggregate_dist(model, tol)
-    out: dict[int, np.ndarray] = {}
-    for v in model.tree.vertices:
-        alloc = _allocation(model, agg, v)
-        out[v] = np.array([_euler_contribution(agg, alloc, model.lam, k) for k in kappas])
-    return out
+    return _contribution_table(model, aggregate_dist(model, tol), kappas)
+
+
+def _contribution_table(model: MpmrfModel, agg: DiscreteDist, kappas) -> dict[int, np.ndarray]:
+    """tvar_contribution_table on the aggregate agg; every H law from one _h_all pass."""
+    h = _h_all(model.tree, model.alpha)
+    allocs = (_allocation(model, agg, v, h[v]) for v in model.tree.vertices)
+    return {a.vertex: np.array([_euler_contribution(agg, a, model.lam, k) for k in kappas])
+            for a in allocs}
 
 
 def dist_to_csv(dist: DiscreteDist) -> str:

@@ -1,4 +1,4 @@
-"""Vertex-labeled trees: rooted views, paths, pruning, canonical shapes, enumeration.
+"""Vertex-labeled trees: rooted views, pruning, canonical shapes, enumeration.
 
 Vertices are positive integer labels. Freshly built trees live on {1..d};
 pruning preserves the original labels, so subtrees may live on any label set.
@@ -89,11 +89,6 @@ class Tree:
                     stack.append(u)
         return comp
 
-    def relabel(self, mapping: dict[int, int]) -> "Tree":
-        """Apply a vertex relabeling (mapping must be injective on vertices)."""
-        return Tree.on([mapping[v] for v in self.vertices],
-                       [(mapping[a], mapping[b]) for (a, b) in self.edges])
-
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.d + 1)):
             raise ValueError("JSON export requires contiguous labels 1..d")
@@ -116,8 +111,6 @@ class RootedTree:
     def __init__(self, tree: Tree, root: int):
         if root not in tree.vertices:
             raise ValueError(f"invalid root {root}")
-        self.tree = tree
-        self.root = root
         adj = tree.neighbors
         parent: dict[int, int] = {}
         children: dict[int, tuple[int, ...]] = {}
@@ -135,9 +128,6 @@ class RootedTree:
         self.parent = parent
         self.children = children
         self.order = tuple(order)
-
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
 
 
 @dataclass(frozen=True, order=True)
@@ -157,22 +147,6 @@ class ShapeCode:
 def root_at(tree: Tree, r: int) -> RootedTree:
     """Rooted view of `tree` at vertex r."""
     return RootedTree(tree, r)
-
-
-def path(tree: Tree, u: int, w: int) -> list[Edge]:
-    """The unique edge sequence from u to w; empty when u == w."""
-    if u not in tree.vertices or w not in tree.vertices:
-        raise ValueError(f"invalid vertices ({u},{w})")
-    if u == w:
-        return []
-    rooted = root_at(tree, w)
-    seq = []
-    v = u
-    while v != w:
-        p = rooted.parent[v]
-        seq.append(_norm_edge(v, p))
-        v = p
-    return seq
 
 
 def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
@@ -234,10 +208,6 @@ def _centers(tree: Tree) -> list[int]:
 def canonical_code(tree: Tree) -> ShapeCode:
     """Isomorphism-invariant code: minimal center-rooted AHU encoding."""
     return ShapeCode(min(_ahu_encoding(tree, c) for c in _centers(tree)))
-
-
-def isomorphic(t1: Tree, t2: Tree) -> bool:
-    return t1.d == t2.d and canonical_code(t1) == canonical_code(t2)
 
 
 def degree_vector(tree: Tree) -> tuple[int, ...]:

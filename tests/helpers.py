@@ -1,9 +1,10 @@
 """Independent oracles and generators used across the test suite.
 
 Everything here is deliberately written without reaching into the package's
-computational paths: brute-force isomorphism by permutation search, trees from
-random Pruefer sequences, pgfs expanded with raw numpy convolutions, and the
-compound pgf exponentiated as a truncated Taylor series.
+computational paths: brute-force isomorphism by permutation search, paths by
+breadth-first search, trees from random Pruefer sequences, pgfs expanded with
+raw numpy convolutions, and the compound pgf exponentiated as a truncated
+Taylor series.
 """
 
 from __future__ import annotations
@@ -27,6 +28,35 @@ def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
         if {frozenset((m[a], m[b])) for a, b in t1.edges} == e2:
             return True
     return False
+
+
+def relabel(tree: Tree, mapping: dict[int, int]) -> Tree:
+    """The tree with each vertex v renamed mapping[v] (mapping injective)."""
+    return Tree.on([mapping[v] for v in tree.vertices],
+                   [(mapping[a], mapping[b]) for a, b in tree.edges])
+
+
+def path(tree: Tree, u: int, w: int) -> list[tuple[int, int]]:
+    """The edges from u to w in walking order, each as (smaller, larger);
+    empty when u == w. Found by a breadth-first search from w."""
+    if u not in tree.vertices or w not in tree.vertices:
+        raise ValueError(f"invalid vertices ({u},{w})")
+    adj = {v: [] for v in tree.vertices}
+    for a, b in tree.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {w: None}
+    queue = [w]
+    for x in queue:  # the queue grows while it is walked
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    seq = []
+    while u != w:
+        seq.append((min(u, parent[u]), max(u, parent[u])))
+        u = parent[u]
+    return seq
 
 
 def pruefer_tree(seq: list[int], d: int) -> Tree:

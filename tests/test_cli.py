@@ -125,6 +125,23 @@ class TestAllocate:
             contrib = {int(r[0]): float(r[3]) for r in rows}
             assert contrib[2] <= contrib[3] + 1e-9
 
+    def test_contributions_are_the_library_table(self, tmp_path):
+        # the command's one aggregate serves the whole table
+        edges = [(1, 2), (2, 3), (3, 4), (3, 5), (3, 6)]
+        model = write_model(tmp_path / "m.json", 6, edges, lam=0.8, alpha=0.6)
+        out = tmp_path / "alloc.csv"
+        assert main(["allocate", "--model", model, "--kappa", "0.93", "-o", str(out)]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+        table = mpmrf.tvar_contribution_table(
+            mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 0.8, 0.6), [0.93])
+        assert {int(r[0]): r[3] for r in rows} == {v: repr(float(c[0])) for v, c in table.items()}
+
+    @pytest.mark.parametrize("kappa", ["1.0", "-0.1", "nan"])
+    def test_kappa_out_of_range_exits_3(self, tmp_path, capsys, kappa):
+        model = write_model(tmp_path / "m.json", 3, [(1, 2), (2, 3)])
+        assert main(["allocate", "--model", model, "--kappa", kappa]) == EXIT_INPUT
+        assert "kappa must be in [0, 1)" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_incomparable_pair(self, tmp_path):
@@ -175,6 +192,14 @@ class TestCompare:
         model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])
         assert main(["compare", "--model", model,
                      str(tmp_path / "nope.json")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"lambda"', "null"])
+    def test_second_file_not_an_object(self, tmp_path, capsys, text):
+        model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])
+        tree2 = tmp_path / "t2.json"
+        tree2.write_text(text)
+        assert main(["compare", "--model", model, str(tree2)]) == EXIT_INPUT
+        assert f"bad tree file {tree2}" in capsys.readouterr().err
 
 
 class TestPoset:
@@ -361,6 +386,12 @@ class TestConfigFile:
         (["pmf", "--model", "{m}"], {"tol": "abc"}),
         (["pmf", "--model", "{m}"], {"tol": [1]}),
         (["poset"], {"d": "x"}),
+        # an untyped (path or name) flag takes only a string: 1 and 5 would
+        # reach open() as file descriptors
+        (["pmf", "--model", "{m}"], {"output": 1}),
+        (["pmf"], {"model": 5}),
+        (["poset", "--d", "4"], {"format": 1}),
+        (["compare", "--model", "{m}"], {"tree2": None}),
     ])
     def test_wrong_typed_value_exits_3(self, tmp_path, capsys, command, blob):
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])

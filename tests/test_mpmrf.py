@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from treemrf import mpmrf
 from treemrf.mpmrf import (
     DiscreteDist,
     MpmrfModel,
@@ -19,14 +20,16 @@ from treemrf.mpmrf import (
     tvar_contribution,
     tvar_contribution_table,
 )
-from treemrf.tree_core import Tree, path
+from treemrf.tree_core import Tree, root_at
 
 from helpers import (
     agg_pmf_series_exp,
     eta_by_hand,
+    path,
     path_star_moments,
     poisson_pmf,
     random_tree,
+    relabel,
     tv_distance,
 )
 
@@ -192,7 +195,7 @@ class TestHArray:
             perm = dict(zip(t.vertices, (int(x) for x in rng.permutation(t.vertices))))
             alpha = float(rng.uniform())
             for v in t.vertices[:4]:
-                a, b = h_poly(t, v, alpha), h_poly(t.relabel(perm), perm[v], alpha)
+                a, b = h_poly(t, v, alpha), h_poly(relabel(t, perm), perm[v], alpha)
                 assert len(a) == len(b) and np.max(np.abs(a - b)) < 1e-12
 
     def test_matches_hand_expansion_and_pointwise_recursion(self):
@@ -207,6 +210,43 @@ class TestHArray:
                 for x in (0.0, 0.3, 0.9, 1.0, 1.7):
                     want = _eta_at(t, v, None, alpha, x)
                     assert abs(np.polyval(h[::-1], x) - want) < 1e-12 * max(1.0, want)
+
+
+class TestHAll:
+    """Every vertex's H pgf from one rerooting pass, against h_poly per vertex."""
+
+    @staticmethod
+    def trees(rng):
+        yield Tree.of(1, [])
+        for d in (2, 3, 17, 60):
+            yield path_tree(d)
+            yield star_tree(d)
+        for _ in range(12):
+            yield random_tree(rng, int(rng.integers(2, 61)))
+
+    @staticmethod
+    def alphas(rng, t):
+        per_edge = {e: float(rng.choice([0.0, 1.0, 1e-200])) for e in t.edges}
+        return (0.0, 1e-200, 0.3, 0.9, 1.0, per_edge)
+
+    def test_matches_h_poly_at_every_vertex(self):
+        rng = np.random.default_rng(28)
+        for t in self.trees(rng):
+            for alpha in self.alphas(rng, t):
+                h = mpmrf._h_all(t, alpha)
+                assert sorted(h) == list(t.vertices)
+                for v in t.vertices:
+                    want = h_poly(t, v, alpha)
+                    n = max(len(want), len(h[v]))
+                    diff = np.pad(h[v], (0, n - len(h[v]))) - np.pad(want, (0, n - len(want)))
+                    assert np.max(np.abs(diff)) < 1e-12
+
+    def test_mass_one_and_no_trailing_zero(self):
+        rng = np.random.default_rng(29)
+        for t in self.trees(rng):
+            for alpha in self.alphas(rng, t):
+                for p in mpmrf._h_all(t, alpha).values():
+                    assert abs(p.sum() - 1.0) < 1e-12 and p[-1] != 0.0
 
 
 def _eta_at(tree, v, parent, alpha, x):
@@ -436,10 +476,26 @@ class TestTvarContribution:
             tvar_contribution(m, 1, 1.0)
 
     def test_single_and_table_paths_agree(self, hub6):
-        m = MpmrfModel.homogeneous(hub6, 1.0, 0.7)
-        table = tvar_contribution_table(m, [0.95])
-        for v in hub6.vertices:
-            assert abs(tvar_contribution(m, v, 0.95) - table[v][0]) < 1e-12
+        rng = np.random.default_rng(30)
+        models = [MpmrfModel.homogeneous(hub6, 1.0, 0.7)]
+        models += [random_model(rng, d_max=12) for _ in range(4)]
+        for m in models:
+            table = tvar_contribution_table(m, [0.95])
+            for v in m.tree.vertices:
+                assert abs(tvar_contribution(m, v, 0.95) - table[v][0]) < 1e-12
+
+    def test_table_roots_the_tree_at_most_twice(self, monkeypatch):
+        # once for the aggregate, once for every H law; not once per vertex
+        calls = []
+
+        def counting_root_at(tree, r):
+            calls.append(r)
+            return root_at(tree, r)
+
+        monkeypatch.setattr(mpmrf, "root_at", counting_root_at)
+        t = random_tree(np.random.default_rng(31), 100)
+        table = tvar_contribution_table(MpmrfModel.homogeneous(t, 0.2, 0.5), [0.9, 0.99])
+        assert len(table) == 100 and len(calls) <= 2
 
 
 class TestCloseness:
