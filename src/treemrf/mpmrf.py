@@ -14,7 +14,8 @@ Key derived objects:
     from one down-and-up pass of O(d) convolutions.
   * M = sum of all components: compound Poisson with rate
     lambda * (d - sum(alpha_e)) and severity a mixture of the H_v laws,
-    evaluated by Panjer recursion.
+    evaluated by one rescaled Panjer pass at any rate, cut at the first K
+    whose tail mass is below tol.
   * Expected allocations E[N_v 1{M=k}] = lambda * (pmf_{H_v} conv pmf_M)(k),
     the basis of conditional mean risk sharing and Euler TVaR contributions.
 """
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .tree_core import RootedTree, Tree, _norm_edge, root_at
 PMF_SUM_TOL = 1e-9
 DEFAULT_TOL = 1e-12
 MAX_TOL = 1e-3
+_SHIFT = 664  # a Panjer rescaling step, 2**-664 (about 1e-200)
 
 
 class ToleranceError(ArithmeticError):
@@ -178,13 +182,29 @@ def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
 
     eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
     built leaves first; alpha is a scalar or an edge map. Products are trimmed
-    like the factors (_thin), so every convolution runs over the support.
+    like the factors (_thin), so every convolution runs over the support. Three
+    or more children multiply as a balanced product tree, merged like a binary
+    counter: a star centre of degree n makes few long convolutions instead of
+    n passes over a growing product, and holds log2(n) partial products.
     """
     eta: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
-        p = np.array([0.0, 1.0])
-        for c in rooted.children[v]:
-            p = _trim(np.convolve(p, _thin(_alpha_of(alpha, v, c), eta[c])))
+        cs = rooted.children[v]
+        if len(cs) <= 2:
+            p = np.array([0.0, 1.0])
+            for c in cs:
+                p = _trim(np.convolve(p, _thin(_alpha_of(alpha, v, c), eta[c])))
+        else:
+            stack = []  # (rank, product of 2**rank factors), ranks falling upwards
+            for c in cs:
+                f, r = _thin(_alpha_of(alpha, v, c), eta[c]), 0
+                while stack and stack[-1][0] == r:
+                    f, r = _trim(np.convolve(stack.pop()[1], f)), r + 1
+                stack.append((r, f))
+            p = stack.pop()[1]
+            while stack:
+                p = _trim(np.convolve(stack.pop()[1], p))
+            p = np.concatenate(([0.0], p))
         eta[v] = p
     return eta
 
@@ -248,51 +268,75 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
         sev[: len(eta[v])] += (weights[v] / total) * eta[v]
     # rounding can leave the mixture short of mass 1, and Panjer would lose
     # rate times that shortfall at every K
-    return rate, sev / sev.sum()
+    return rate, _trim(sev) / sev.sum()
 
 
-def _panjer_compound_poisson(rate: float, sev: np.ndarray, k_max: int) -> np.ndarray:
-    """pmf of a compound Poisson on {0..k_max} by Panjer recursion."""
-    j_max = len(sev) - 1
-    p = np.zeros(k_max + 1)
-    p[0] = math.exp(-rate * (1.0 - sev[0]))
-    js = np.arange(1, j_max + 1)
-    jq = js * sev[1:]
-    for k in range(1, k_max + 1):
-        lo = max(0, k - j_max)
-        window = p[lo:k][::-1]  # p[k-1], p[k-2], ..., p[k-j]
-        p[k] = rate / k * float(jq[: k - lo] @ window)
-    return p
+@lru_cache(maxsize=16)
+def _panjer_start(rate: float, shifts: int) -> float:
+    """exp(-rate) * 2**(_SHIFT * shifts), rounded once to a float.
+
+    Formed in decimal: a float exponent would carry an error of about
+    rate * 2**-53, which at rates in the thousands leaves the pmf short of
+    mass 1 by more than the default tol.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = (-Decimal(rate)).exp() * Decimal(2) ** (_SHIFT * shifts)
+    return float(x)
 
 
 def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None = None) -> DiscreteDist:
-    """Law of M = sum of all components, truncated once the tail is below tol.
+    """Law of M = sum of all components, cut at the first K with tail below tol.
 
     The rooting only affects intermediate quantities; the result is the same
-    for every choice (tested to 1e-10 pointwise). K starts near the mean and
-    doubles while the tail is at or above tol; ToleranceError is raised when
-    a doubling leaves the tail no smaller, since then no K reaches tol (the
-    Panjer start exp(-rate) underflowed, at rates above about 745).
+    for every choice (tested to 1e-10 pointwise). One Panjer pass
+    p_k = rate/k * sum_j j s_j p_{k-j} runs on q = p / c from q_0 = 1; each
+    time an entry passes 1e250 all of q is scaled by 2**-664, an exact step,
+    and c = exp(-rate) 2**(664 * shifts) (_panjer_start; the severity has no
+    mass at 0, since every H_v >= 1), so no rate underflows. The pass grows in
+    chunks, first to mean + 8 sd of M, then by about 2 sd, and stops at the
+    first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised when, past
+    the mean, the tail has not shrunk for more than the severity's support
+    length: every later p_k is then below the rounding of the sum, so no K
+    reaches tol.
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
     if root is None:
         root = model.tree.vertices[0]
     rate, sev = _severity_mixture(model, root)
-    d, lam = model.tree.d, model.lam
-    k = max(8, math.ceil(d * lam + 10.0 * math.sqrt(d * lam * d)))
-    last = math.inf
+    j_max = len(sev) - 1
+    js = np.arange(j_max + 1)
+    mean = rate * float(js @ sev)
+    sd = math.sqrt(rate * float(js * js @ sev))
+    jq = (js * sev)[:0:-1].copy()  # j * s_j for j = j_max..1, against q[k - j_max:k]
+    q = np.zeros(max(1, math.ceil(mean + 8.0 * sd)) + 1)
+    q[0] = 1.0
+    shifts = 0
+    summed, total, grew = 0, 0.0, 0  # p_0..p_{summed-1} add up to total, which last grew at K = grew
     while True:
-        pmf = _panjer_compound_poisson(rate, sev, k)
-        tail = max(0.0, 1.0 - float(pmf.sum()))
-        if tail < tol:
-            return DiscreteDist(pmf, tail)
-        if tail >= last:
+        for k in range(max(1, summed), len(q)):
+            lo = max(0, k - j_max)
+            x = rate / k * float(jq[j_max - k + lo:] @ q[lo:k])
+            q[k] = x
+            if x > 1e250:
+                q[: k + 1] *= 2.0 ** -_SHIFT
+                shifts += 1
+        c = _panjer_start(rate, shifts)
+        run = np.cumsum(np.concatenate(([total], c * q[summed:])))  # run[i]: the sum to K = summed + i - 1
+        below = np.flatnonzero(1.0 - run[1:] < tol)
+        if below.size:
+            k = summed + int(below[0])
+            return DiscreteDist(c * q[: k + 1], max(0.0, 1.0 - float(run[below[0] + 1])))
+        steps = np.flatnonzero(np.diff(run))
+        if steps.size:
+            grew = summed + int(steps[-1])
+        summed, total = len(q), float(run[-1])
+        if summed - 1 - max(grew, mean) > j_max:
             raise ToleranceError(
-                f"aggregate tail mass {tail!r} did not shrink when K doubled to {k} "
+                f"aggregate tail mass {1.0 - total!r} stopped shrinking by K = {summed - 1} "
                 f"(compound-Poisson rate {rate!r}); tol {tol!r} is out of reach")
-        last = tail
-        k *= 2
+        q = np.concatenate((q, np.zeros(max(1, math.ceil(2.0 * sd)))))
 
 
 def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
@@ -362,10 +406,6 @@ def cov_with_sum(model: MpmrfModel, v: int) -> float:
     return model.lam * acc
 
 
-def _allocation(model: MpmrfModel, agg: DiscreteDist, v: int, h_pmf: np.ndarray) -> AllocationTable:
-    return AllocationTable(v, model.lam * np.convolve(h_pmf, agg.pmf))
-
-
 def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> AllocationTable:
     """E[N_v 1{M=k}] for k up to the aggregate support bound.
 
@@ -373,7 +413,8 @@ def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> 
     read coefficientwise, i.e. lambda times the convolution of the H_v and M
     pmfs. Entries total E[N_v] = lambda up to the truncation tail.
     """
-    return _allocation(model, aggregate_dist(model, tol), v, h_dist(model, v).pmf)
+    agg = aggregate_dist(model, tol)
+    return AllocationTable(v, model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf))
 
 
 def tvar(dist: DiscreteDist, kappa: float) -> float:
@@ -385,11 +426,18 @@ def tvar(dist: DiscreteDist, kappa: float) -> float:
     return (above + atom) / (1.0 - kappa)
 
 
-def _euler_contribution(agg: DiscreteDist, alloc: AllocationTable, lam: float, kappa: float) -> float:
-    q = agg.quantile(kappa)
-    above = lam - float(alloc.cumulative()[q])
-    pq = float(agg.pmf[q])
-    atom = (float(agg.cdf()[q]) - kappa) / pq * float(alloc.by_k[q]) if pq > 0 else 0.0
+def _euler_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
+                        lam: float, kappa: float) -> float:
+    """The contribution at level kappa of the vertex with H law h, where q = VaR_kappa(M).
+
+    Only two entries of the allocation table are read, each as one O(|h|) sum:
+    E[N_v 1{M=q}] = lam * sum_j h_j p_M(q-j) and E[N_v 1{M<=q}] = lam * sum_j h_j F_M(q-j).
+    """
+    j = np.arange(min(len(h) - 1, q) + 1)
+    at_q = lam * float(h[j] @ pmf[q - j])
+    above = lam - lam * float(h[j] @ cdf[q - j])
+    pq = float(pmf[q])
+    atom = (float(cdf[q]) - kappa) / pq * at_q if pq > 0 else 0.0
     return (above + atom) / (1.0 - kappa)
 
 
@@ -403,7 +451,8 @@ def tvar_contribution(model: MpmrfModel, v: int, kappa: float, tol: float = DEFA
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must be in [0, 1)")
     agg = aggregate_dist(model, tol)
-    return _euler_contribution(agg, _allocation(model, agg, v, h_dist(model, v).pmf), model.lam, kappa)
+    return _euler_contribution(agg.pmf, agg.cdf(), agg.quantile(kappa), h_dist(model, v).pmf,
+                               model.lam, kappa)
 
 
 def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -417,9 +466,10 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL)
 def _contribution_table(model: MpmrfModel, agg: DiscreteDist, kappas) -> dict[int, np.ndarray]:
     """tvar_contribution_table on the aggregate agg; every H law from one _h_all pass."""
     h = _h_all(model.tree, model.alpha)
-    allocs = (_allocation(model, agg, v, h[v]) for v in model.tree.vertices)
-    return {a.vertex: np.array([_euler_contribution(agg, a, model.lam, k) for k in kappas])
-            for a in allocs}
+    cdf = agg.cdf()
+    levels = [(agg.quantile(k), k) for k in kappas]
+    return {v: np.array([_euler_contribution(agg.pmf, cdf, q, h[v], model.lam, k) for q, k in levels])
+            for v in model.tree.vertices}
 
 
 def dist_to_csv(dist: DiscreteDist) -> str:

@@ -3,8 +3,8 @@
 Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, paths by
 breadth-first search, trees from random Pruefer sequences, pgfs expanded with
-raw numpy convolutions, and the compound pgf exponentiated as a truncated
-Taylor series.
+raw numpy convolutions, the compound pgf exponentiated as a truncated
+Taylor series, and the compound Poisson by the unscaled Panjer recursion.
 """
 
 from __future__ import annotations
@@ -164,6 +164,22 @@ def agg_pmf_series_exp(tree: Tree, lam: float, alpha: float, k_max: int) -> np.n
         term = np.convolve(term, b)[: k_max + 1] / m
         acc += term
     return math.exp(-rate) * acc
+
+
+def panjer_exp_start(rate: float, sev: np.ndarray, k_max: int) -> np.ndarray:
+    """pmf of a compound Poisson on {0..k_max} by the textbook Panjer recursion.
+
+    It starts from p_0 = exp(-rate (1 - s_0)) in floats and carries no scale,
+    so it is only usable below rate 700, where that start does not underflow.
+    """
+    j_max = len(sev) - 1
+    p = np.zeros(k_max + 1)
+    p[0] = math.exp(-rate * (1.0 - sev[0]))
+    jq = np.arange(1, j_max + 1) * sev[1:]
+    for k in range(1, k_max + 1):
+        lo = max(0, k - j_max)
+        p[k] = rate / k * float(jq[: k - lo] @ p[lo:k][::-1])
+    return p
 
 
 def path_star_moments(shape: str, d: int, lam: float, alpha: float) -> tuple[float, float]:

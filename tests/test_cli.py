@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from treemrf import mpmrf
 from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
@@ -60,14 +61,24 @@ class TestPmf:
     def test_missing_file(self, tmp_path):
         assert main(["pmf", "--model", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("edges,lam,alpha", [
-        ([(i, i + 1) for i in range(1, 800)], 1.0, 0.0),
-    ])
-    def test_stuck_tail_exits_4(self, tmp_path, capsys, edges, lam, alpha):
-        model = write_model(tmp_path / "m.json", len(edges) + 1, edges, lam=lam, alpha=alpha)
-        assert main(["pmf", "--model", model, "-o", str(tmp_path / "pmf.csv")]) == EXIT_TOLERANCE
+    def test_high_rate_path_returns(self, tmp_path):
+        # rate 800: exp(-800) underflows, the aggregate is Poisson(800)
+        d = 800
+        model = write_model(tmp_path / "m.json", d, [(i, i + 1) for i in range(1, d)], lam=1.0, alpha=0.0)
+        out = tmp_path / "pmf.csv"
+        assert main(["pmf", "--model", model, "-o", str(out)]) == EXIT_OK
+        lines = out.read_text().strip().splitlines()
+        assert 0.0 <= float(lines[-1].split(",")[1]) < 1e-12  # the tail mass trailer
+        pmf = np.array([float(l.split(",")[1]) for l in lines[1:-1]])
+        assert np.max(np.abs(pmf - scipy.stats.poisson.pmf(np.arange(len(pmf)), d))) < 1e-12
+
+    def test_unreachable_tol_exits_4(self, tmp_path, capsys):
+        model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)], lam=1.0, alpha=0.0)
+        argv = ["pmf", "--model", model, "--tol", "1e-300", "-o", str(tmp_path / "pmf.csv")]
+        assert main(argv) == EXIT_TOLERANCE
         err = capsys.readouterr().err
-        assert err.startswith("error: tolerance:") and "did not shrink" in err
+        assert err.startswith("error: tolerance:") and "stopped shrinking by K = " in err
+        assert "compound-Poisson rate 4.0" in err
 
     @pytest.mark.parametrize("shape,d,lam,alpha", [
         ("path", 1000, 0.5, 0.5),

@@ -25,6 +25,7 @@ from treemrf.tree_core import Tree, root_at
 from helpers import (
     agg_pmf_series_exp,
     eta_by_hand,
+    panjer_exp_start,
     path,
     path_star_moments,
     poisson_pmf,
@@ -211,6 +212,13 @@ class TestHArray:
                     want = _eta_at(t, v, None, alpha, x)
                     assert abs(np.polyval(h[::-1], x) - want) < 1e-12 * max(1.0, want)
 
+    @pytest.mark.parametrize("d,alpha", [(1000, 0.5), (3000, 0.9)])
+    def test_star_centre_matches_hand_expansion(self, d, alpha):
+        # the centre's children multiply pairwise, the hand expansion one by one
+        h = h_poly(star_tree(d), 1, alpha)
+        hand = eta_by_hand(star_tree(d), 1, alpha)
+        assert len(h) == len(hand) and np.max(np.abs(h - hand)) < 1e-14
+
 
 class TestHAll:
     """Every vertex's H pgf from one rerooting pass, against h_poly per vertex."""
@@ -320,16 +328,69 @@ class TestAggregateDist:
             with pytest.raises(ValueError):
                 aggregate_dist(m, tol=bad)
 
-    @pytest.mark.parametrize("shape,d,lam,alpha", [
-        ("path", 800, 1.0, 0.0),   # exp(-800) underflows: the tail stays 1
-    ])
-    def test_stuck_tail_raises(self, shape, d, lam, alpha):
-        tree = path_tree(d) if shape == "path" else star_tree(d)
-        m = MpmrfModel.homogeneous(tree, lam, alpha)
+    @pytest.mark.parametrize("d", [800, 5000])
+    def test_high_rate_path_is_poisson(self, d):
+        # exp(-d) underflows, which the scaled pass never forms as a float
         t0 = time.monotonic()
-        with pytest.raises(ToleranceError, match=r"tail mass .* K doubled to \d+ .*rate"):
-            aggregate_dist(m)
+        agg = aggregate_dist(MpmrfModel.homogeneous(path_tree(d), 1.0, 0.0))
         assert time.monotonic() - t0 < 5.0
+        assert agg.tail_mass < 1e-12
+        want = scipy.stats.poisson.pmf(np.arange(agg.k_max + 1), d)
+        assert np.max(np.abs(agg.pmf - want)) < 1e-12
+        # the mass is right to rounding; a start constant formed from a
+        # float exponent is off by about d * 2**-53 (3.5e-13 at d = 5000)
+        assert abs(agg.pmf.sum() + scipy.stats.poisson.sf(agg.k_max, d) - 1.0) < 1e-13
+
+    def test_high_rate_star_moments(self):
+        d, lam, alpha = 2000, 1.0, 0.5  # rate 1000.5
+        agg = aggregate_dist(MpmrfModel.homogeneous(star_tree(d), lam, alpha))
+        assert agg.tail_mass < 1e-12
+        mean, var = path_star_moments("star", d, lam, alpha)
+        assert agg.mean() == pytest.approx(mean, rel=1e-9)
+        assert agg.var() == pytest.approx(var, rel=1e-9)
+
+    def test_plateau_tail_returns(self):
+        # the tail stays flat over about 2,700 steps between the leaves'
+        # events and the centre's jump; a stall rule spanning fewer steps
+        # than the severity's support (3,000) gives up there
+        d, lam, alpha = 3000, 0.05, 0.9
+        agg = aggregate_dist(MpmrfModel.homogeneous(star_tree(d), lam, alpha))
+        assert agg.tail_mass < 1e-12
+        mean, var = path_star_moments("star", d, lam, alpha)
+        assert agg.mean() == pytest.approx(mean, rel=1e-9)
+        assert agg.var() == pytest.approx(var, rel=1e-9)
+
+    def test_unreachable_tol_raises(self):
+        # Poisson(4): each step is one scalar product, so the rounded sum is
+        # the same everywhere and stops 3.3e-16 short of 1, above this tol
+        m = MpmrfModel.homogeneous(path_tree(4), 1.0, 0.0)
+        t0 = time.monotonic()
+        with pytest.raises(ToleranceError, match=r"tail mass .* stopped shrinking by K = \d+ "
+                                                 r"\(compound-Poisson rate 4\.0\)"):
+            aggregate_dist(m, tol=1e-300)
+        assert time.monotonic() - t0 < 5.0
+
+    def test_cut_at_the_first_k_below_tol(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            m = random_model(rng, d_max=20)
+            agg = aggregate_dist(m, tol=1e-9)
+            assert 0.0 <= agg.tail_mass < 1e-9
+            assert 1.0 - agg.cdf()[-2] >= 1e-9
+
+    def test_matches_unscaled_panjer(self):
+        # below rate 700 the textbook recursion's start does not underflow;
+        # the last two models reach rates where the pass rescales q
+        rng = np.random.default_rng(11)
+        models = [random_model(rng, d_max=40) for _ in range(10)]
+        models += [MpmrfModel.homogeneous(random_tree(rng, 400), 2.0, 0.2),
+                   MpmrfModel.homogeneous(path_tree(690), 1.0, 0.0)]
+        for m in models:
+            rate, sev = mpmrf._severity_mixture(m, m.tree.vertices[0])
+            assert rate < 700
+            agg = aggregate_dist(m)
+            want = panjer_exp_start(rate, sev, agg.k_max)
+            assert np.max(np.abs(agg.pmf - want)) < 1e-12
 
     # rounding leaves these severity mixtures about 1.25e-14 short of mass 1;
     # unnormalised, Panjer loses rate times that at every K, above tol
@@ -483,6 +544,24 @@ class TestTvarContribution:
             table = tvar_contribution_table(m, [0.95])
             for v in m.tree.vertices:
                 assert abs(tvar_contribution(m, v, 0.95) - table[v][0]) < 1e-12
+
+    def test_direct_sums_match_full_convolution(self):
+        # the table reads two entries of each allocation table; build the
+        # whole table and its running sum here and read them the same way
+        rng = np.random.default_rng(32)
+        kappas = [0.0, 0.3, 0.9, 0.99]
+        for _ in range(6):
+            m = random_model(rng, d_max=30)
+            agg = aggregate_dist(m)
+            table = tvar_contribution_table(m, kappas)
+            for v in m.tree.vertices:
+                alloc = m.lam * np.convolve(h_poly(m.tree, v, m.alpha), agg.pmf)
+                for i, kappa in enumerate(kappas):
+                    q = agg.quantile(kappa)
+                    pq = agg.pmf[q]
+                    atom = (agg.cdf()[q] - kappa) / pq * alloc[q] if pq > 0 else 0.0
+                    want = (m.lam - np.cumsum(alloc)[q] + atom) / (1.0 - kappa)
+                    assert abs(table[v][i] - want) < 1e-12
 
     def test_table_roots_the_tree_at_most_twice(self, monkeypatch):
         # once for the aggregate, once for every H law; not once per vertex
