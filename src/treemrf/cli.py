@@ -118,7 +118,7 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         lines.append(f"{v},{_fmt(model.lam)},{_fmt(cov)},{_fmt(c)}")
     d = model.tree.d
     lines.append(f"# sum,{_fmt(d * model.lam)},{_fmt(total_cov)},{_fmt(total_c)}")
-    lines.append(f"# tvar_check,,,{_fmt(mpmrf.tvar(agg, ns.kappa))}")
+    lines.append(f"# tvar_check,,,{_fmt(mpmrf.tvar(agg, ns.kappa, d * model.lam))}")
     _write("\n".join(lines) + "\n", ns.output)
 
 

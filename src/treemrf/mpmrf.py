@@ -166,8 +166,12 @@ def _alpha_of(alpha, a: int, b: int) -> float:
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing zero coefficients (c has a nonzero entry)."""
-    return c[: np.flatnonzero(c)[-1] + 1]
+    """Drop trailing zero coefficients (c has a nonzero entry).
+
+    Most products end in a nonzero entry and come back as they are, without
+    the scan, which costs more than the small convolutions it follows.
+    """
+    return c if c[-1] else c[: np.flatnonzero(c)[-1] + 1]
 
 
 def _thin(a: float, p: np.ndarray) -> np.ndarray:
@@ -182,29 +186,24 @@ def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
 
     eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
     built leaves first; alpha is a scalar or an edge map. Products are trimmed
-    like the factors (_thin), so every convolution runs over the support. Three
-    or more children multiply as a balanced product tree, merged like a binary
-    counter: a star centre of degree n makes few long convolutions instead of
-    n passes over a growing product, and holds log2(n) partial products.
+    like the factors (_thin), so every convolution runs over the support. The
+    factor t and the children multiply as a balanced product tree, merged like
+    a binary counter: a star centre of degree n makes few long convolutions
+    instead of n passes over a growing product, and holds log2(n) partial
+    products. Up to two children this is the one-by-one product t * f1 * f2.
     """
     eta: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
-        cs = rooted.children[v]
-        if len(cs) <= 2:
-            p = np.array([0.0, 1.0])
-            for c in cs:
-                p = _trim(np.convolve(p, _thin(_alpha_of(alpha, v, c), eta[c])))
-        else:
-            stack = []  # (rank, product of 2**rank factors), ranks falling upwards
-            for c in cs:
-                f, r = _thin(_alpha_of(alpha, v, c), eta[c]), 0
-                while stack and stack[-1][0] == r:
-                    f, r = _trim(np.convolve(stack.pop()[1], f)), r + 1
-                stack.append((r, f))
-            p = stack.pop()[1]
-            while stack:
-                p = _trim(np.convolve(stack.pop()[1], p))
-            p = np.concatenate(([0.0], p))
+        stack = [np.array([0.0, 1.0])]  # partial products of 2**r factors, r falling upwards
+        for n, c in enumerate(rooted.children[v], 2):  # n factors once c is in
+            stack.append(_thin(_alpha_of(alpha, v, c), eta[c]))
+            while not n & 1:  # one merge per trailing zero bit of n
+                f = stack.pop()
+                stack[-1] = _trim(np.convolve(stack[-1], f))
+                n >>= 1
+        p = stack.pop()
+        while stack:
+            p = _trim(np.convolve(stack.pop(), p))
         eta[v] = p
     return eta
 
@@ -275,13 +274,14 @@ def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
 def _panjer_start(rate: float, shifts: int) -> float:
     """exp(-rate) * 2**(_SHIFT * shifts), rounded once to a float.
 
-    Formed in decimal: a float exponent would carry an error of about
-    rate * 2**-53, which at rates in the thousands leaves the pmf short of
-    mass 1 by more than the default tol.
+    Formed in decimal as one exponential of _SHIFT * shifts * ln 2 - rate, an
+    exponent that stays near the float range at any rate. A float exponent
+    would carry an error of about rate * 2**-53, which at rates in the
+    thousands leaves the pmf short of mass 1 by more than the default tol.
     """
     with localcontext() as ctx:
         ctx.prec = 40
-        x = (-Decimal(rate)).exp() * Decimal(2) ** (_SHIFT * shifts)
+        x = (Decimal(_SHIFT * shifts) * Decimal(2).ln() - Decimal(rate)).exp()
     return float(x)
 
 
@@ -417,11 +417,17 @@ def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> 
     return AllocationTable(v, model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf))
 
 
-def tvar(dist: DiscreteDist, kappa: float) -> float:
-    """Tail value-at-risk of an integer-valued distribution."""
+def tvar(dist: DiscreteDist, kappa: float, mean: float | None = None) -> float:
+    """Tail value-at-risk of an integer-valued distribution.
+
+    The part above q = VaR_kappa is mean - sum_{k<=q} k p_k. Given the exact
+    mean (d * lambda for the aggregate), that counts the mass beyond K, as the
+    Euler contributions do; by default the mean of the retained pmf is used.
+    """
     q = dist.quantile(kappa)
-    ks = np.arange(len(dist.pmf))
-    above = float(np.sum(ks[q + 1:] * dist.pmf[q + 1:]))
+    if mean is None:
+        mean = dist.mean()
+    above = mean - float(np.arange(q + 1) @ dist.pmf[: q + 1])
     atom = (float(dist.cdf()[q]) - kappa) * q
     return (above + atom) / (1.0 - kappa)
 

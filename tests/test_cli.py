@@ -9,7 +9,7 @@ from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from treemrf.poset import DEFAULT_ALPHA_GRID
 from treemrf.tree_core import Tree
 
-from helpers import path_star_moments, poisson_pmf
+from helpers import path_star_moments, poisson_pmf, random_tree
 
 
 def write_model(path, d, edges, lam=1.0, alpha=0.5):
@@ -146,6 +146,19 @@ class TestAllocate:
         table = mpmrf.tvar_contribution_table(
             mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 0.8, 0.6), [0.93])
         assert {int(r[0]): r[3] for r in rows} == {v: repr(float(c[0])) for v, c in table.items()}
+
+    def test_tvar_check_matches_the_sum(self, tmp_path):
+        # both count the aggregate's mass beyond its cut K through E[M] = d * lambda
+        rng = np.random.default_rng(30)
+        t = random_tree(rng, 100)
+        alpha = {f"{a}-{b}": float(rng.uniform(0.05, 0.95)) for a, b in t.edges}
+        model = write_model(tmp_path / "m.json", 100, t.edges, lam=1.6, alpha=alpha)
+        for kappa in ("0.0", "0.5", "0.9556"):
+            out = tmp_path / f"a{kappa}.csv"
+            assert main(["allocate", "--model", model, "--kappa", kappa, "-o", str(out)]) == EXIT_OK
+            trailers = {l.split(",")[0]: float(l.split(",")[3])
+                        for l in out.read_text().splitlines() if l.startswith("#")}
+            assert abs(trailers["# tvar_check"] - trailers["# sum"]) < 1e-11
 
     @pytest.mark.parametrize("kappa", ["1.0", "-0.1", "nan"])
     def test_kappa_out_of_range_exits_3(self, tmp_path, capsys, kappa):

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -369,6 +370,16 @@ class TestAggregateDist:
                                                  r"\(compound-Poisson rate 4\.0\)"):
             aggregate_dist(m, tol=1e-300)
         assert time.monotonic() - t0 < 5.0
+
+    def test_start_constant_at_any_rate(self):
+        # 2**(664 * 6519) is far above decimal's default Emax and exp(-3e6) far
+        # below its Emin; the constant itself is about 1e160. No Panjer pass
+        rate, shifts = 3e6, 6519
+        c = mpmrf._panjer_start(rate, shifts)
+        # the float exponent is good to about rate * 2**-53
+        assert c == pytest.approx(math.exp(mpmrf._SHIFT * shifts * math.log(2.0) - rate), rel=1e-8)
+        assert mpmrf._panjer_start(rate, shifts - 1) == pytest.approx(c * 2.0 ** -mpmrf._SHIFT, rel=1e-15)
+        assert mpmrf._panjer_start(5.0, 0) == pytest.approx(math.exp(-5.0), rel=1e-15)
 
     def test_cut_at_the_first_k_below_tol(self):
         rng = np.random.default_rng(12)
