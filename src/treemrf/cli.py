@@ -108,11 +108,11 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         return
     agg = mpmrf.aggregate_dist(model, ns.tol)
     contrib = mpmrf._contribution_table(model, agg, [ns.kappa])
+    covs = mpmrf.cov_with_sum(model)
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0
     for v in model.tree.vertices:
-        cov = mpmrf.cov_with_sum(model, v)
-        c = float(contrib[v][0])
+        cov, c = covs[v], float(contrib[v][0])
         total_cov += cov
         total_c += c
         lines.append(f"{v},{_fmt(model.lam)},{_fmt(cov)},{_fmt(c)}")
@@ -201,18 +201,18 @@ def cmd_mc(ns: argparse.Namespace) -> None:
     # z-sigma bands, Bonferroni-corrected so the 2d per-vertex checks
     # together raise a false alarm at most 0.27% of the time, as one 3-sigma band
     z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * model.tree.d))
+    covs = mpmrf.cov_with_sum(model)
     for i, v in enumerate(model.tree.vertices):
         mean = float(draws[:, i].mean())
         band = z * (model.lam / n) ** 0.5
         cov = float(np.cov(draws[:, i], total)[0, 1])
-        cov_true = mpmrf.cov_with_sum(model, v)
         prod = (draws[:, i] - model.lam) * (total - float(total.mean()))
         cov_band = z * float(prod.std()) / n ** 0.5
-        v_ok = abs(mean - model.lam) < band and abs(cov - cov_true) < cov_band
+        v_ok = abs(mean - model.lam) < band and abs(cov - covs[v]) < cov_band
         ok = ok and v_ok
         report["vertices"][str(v)] = {
             "mean": mean, "mean_expected": model.lam, "mean_band": band,
-            "cov_with_sum": cov, "cov_expected": cov_true, "cov_band": cov_band,
+            "cov_with_sum": cov, "cov_expected": covs[v], "cov_band": cov_band,
             "ok": v_ok,
         }
     report["ok"] = ok

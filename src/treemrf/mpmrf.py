@@ -18,6 +18,8 @@ Key derived objects:
     whose tail mass is below tol.
   * Expected allocations E[N_v 1{M=k}] = lambda * (pmf_{H_v} conv pmf_M)(k),
     the basis of conditional mean risk sharing and Euler TVaR contributions.
+  * Cov(N_v, M) = lambda * E[H_v] and the closeness indices: every vertex's
+    value from one O(d) scalar pass over one rooting.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ class DiscreteDist:
         return np.cumsum(self.pmf)
 
     def mean(self) -> float:
+        """Mean of the retained pmf only: short by about K * tail_mass on a cut aggregate."""
         return float(np.arange(len(self.pmf)) @ self.pmf)
 
     def var(self) -> float:
+        """Variance of the retained pmf only, about its own mean; blind to the tail, like mean."""
         ks = np.arange(len(self.pmf))
         m = self.mean()
         return float((ks - m) ** 2 @ self.pmf)
@@ -98,12 +102,6 @@ class AllocationTable:
         b = np.where(b < 0.0, 0.0, b)
         b.flags.writeable = False
         object.__setattr__(self, "by_k", b)
-
-    def total(self) -> float:
-        return float(self.by_k.sum())
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.by_k)
 
 
 @dataclass(frozen=True)
@@ -247,18 +245,18 @@ def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
-def _severity_mixture(model: MpmrfModel, root: int) -> tuple[float, np.ndarray]:
+def _severity_mixture(model: MpmrfModel) -> tuple[float, np.ndarray]:
     """Compound-Poisson rate and normalized severity pmf of M.
 
     The aggregate pgf is exp(lambda * sum_v (1-alpha_pa(v)) * (eta_v(t)-1))
     with alpha_pa(root)=0, i.e. compound Poisson with rate
     lambda*(d - sum alpha_e) and severity the weight-(1-alpha_pa(v)) mixture
-    of the H_v laws under this rooting.
+    of the H_v laws under the rooting at the smallest label.
     """
     tree = model.tree
-    rooted = root_at(tree, root)
+    rooted = root_at(tree, tree.vertices[0])
     eta = _eta(rooted, model.alpha)
-    weights = {v: 1.0 if v == root else 1.0 - model.edge_alpha(rooted.parent[v], v)
+    weights = {v: 1.0 if v == rooted.order[0] else 1.0 - model.edge_alpha(rooted.parent[v], v)
                for v in tree.vertices}
     total = sum(weights.values())  # = d - sum(alpha_e)
     rate = model.lam * total
@@ -285,11 +283,11 @@ def _panjer_start(rate: float, shifts: int) -> float:
     return float(x)
 
 
-def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None = None) -> DiscreteDist:
+def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     """Law of M = sum of all components, cut at the first K with tail below tol.
 
-    The rooting only affects intermediate quantities; the result is the same
-    for every choice (tested to 1e-10 pointwise). One Panjer pass
+    The rooting only affects intermediate quantities: a relabelled model has
+    the same law (tested to 1e-10 pointwise). One Panjer pass
     p_k = rate/k * sum_j j s_j p_{k-j} runs on q = p / c from q_0 = 1; each
     time an entry passes 1e250 all of q is scaled by 2**-664, an exact step,
     and c = exp(-rate) 2**(664 * shifts) (_panjer_start; the severity has no
@@ -302,9 +300,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL, root: int | None
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
-    if root is None:
-        root = model.tree.vertices[0]
-    rate, sev = _severity_mixture(model, root)
+    rate, sev = _severity_mixture(model)
     j_max = len(sev) - 1
     js = np.arange(j_max + 1)
     mean = rate * float(js @ sev)
@@ -387,23 +383,26 @@ def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: floa
     return cs[ends] - cs[starts]
 
 
-def cov_with_sum(model: MpmrfModel, v: int) -> float:
-    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e.
-
-    One walk rooted at v: each path product extends its parent's by one edge,
-    so the factors multiply in path order from v outwards.
+def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:
+    """Every vertex's sum_j prod_{e in path(v,j)} alpha_e in O(d): s_v = 1 + sum_c alpha_vc * s_c
+    going up (children ascending), then t_c = s_c + alpha_pc * (t_p - alpha_pc * s_c) going down.
     """
-    if v not in model.tree.vertices:
-        raise ValueError(f"invalid vertex {v}")
-    rooted = root_at(model.tree, v)
-    prod = {v: 1.0}
-    for j in rooted.order[1:]:
-        p = rooted.parent[j]
-        prod[j] = prod[p] * model.edge_alpha(p, j)
-    acc = 0.0
-    for j in model.tree.vertices:
-        acc += prod[j]
-    return model.lam * acc
+    s: dict[int, float] = {}
+    for v in reversed(rooted.order):
+        s[v] = 1.0
+        for c in rooted.children[v]:
+            s[v] += _alpha_of(alpha, v, c) * s[c]
+    t = dict(s)
+    for c in rooted.order[1:]:
+        a = _alpha_of(alpha, rooted.parent[c], c)
+        t[c] = s[c] + a * (t[rooted.parent[c]] - a * s[c])
+    return t
+
+
+def cov_with_sum(model: MpmrfModel) -> dict[int, float]:
+    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d)."""
+    sums = _path_sums(root_at(model.tree, model.tree.vertices[0]), model.alpha)
+    return {v: model.lam * sums[v] for v in model.tree.vertices}
 
 
 def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> AllocationTable:
@@ -503,18 +502,18 @@ def closeness_indices(model: MpmrfModel) -> dict[int, Closeness]:
     """Freeman closeness and its exponential transform, per vertex.
 
     The exponential transform sum_j alpha^|path(v,j)| needs one common alpha;
-    lambda times it equals Cov(N_v, M) in that case. Path lengths are the
-    depths of one walk rooted at v.
+    lambda times it is then Cov(N_v, M). One rooting gives both: the transform
+    by _path_sums, Freeman sums by F(c) = F(parent) + d - 2 |subtree(c)|.
     """
     if not model.is_homogeneous():
         raise ValueError("exponential-transform closeness needs homogeneous alpha")
-    alpha = next(iter(model.alpha.values())) if model.alpha else 0.0
-    out = {}
-    for v in model.tree.vertices:
-        rooted = root_at(model.tree, v)
-        depth = {v: 0}
-        for j in rooted.order[1:]:
-            depth[j] = depth[rooted.parent[j]] + 1
-        lengths = [depth[j] for j in model.tree.vertices]
-        out[v] = Closeness(sum(lengths), float(sum(alpha ** l for l in lengths)))
-    return out
+    tree = model.tree
+    rooted = root_at(tree, tree.vertices[0])
+    size = {}
+    for v in reversed(rooted.order):
+        size[v] = 1 + sum(size[c] for c in rooted.children[v])
+    freeman = {rooted.order[0]: sum(size.values()) - tree.d}  # the sum of all depths
+    for c in rooted.order[1:]:
+        freeman[c] = freeman[rooted.parent[c]] + tree.d - 2 * size[c]
+    exp = _path_sums(rooted, model.alpha)
+    return {v: Closeness(freeman[v], exp[v]) for v in tree.vertices}

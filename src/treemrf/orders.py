@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpmrf import DiscreteDist, MpmrfModel, h_dist, h_poly
-from .tree_core import Tree, _ahu_encoding, prune
+from .mpmrf import DiscreteDist, MpmrfModel, _eta, h_dist
+from .tree_core import Tree, _ahu_encoding, prune, root_at
 
 CDF_TOL = 1e-12
 MEAN_TOL = 1e-8
@@ -128,14 +128,15 @@ def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.n
     """cdfs of H_x on `residual` over {0..residual.d}, one row per grid alpha.
 
     H_x depends only on the rooted shape of (residual, x), so `laws` keeps
-    one array per AHU code and every isomorphic rooting reuses it.
+    one array per AHU code; one rooting at x gives the code and every row.
     """
-    key = _ahu_encoding(residual, x)
+    rooted = root_at(residual, x)
+    key = _ahu_encoding(rooted)
     cdfs = laws.get(key)
     if cdfs is None:
         pmfs = np.zeros((len(grid), residual.d + 1))  # H_x lives on {1..d}
         for row, a in zip(pmfs, grid):
-            p = h_poly(residual, x, a)
+            p = _eta(rooted, a)[x]
             row[: len(p)] = p
         cdfs = laws[key] = pmfs.cumsum(axis=1)
     return cdfs

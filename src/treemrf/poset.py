@@ -13,7 +13,7 @@ its residual tree, and an H law depends only on the rooted shape; one build
 hands the criterion one dict, so each rooted shape (keyed by its AHU code)
 is evaluated once for the whole alpha grid, and a move's stacked cdfs are
 compared at every grid alpha in one array operation. The H pgfs are the
-plain coefficient arrays of `mpmrf.h_poly`.
+plain coefficient arrays of `mpmrf._eta`, one rooting per residual and root.
 """
 
 from __future__ import annotations

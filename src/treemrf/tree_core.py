@@ -174,14 +174,13 @@ def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
     return residual, detached
 
 
-def _ahu_encoding(tree: Tree, root: int) -> bytes:
+def _ahu_encoding(rooted: RootedTree) -> bytes:
     """AHU canonical string of the rooted tree, as bytes of '(' / ')'."""
-    rooted = root_at(tree, root)
     enc: dict[int, bytes] = {}
     for v in reversed(rooted.order):
         parts = sorted(enc[c] for c in rooted.children[v])
         enc[v] = b"(" + b"".join(parts) + b")"
-    return enc[root]
+    return enc[rooted.order[0]]
 
 
 def _centers(tree: Tree) -> list[int]:
@@ -207,7 +206,7 @@ def _centers(tree: Tree) -> list[int]:
 
 def canonical_code(tree: Tree) -> ShapeCode:
     """Isomorphism-invariant code: minimal center-rooted AHU encoding."""
-    return ShapeCode(min(_ahu_encoding(tree, c) for c in _centers(tree)))
+    return ShapeCode(min(_ahu_encoding(root_at(tree, c)) for c in _centers(tree)))
 
 
 def degree_vector(tree: Tree) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked example trees and lazily built shape posets."""
+"""Shared fixtures: the worked example trees, lazily built shape posets, and
+a count of the tree rootings a test makes."""
 
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from treemrf import mpmrf
 from treemrf.poset import build_poset
-from treemrf.tree_core import Tree
+from treemrf.tree_core import Tree, root_at
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +82,16 @@ class _PosetCache:
 def posets() -> _PosetCache:
     """Lazily built shape posets with the default alpha grid, shared session-wide."""
     return _PosetCache()
+
+
+@pytest.fixture
+def root_calls(monkeypatch) -> list:
+    """The root of every mpmrf.root_at call the test makes, in call order."""
+    calls = []
+
+    def counting_root_at(tree, r):
+        calls.append(r)
+        return root_at(tree, r)
+
+    monkeypatch.setattr(mpmrf, "root_at", counting_root_at)
+    return calls

@@ -3,8 +3,9 @@
 Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, paths by
 breadth-first search, trees from random Pruefer sequences, pgfs expanded with
-raw numpy convolutions, the compound pgf exponentiated as a truncated
-Taylor series, and the compound Poisson by the unscaled Panjer recursion.
+raw numpy convolutions, path sums by the rerooting recurrences on the
+tree's own adjacency, the compound pgf exponentiated as a truncated Taylor
+series, and the compound Poisson by the unscaled Panjer recursion.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from treemrf.mpmrf import MpmrfModel
 from treemrf.tree_core import Tree
 
 
@@ -34,6 +36,49 @@ def relabel(tree: Tree, mapping: dict[int, int]) -> Tree:
     """The tree with each vertex v renamed mapping[v] (mapping injective)."""
     return Tree.on([mapping[v] for v in tree.vertices],
                    [(mapping[a], mapping[b]) for a, b in tree.edges])
+
+
+def relabel_model(model: MpmrfModel, mapping: dict[int, int]) -> MpmrfModel:
+    """The model on relabel(model.tree, mapping), each edge keeping its alpha."""
+    alpha = {(mapping[a], mapping[b]): x for (a, b), x in model.alpha.items()}
+    return MpmrfModel(relabel(model.tree, mapping), model.lam, alpha)
+
+
+def path_sums_by_hand(tree: Tree, alpha) -> dict[int, float]:
+    """sum_j prod_{e in path(v,j)} alpha(e) for every v, from the tree's own
+    adjacency; alpha(a, b) gives an edge's parameter.
+
+    Hung from the smallest label, s_v = 1 + sum_c alpha(v, c) * s_c over the
+    children in ascending order, then t_c = s_c + alpha * (t_p - alpha * s_c)
+    going down: every vertex is summed in the same floating-point order as
+    the library's one-rooting pass, so the two agree exactly.
+    """
+    adj = {v: [] for v in tree.vertices}
+    for a, b in tree.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for ns in adj.values():
+        ns.sort()
+    root = tree.vertices[0]
+    parent = {root: None}
+    order = [root]
+    for x in order:  # the list grows while it is walked
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    s = {}
+    for v in reversed(order):
+        acc = 1.0
+        for u in adj[v]:
+            if u != parent[v]:
+                acc += alpha(v, u) * s[u]
+        s[v] = acc
+    t = {root: s[root]}
+    for v in order[1:]:
+        a = alpha(parent[v], v)
+        t[v] = s[v] + a * (t[parent[v]] - a * s[v])
+    return t
 
 
 def path(tree: Tree, u: int, w: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ from treemrf.mpmrf import (
     tvar_contribution,
     tvar_contribution_table,
 )
-from treemrf.tree_core import Tree, root_at
+from treemrf.tree_core import Tree
 
 from helpers import (
     agg_pmf_series_exp,
@@ -29,9 +29,11 @@ from helpers import (
     panjer_exp_start,
     path,
     path_star_moments,
+    path_sums_by_hand,
     poisson_pmf,
     random_tree,
     relabel,
+    relabel_model,
     tv_distance,
 )
 
@@ -296,12 +298,15 @@ class TestAggregateDist:
             assert abs(agg.var() - var) < 1e-6
 
     def test_root_invariance(self):
+        # the aggregate roots at the smallest label; swapping it with another
+        # vertex's label roots the same model elsewhere
         rng = np.random.default_rng(9)
         for _ in range(10):
             m = random_model(rng)
-            roots = rng.choice(m.tree.vertices, size=2, replace=False)
-            a = aggregate_dist(m, root=int(roots[0]))
-            b = aggregate_dist(m, root=int(roots[1]))
+            r = int(rng.choice(m.tree.vertices[1:]))
+            swap = {v: v for v in m.tree.vertices} | {1: r, r: 1}
+            a = aggregate_dist(m)
+            b = aggregate_dist(relabel_model(m, swap))
             n = max(len(a.pmf), len(b.pmf))
             diff = np.pad(a.pmf, (0, n - len(a.pmf))) - np.pad(b.pmf, (0, n - len(b.pmf)))
             assert np.max(np.abs(diff)) < 1e-10
@@ -397,7 +402,7 @@ class TestAggregateDist:
         models += [MpmrfModel.homogeneous(random_tree(rng, 400), 2.0, 0.2),
                    MpmrfModel.homogeneous(path_tree(690), 1.0, 0.0)]
         for m in models:
-            rate, sev = mpmrf._severity_mixture(m, m.tree.vertices[0])
+            rate, sev = mpmrf._severity_mixture(m)
             assert rate < 700
             agg = aggregate_dist(m)
             want = panjer_exp_start(rate, sev, agg.k_max)
@@ -461,52 +466,68 @@ class TestSample:
 
 class TestCovWithSum:
     def test_star_center_and_leaf(self, star10):
-        m = MpmrfModel.homogeneous(star10, 1.0, 0.5)
-        assert abs(cov_with_sum(m, 1) - 5.5) < 1e-12
+        cov = cov_with_sum(MpmrfModel.homogeneous(star10, 1.0, 0.5))
+        assert abs(cov[1] - 5.5) < 1e-12
         for leaf in range(2, 11):
-            assert abs(cov_with_sum(m, leaf) - 3.5) < 1e-12
+            assert abs(cov[leaf] - 3.5) < 1e-12
 
     def test_independence_leaves_only_self_term(self):
         m = MpmrfModel.homogeneous(path_tree(5), 1.3, 0.0)
-        assert abs(cov_with_sum(m, 3) - 1.3) < 1e-15
+        assert abs(cov_with_sum(m)[3] - 1.3) < 1e-15
 
     def test_two_vertices(self):
         m = MpmrfModel.homogeneous(path_tree(2), 2.0, 0.7)
-        assert abs(cov_with_sum(m, 1) - 2.0 * 1.7) < 1e-12
-
-    def test_invalid_vertex(self, star10):
-        m = MpmrfModel.homogeneous(star10, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            cov_with_sum(m, 11)
+        assert abs(cov_with_sum(m)[1] - 2.0 * 1.7) < 1e-12
 
     def test_equals_product_over_each_path(self):
-        # same multiplication and summation order as the path oracle: exact
+        # the reference sums every vertex in the pass's order: exact; the
+        # products over each path, summed in label order, agree to rounding
         rng = np.random.default_rng(12)
         for _ in range(10):
             m = random_model(rng, d_max=20)
+            cov = cov_with_sum(m)
+            want = path_sums_by_hand(m.tree, m.edge_alpha)
+            assert sorted(cov) == list(m.tree.vertices)
             for v in m.tree.vertices:
+                assert cov[v] == m.lam * want[v]
                 acc = 0.0
                 for j in m.tree.vertices:
                     prod = 1.0
                     for (a, b) in path(m.tree, v, j):
                         prod *= m.edge_alpha(a, b)
                     acc += prod
-                assert cov_with_sum(m, v) == m.lam * acc
+                assert abs(cov[v] - m.lam * acc) <= 1e-12 * cov[v]
+
+    def test_is_lambda_times_the_mean_of_h(self):
+        # Cov(N_v, M) = lambda * E[H_v], with H_v expanded independently
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(1, 21)))
+            alpha, lam = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.5, 2.0))
+            cov = cov_with_sum(MpmrfModel.homogeneous(t, lam, alpha))
+            for v in t.vertices:
+                h = eta_by_hand(t, v, alpha)
+                mean = lam * float(np.arange(len(h)) @ h)
+                assert abs(cov[v] - mean) <= 1e-12 * mean
+
+    def test_roots_the_tree_once(self, root_calls):
+        cov = cov_with_sum(MpmrfModel.homogeneous(random_tree(np.random.default_rng(15), 200), 0.2, 0.5))
+        assert len(cov) == 200 and len(root_calls) == 1
 
     def test_long_path_closed_form(self):
         # sum_j 0.5^|v-j| on a path: 2 - 0.5^(d-1) at an end, about 3 inside
         d = 2000
-        m = MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5)
-        assert abs(cov_with_sum(m, 1) - 2.0) < 1e-12
-        assert abs(cov_with_sum(m, d) - 2.0) < 1e-12
-        assert abs(cov_with_sum(m, d // 2) - 3.0) < 1e-12
+        cov = cov_with_sum(MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5))
+        assert abs(cov[1] - 2.0) < 1e-12
+        assert abs(cov[d] - 2.0) < 1e-12
+        assert abs(cov[d // 2] - 3.0) < 1e-12
 
 
 class TestExpectedAllocation:
     def test_totals_to_lambda(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.2, 0.6)
         for v in hub6.vertices:
-            assert abs(expected_allocation(m, v).total() - m.lam) < 1e-6
+            assert abs(expected_allocation(m, v).by_k.sum() - m.lam) < 1e-6
 
     def test_conditional_means_sum_to_k(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
@@ -574,18 +595,11 @@ class TestTvarContribution:
                     want = (m.lam - np.cumsum(alloc)[q] + atom) / (1.0 - kappa)
                     assert abs(table[v][i] - want) < 1e-12
 
-    def test_table_roots_the_tree_at_most_twice(self, monkeypatch):
+    def test_table_roots_the_tree_at_most_twice(self, root_calls):
         # once for the aggregate, once for every H law; not once per vertex
-        calls = []
-
-        def counting_root_at(tree, r):
-            calls.append(r)
-            return root_at(tree, r)
-
-        monkeypatch.setattr(mpmrf, "root_at", counting_root_at)
         t = random_tree(np.random.default_rng(31), 100)
         table = tvar_contribution_table(MpmrfModel.homogeneous(t, 0.2, 0.5), [0.9, 0.99])
-        assert len(table) == 100 and len(calls) <= 2
+        assert len(table) == 100 and len(root_calls) <= 2
 
 
 class TestCloseness:
@@ -608,9 +622,9 @@ class TestCloseness:
 
     def test_scaled_exp_transform_is_covariance(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.4, 0.3)
-        c = closeness_indices(m)
+        c, cov = closeness_indices(m), cov_with_sum(m)
         for v in hub6.vertices:
-            assert abs(m.lam * c[v].exp_transform - cov_with_sum(m, v)) < 1e-12
+            assert abs(m.lam * c[v].exp_transform - cov[v]) < 1e-12
 
     def test_equals_sums_over_path_lengths(self):
         rng = np.random.default_rng(13)
@@ -618,10 +632,16 @@ class TestCloseness:
             t = random_tree(rng, int(rng.integers(2, 21)))
             alpha = float(rng.uniform(0.05, 0.95))
             c = closeness_indices(MpmrfModel.homogeneous(t, 1.0, alpha))
+            want = path_sums_by_hand(t, lambda a, b: alpha)
             for v in t.vertices:
                 lengths = [len(path(t, v, j)) for j in t.vertices]
                 assert c[v].freeman == sum(lengths)
-                assert c[v].exp_transform == sum(alpha ** l for l in lengths)
+                assert c[v].exp_transform == want[v]
+                assert abs(c[v].exp_transform - sum(alpha ** l for l in lengths)) <= 1e-12 * want[v]
+
+    def test_roots_the_tree_once(self, root_calls):
+        c = closeness_indices(MpmrfModel.homogeneous(path_tree(10_000), 1.0, 0.5))
+        assert len(c) == 10_000 and len(root_calls) == 1
 
     def test_long_path_freeman_sums(self):
         d = 2000
