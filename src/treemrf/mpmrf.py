@@ -206,13 +206,39 @@ def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
     return eta
 
 
+def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The product of all factors, and for each factor the product of the others.
+
+    The factors multiply pairwise, level by level, up a balanced product
+    tree; going down, each node hands each child its own share times the
+    child's sibling. That is fewer than 3n convolutions for n factors, none
+    longer than the whole product, so a star centre of degree n costs
+    O(n^2 log n) arithmetic where prefix times suffix products cost O(n^3).
+    """
+    if not factors:
+        return np.ones(1), []
+    levels = [factors]
+    while len(levels[-1]) > 1:
+        row = levels[-1]
+        levels.append([_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
+                       for k in range(0, len(row), 2)])
+    others = [None]  # None: the empty product, which takes no convolution
+    for row in reversed(levels[:-1]):
+        shares = []
+        for k in range(len(row)):
+            mine, sib = others[k >> 1], row[k ^ 1] if k ^ 1 < len(row) else None
+            shares.append(mine if sib is None else sib if mine is None else _trim(np.convolve(mine, sib)))
+        others = shares
+    return levels[-1][0], [np.ones(1) if o is None else o for o in others]
+
+
 def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
     """pgf coefficients of every H_v: one rooted _eta pass, then one pass down.
 
-    H_v is t times the thinned pgfs of its neighbours' sides, in ascending
-    neighbour order. Going down, each child gets the thinned pgf of its
-    parent's side: t times the parent's other factors, a prefix product
-    times a suffix product (no division). O(d) convolutions in all.
+    H_v is t times the thinned pgfs of its neighbours' sides. Going down,
+    each child gets the thinned pgf of its parent's side: t times the
+    parent's other factors, handed out by _all_but_one (no division).
+    O(d) convolutions in all.
     """
     rooted = root_at(tree, tree.vertices[0])
     eta = _eta(rooted, alpha)
@@ -220,15 +246,13 @@ def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
     for v in rooted.order:
         parent, ns = rooted.parent.get(v), tree.neighbors[v]
         factors = [up.pop(v) if u == parent else _thin(_alpha_of(alpha, v, u), eta.pop(u)) for u in ns]
-        suffix = [np.array([1.0])]  # suffix[-1 - i]: the product of the factors after i
-        for f in reversed(factors[1:]):
-            suffix.append(_trim(np.convolve(f, suffix[-1])))
-        p = np.array([0.0, 1.0])  # t times the factors before i; H_v at the end
-        for u, f, after in zip(ns, factors, reversed(suffix)):
+        total, others = _all_but_one(factors)
+        h[v] = np.concatenate(([0.0], total))  # times t
+        others.reverse()  # popped in neighbour order: each share is freed once used
+        for u in ns:
+            rest = others.pop()
             if u != parent:
-                up[u] = _thin(_alpha_of(alpha, v, u), _trim(np.convolve(p, after)))
-            p = _trim(np.convolve(p, f))
-        h[v] = p
+                up[u] = _thin(_alpha_of(alpha, v, u), np.concatenate(([0.0], rest)))
     return h
 
 

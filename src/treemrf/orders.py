@@ -4,8 +4,8 @@ All criteria here are sufficient conditions: INCOMPARABLE means the check is
 inconclusive, never a proof that no ordering exists.
 
 The single-move criterion for shapes lives in `single_move_verdicts`, which
-both `shape_compare` (one alpha) and `poset.build_poset` (its whole grid)
-call.
+both `shape_compare` (one move, one alpha) and `poset.build_poset` (every
+move off one residual, its whole grid) call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import DiscreteDist, MpmrfModel, _eta, h_dist
-from .tree_core import Tree, _ahu_encoding, prune, root_at
+from .tree_core import RootedTree, Tree, prune, root_at
 
 CDF_TOL = 1e-12
 MEAN_TOL = 1e-8
@@ -69,6 +69,12 @@ def _first_index(bad: np.ndarray) -> list[int | None]:
     return [int(k) if hit else None for k, hit in zip(first, bad.any(axis=1))]
 
 
+def _verdicts(not_le: np.ndarray, not_ge: np.ndarray) -> list[OrderVerdict]:
+    """One verdict per row of two boolean (rows, k) arrays marking where
+    each direction of dominance fails; the witnesses are the first such k."""
+    return [_verdict(le, ge) for le, ge in zip(_first_index(not_le), _first_index(not_ge))]
+
+
 def st_compare_rows(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> list[OrderVerdict]:
     """Usual stochastic order, one verdict per row of two stacked cdf arrays.
 
@@ -76,9 +82,7 @@ def st_compare_rows(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> lis
     the laws with cdfs fa[r] and fb[r]. LE means F_a >= F_b pointwise up
     to tol.
     """
-    not_le = _first_index(fa < fb - tol)  # a <=_st b needs F_a(k) >= F_b(k)
-    not_ge = _first_index(fb < fa - tol)
-    return [_verdict(le, ge) for le, ge in zip(not_le, not_ge)]
+    return _verdicts(fa < fb - tol, fb < fa - tol)  # a <=_st b needs F_a(k) >= F_b(k)
 
 
 def st_compare(a: DiscreteDist, b: DiscreteDist, tol: float = CDF_TOL) -> OrderVerdict:
@@ -124,36 +128,28 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
     return u, v, w
 
 
-def _h_cdfs(residual: Tree, x: int, grid: tuple[float, ...], laws: dict) -> np.ndarray:
-    """cdfs of H_x on `residual` over {0..residual.d}, one row per grid alpha.
+def _h_cdfs(rooted: RootedTree, grid: tuple[float, ...]) -> np.ndarray:
+    """cdfs of H at the root of `rooted` over {0..d}, one row per grid alpha."""
+    pmfs = np.zeros((len(grid), len(rooted.order) + 1))  # H lives on {1..d}
+    for row, a in zip(pmfs, grid):
+        p = _eta(rooted, a)[rooted.order[0]]
+        row[: len(p)] = p
+    return pmfs.cumsum(axis=1)
 
-    H_x depends only on the rooted shape of (residual, x), so `laws` keeps
-    one array per AHU code; one rooting at x gives the code and every row.
+
+def single_move_verdicts(fv: np.ndarray, fw: np.ndarray,
+                         tol: float = CDF_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The convex-order criterion of the moves that detach one subtree from v
+    and re-anchor it at each of several w, all vertices of one residual tree.
+
+    fv holds the cdfs of H_v on the residual, one row per grid alpha (G, k);
+    fw stacks those of H_w, one block per w (W, G, k). Returns the boolean
+    arrays (not_le, not_ge), each (W, G, k), marking where H_v <=_st H_w and
+    H_v >=_st H_w fail up to tol. A move is LE at an alpha when its not_le
+    row has no True: the tree before the move has the smaller aggregate in
+    convex order; `_verdicts` reads the relation and witnesses of a row.
     """
-    rooted = root_at(residual, x)
-    key = _ahu_encoding(rooted)
-    cdfs = laws.get(key)
-    if cdfs is None:
-        pmfs = np.zeros((len(grid), residual.d + 1))  # H_x lives on {1..d}
-        for row, a in zip(pmfs, grid):
-            p = _eta(rooted, a)[x]
-            row[: len(p)] = p
-        cdfs = laws[key] = pmfs.cumsum(axis=1)
-    return cdfs
-
-
-def single_move_verdicts(residual: Tree, v: int, w: int, grid: tuple[float, ...],
-                         laws: dict, tol: float = CDF_TOL) -> list[OrderVerdict]:
-    """The convex-order criterion of one re-anchoring move, per grid alpha.
-
-    The move detaches a subtree from v and re-anchors it at w, both vertices
-    of `residual`; LE at a grid alpha certifies that the tree before the move
-    has the smaller aggregate in convex order. H_v and H_w on the residual
-    are compared in the usual stochastic order. `laws` caches the H cdfs by
-    rooted shape for the caller.
-    """
-    return st_compare_rows(_h_cdfs(residual, v, grid, laws),
-                           _h_cdfs(residual, w, grid, laws), tol)
+    return fv < fw - tol, fw < fv - tol
 
 
 def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> OrderVerdict:
@@ -169,7 +165,9 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> Ord
     residual, detached = prune(t1, u, v)
     if w not in residual.vertices:
         raise ValueError("re-anchoring target is inside the detached subtree")
-    return single_move_verdicts(residual, v, w, (alpha,), {}, tol)[0]
+    fv, fw = (_h_cdfs(root_at(residual, x), (alpha,)) for x in (v, w))
+    not_le, not_ge = single_move_verdicts(fv, fw[None], tol)
+    return _verdicts(not_le[0], not_ge[0])[0]
 
 
 def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL) -> OrderVerdict:

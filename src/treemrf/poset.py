@@ -9,11 +9,14 @@ of the resulting relation is a conjecture, asserted loudly at build time.
 
 The move criterion itself is `orders.single_move_verdicts`, the one that
 `orders.shape_compare` applies at a single alpha. A move compares H laws on
-its residual tree, and an H law depends only on the rooted shape; one build
-hands the criterion one dict, so each rooted shape (keyed by its AHU code)
-is evaluated once for the whole alpha grid, and a move's stacked cdfs are
-compared at every grid alpha in one array operation. The H pgfs are the
-plain coefficient arrays of `mpmrf._eta`, one rooting per residual and root.
+its residual tree, and an H law depends only on the rooted shape. So one
+all-roots AHU pass (`tree_core._ahu_codes`) per residual keys every move
+off it: the codes of the residual at v and at every w key their H cdfs in
+one dict, and w's residual sides plus the detached subtree's code give the
+moved tree rooted at w, whose shape index is a lookup among the rooted
+codes of all representatives. No move roots, builds or canonicalises a
+tree; `mpmrf._eta` runs once per rooted residual shape for the whole grid,
+and H_v is compared with every w's stacked cdfs in one array operation.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import MpmrfModel, aggregate_dist
-from .orders import single_move_verdicts
+from .orders import _h_cdfs, _verdicts, single_move_verdicts
 from .tree_core import (
     ShapeCode,
     Tree,
+    _ahu_codes,
+    _ahu_node,
     _norm_edge,
     canonical_code,
     enumerate_shapes,
     prune,
+    root_at,
 )
 
 POSET_D_RANGE = (4, 9)
@@ -103,6 +109,36 @@ def _moves(tree: Tree):
                 yield u, v, w, residual, moved
 
 
+def _residual_moves(reps):
+    """Every residual of every shape representative, with the moves off it.
+
+    Yields (i, u, v, at, moves) per directed edge (u, v) of reps[i]: the
+    residual is v's side once edge u-v is cut, `at` maps each of its
+    vertices to the residual's AHU code rooted there, and `moves` lists
+    (w, j) for every other residual vertex w in ascending order, j being the
+    shape index of the tree with u's subtree re-anchored at w. That tree
+    rooted at w has w's residual sides and u's subtree as its root's
+    subtrees, so j is a lookup among the rooted codes of all
+    representatives. One _ahu_codes pass per residual; no tree is built.
+    """
+    shape_of: dict[bytes, int] = {}
+    sides = []
+    for i, tree in enumerate(reps):
+        at, side = _ahu_codes(tree.neighbors, tree.vertices[0])
+        shape_of.update(dict.fromkeys(at.values(), i))
+        sides.append(side)
+    for i, tree in enumerate(reps):
+        adj = tree.neighbors
+        for (a, b) in tree.edges:
+            for u, v in ((a, b), (b, a)):
+                at, side = _ahu_codes(adj, v, away=u)
+                detached = sides[i][v, u]
+                moves = [(w, shape_of[_ahu_node([detached, *(side[w, y] for y in adj[w])])])
+                         for w in sorted(at) if w != v]
+                if moves:
+                    yield i, u, v, at, moves
+
+
 def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
     """Trees one re-anchoring move away, one representative per shape."""
     if tree.d < 3:
@@ -136,26 +172,26 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
 
     reps = tuple(enumerate_shapes(d))
     codes = tuple(canonical_code(t) for t in reps)
-    index = {c: i for i, c in enumerate(codes)}
     n = len(reps)
 
-    laws: dict[bytes, np.ndarray] = {}
+    laws: dict[bytes, np.ndarray] = {}  # H cdfs over the grid, by rooted residual code
     arcs = np.eye(n, dtype=bool)
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
-    for i, tree in enumerate(reps):
-        for u, v, w, residual, moved in _moves(tree):
-            j = index[canonical_code(moved)]
-            rels = tuple(vd.relation.value
-                         for vd in single_move_verdicts(residual, v, w, grid, laws))
-            rec = MoveRecord(i, j, u, v, w, rels)
-            le_ok = all(r in ("LE", "EQ") for r in rels)
-            ge_ok = all(r in ("GE", "EQ") for r in rels)
-            if le_ok:
-                arcs[i, j] = True
-            if ge_ok:
-                arcs[j, i] = True
-            if not le_ok and not ge_ok:
+    for i, u, v, at, moves in _residual_moves(reps):
+        residual = None
+        for x in (v, *(w for w, _j in moves)):
+            if at[x] not in laws:
+                residual = residual or prune(reps[i], u, v)[0]
+                laws[at[x]] = _h_cdfs(root_at(residual, x), grid)
+        not_le, not_ge = single_move_verdicts(laws[at[v]], np.stack([laws[at[w]] for w, _j in moves]))
+        le_ok, ge_ok = ~not_le.any(axis=(1, 2)), ~not_ge.any(axis=(1, 2))
+        for k, (w, j) in enumerate(moves):
+            arcs[i, j] |= le_ok[k]
+            arcs[j, i] |= ge_ok[k]
+            if not le_ok[k] and not ge_ok[k]:
+                rels = tuple(vd.relation.value for vd in _verdicts(not_le[k], not_ge[k]))
+                rec = MoveRecord(i, j, u, v, w, rels)
                 if all(r == "INCOMPARABLE" for r in rels):
                     undecided.append(rec)
                 else:

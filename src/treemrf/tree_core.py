@@ -174,13 +174,51 @@ def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
     return residual, detached
 
 
-def _ahu_encoding(rooted: RootedTree) -> bytes:
-    """AHU canonical string of the rooted tree, as bytes of '(' / ')'."""
-    enc: dict[int, bytes] = {}
-    for v in reversed(rooted.order):
-        parts = sorted(enc[c] for c in rooted.children[v])
-        enc[v] = b"(" + b"".join(parts) + b")"
-    return enc[rooted.order[0]]
+def _ahu_node(subtrees) -> bytes:
+    """AHU code of a rooted tree whose root's subtrees have the given codes."""
+    return b"(" + b"".join(sorted(subtrees)) + b")"
+
+
+def _ahu_up(adj, root: int, away: int | None = None):
+    """BFS order and parents of root's side of a tree, seen from its
+    neighbour `away` (the whole tree when away is None), and the AHU code of
+    every subtree below root: side[parent[x], x] for each x but root.
+
+    adj maps each vertex to its neighbours.
+    """
+    parent = {root: away}
+    order = [root]
+    for x in order:  # the list grows while it is walked
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    side: dict[tuple[int, int], bytes] = {}
+    for x in reversed(order[1:]):
+        side[parent[x], x] = _ahu_node(side[x, y] for y in adj[x] if y != parent[x])
+    return order, parent, side
+
+
+def _ahu_codes(adj, root: int, away: int | None = None):
+    """AHU codes of root's side of a tree (as in _ahu_up) at every root at once.
+
+    Returns (at, side): at[x] is the code of the side rooted at x, and
+    side[x, y] the code of y's part of it once edge x-y is cut, rooted at y,
+    for every ordered pair of neighbours. _ahu_up gives the sides pointing
+    away from root; one pass down gives each vertex's code and, leaving one
+    neighbour out at a time, the sides pointing back. A code has two bytes
+    per vertex, so all of them take O(d^2) bytes.
+    """
+    order, parent, side = _ahu_up(adj, root, away)
+    at: dict[int, bytes] = {}
+    for x in order:
+        parts = sorted(side[x, y] for y in adj[x] if y != away)
+        at[x] = _ahu_node(parts)
+        for y in adj[x]:
+            if y != parent[x]:
+                i = parts.index(side[x, y])
+                side[y, x] = _ahu_node(parts[:i] + parts[i + 1:])
+    return at, side
 
 
 def _centers(tree: Tree) -> list[int]:
@@ -206,7 +244,12 @@ def _centers(tree: Tree) -> list[int]:
 
 def canonical_code(tree: Tree) -> ShapeCode:
     """Isomorphism-invariant code: minimal center-rooted AHU encoding."""
-    return ShapeCode(min(_ahu_encoding(root_at(tree, c)) for c in _centers(tree)))
+    adj = tree.neighbors
+    codes = []
+    for c in _centers(tree):
+        _order, _parent, side = _ahu_up(adj, c)
+        codes.append(_ahu_node(side[c, y] for y in adj[c]))
+    return ShapeCode(min(codes))
 
 
 def degree_vector(tree: Tree) -> tuple[int, ...]:

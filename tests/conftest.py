@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from treemrf import mpmrf
+from treemrf import mpmrf, orders, poset
 from treemrf.poset import build_poset
 from treemrf.tree_core import Tree, root_at
 
@@ -86,12 +86,14 @@ def posets() -> _PosetCache:
 
 @pytest.fixture
 def root_calls(monkeypatch) -> list:
-    """The root of every mpmrf.root_at call the test makes, in call order."""
+    """The root of every root_at call the test makes through mpmrf, orders
+    or poset (the modules that root trees), in call order."""
     calls = []
 
     def counting_root_at(tree, r):
         calls.append(r)
         return root_at(tree, r)
 
-    monkeypatch.setattr(mpmrf, "root_at", counting_root_at)
+    for module in (mpmrf, orders, poset):
+        monkeypatch.setattr(module, "root_at", counting_root_at)
     return calls

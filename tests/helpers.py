@@ -1,7 +1,8 @@
 """Independent oracles and generators used across the test suite.
 
 Everything here is deliberately written without reaching into the package's
-computational paths: brute-force isomorphism by permutation search, paths by
+computational paths: brute-force isomorphism by permutation search, AHU
+codes one rooting at a time, paths by
 breadth-first search, trees from random Pruefer sequences, pgfs expanded with
 raw numpy convolutions, path sums by the rerooting recurrences on the
 tree's own adjacency, the compound pgf exponentiated as a truncated Taylor
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from treemrf.mpmrf import MpmrfModel
-from treemrf.tree_core import Tree
+from treemrf.tree_core import RootedTree, Tree
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -30,6 +31,15 @@ def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
         if {frozenset((m[a], m[b])) for a, b in t1.edges} == e2:
             return True
     return False
+
+
+def ahu_encoding(rooted: RootedTree) -> bytes:
+    """AHU code of one rooted view, leaves first: b"(" + sorted child codes + b")"."""
+    enc: dict[int, bytes] = {}
+    for v in reversed(rooted.order):
+        parts = sorted(enc[c] for c in rooted.children[v])
+        enc[v] = b"(" + b"".join(parts) + b")"
+    return enc[rooted.order[0]]
 
 
 def relabel(tree: Tree, mapping: dict[int, int]) -> Tree:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -235,7 +236,33 @@ class TestCompare:
         assert f"bad tree file {tree2}" in capsys.readouterr().err
 
 
+# SHA-256 of the `poset --d k` JSON and DOT files, taken before the move loop
+# keyed its moves by one AHU pass per residual; the outputs must not move
+POSET_SHA256 = {
+    4: ("e62f2f145ceea18411e451c0030b848ba3e062f9a4f28268093db49036120161",
+        "17f0d91cbb7b64cd3c21c0f0a05d17bdb35086557f640d201e53b87c2e056abb"),
+    5: ("8314d46accc9b86926b821471debc7682558cb265f0af6824f05ca6fb1a95f1d",
+        "e0bcea2ef69dcd39885b707520bbd8f13a3996e83379f31160e6389c047ec06a"),
+    6: ("83fdcdb9f6f27285a4e4e5c78c11776f6edc94f40454eb8a12aad53a1f465a4b",
+        "858aab45cfac1cdd59fbff53de9434a25293b6d292dfab38d8cc51b71a5bc2e8"),
+    7: ("18ef4351918ee70fa3628069996b56c581f4809f6884d9e98dc646fa8122593b",
+        "f2d00d2c6a62365a56f22d5a2a95c06c4144abba3382c022caec03f8aa8e5c8c"),
+    8: ("a767718d62dfa0e83bed18dc7a1ac54ab4fa917ed64d19b84dbfd4534423f399",
+        "6c288537817396d35d79e01273e967ec24d0e1413b63f74dd816af6d2fcbe0ad"),
+    9: ("0b2c5d44f0964d433436f26b600acc8dc58b7ad709ba816def244c43795b168c",
+        "9b3bd5d92a05a393c2ed78aacfa0375ad460cd41686bc7547f700b10274baa57"),
+}
+
+
 class TestPoset:
+    @pytest.mark.parametrize("d", sorted(POSET_SHA256))
+    def test_artifacts_are_pinned(self, tmp_path, d):
+        prefix = tmp_path / f"poset{d}"
+        assert main(["poset", "--d", str(d), "-o", str(prefix)]) == EXIT_OK
+        digests = tuple(hashlib.sha256((tmp_path / f"poset{d}.{ext}").read_bytes()).hexdigest()
+                        for ext in ("json", "dot"))
+        assert digests == POSET_SHA256[d]
+
     def test_d4_artifacts(self, tmp_path):
         prefix = tmp_path / "poset4"
         assert main(["poset", "--d", "4", "-o", str(prefix)]) == EXIT_OK

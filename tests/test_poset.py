@@ -7,6 +7,7 @@ from treemrf.poset import (
     AntisymmetryError,
     ShapePoset,
     _assert_distinct_aggregates,
+    _residual_moves,
     build_poset,
     corollary_chain,
     hasse_dot,
@@ -131,6 +132,27 @@ class TestBuildPoset:
         assert obj["d"] == 4 and len(obj["shapes"]) == 2 and obj["hasse"] == [[0, 1]]
         assert obj["alpha_grid"] == list(DEFAULT_ALPHA_GRID)
         assert obj["flags"] == [] and obj["undecided"] == []
+
+
+class TestResidualMoves:
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_targets_match_canonical_codes_of_the_moved_trees(self, d):
+        reps = enumerate_shapes(d)
+        index = {canonical_code(t): i for i, t in enumerate(reps)}
+        seen = set()
+        for i, u, v, at, moves in _residual_moves(reps):
+            residual, _detached = prune(reps[i], u, v)
+            assert sorted(at) == list(residual.vertices)
+            assert [w for w, _j in moves] == [w for w in residual.vertices if w != v]
+            for w, j in moves:
+                edges = [e for e in reps[i].edges if e != (min(u, v), max(u, v))]
+                assert j == index[canonical_code(Tree.on(reps[i].vertices, edges + [(u, w)]))]
+                seen.add((i, u, v, w))
+        assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in _all_moves(t)}
+
+    def test_d9_build_roots_at_most_400_trees(self, root_calls):
+        build_poset(9)
+        assert len(root_calls) <= 400
 
 
 class TestPosetOracle:

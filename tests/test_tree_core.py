@@ -3,6 +3,7 @@ import pytest
 
 from treemrf.tree_core import (
     Tree,
+    _ahu_codes,
     canonical_code,
     degree_vector,
     enumerate_shapes,
@@ -10,7 +11,7 @@ from treemrf.tree_core import (
     root_at,
 )
 
-from helpers import brute_force_isomorphic, path, random_tree, relabel
+from helpers import ahu_encoding, brute_force_isomorphic, path, random_tree, relabel
 
 # free-tree counts, sequence A000055
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -221,6 +222,44 @@ class TestCanonicalCode:
         code = canonical_code(path_tree(3))
         assert code.hex == code.code.hex()
         assert code.hex == code.hex.lower()
+
+
+class TestAhuCodes:
+    """The all-roots pass against one rooting per root (helpers.ahu_encoding)."""
+
+    @staticmethod
+    def _check(tree: Tree, root: int, away=None):
+        at, side = _ahu_codes(tree.neighbors, root, away)
+        part = tree if away is None else prune(tree, away, root)[0]
+        assert sorted(at) == list(part.vertices)
+        for x in part.vertices:
+            assert at[x] == ahu_encoding(root_at(part, x))
+        assert len(side) == 2 * len(part.edges)
+        for a, b in part.edges:
+            for x, y in ((a, b), (b, a)):  # y's side seen from x, rooted at y
+                assert side[x, y] == ahu_encoding(root_at(prune(part, x, y)[0], y))
+
+    def test_every_shape_up_to_d9(self):
+        for d in range(1, 10):
+            for t in enumerate_shapes(d):
+                self._check(t, t.vertices[-1])
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            t = random_tree(rng, int(rng.integers(1, 25)))
+            self._check(t, int(rng.choice(t.vertices)))
+
+    def test_residuals_with_gapped_labels(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            t = random_tree(rng, int(rng.integers(3, 16)))
+            for a, b in t.edges:
+                for u, v in ((a, b), (b, a)):
+                    self._check(t, v, away=u)
+                    # the same residual as a tree of its own, labels not 1..m
+                    residual = prune(t, u, v)[0]
+                    self._check(residual, residual.vertices[0])
 
 
 class TestDegreeVector:
