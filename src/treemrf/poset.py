@@ -32,7 +32,7 @@ from .tree_core import (
     Tree,
     _ahu_codes,
     _ahu_node,
-    _norm_edge,
+    _walk,
     canonical_code,
     enumerate_shapes,
     prune,
@@ -96,19 +96,6 @@ class ShapePoset:
         }
 
 
-def _moves(tree: Tree):
-    """Every re-anchoring move (u, v, w, residual, moved tree) of a tree."""
-    for (a, b) in tree.edges:
-        for u, v in ((a, b), (b, a)):
-            residual, detached = prune(tree, u, v)
-            base = [e for e in tree.edges if e != _norm_edge(u, v)]
-            for w in residual.vertices:
-                if w == v:
-                    continue
-                moved = Tree.on(tree.vertices, base + [(u, w)])
-                yield u, v, w, residual, moved
-
-
 def _residual_moves(reps):
     """Every residual of every shape representative, with the moves off it.
 
@@ -145,11 +132,16 @@ def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
         raise ValueError("single moves need at least 3 vertices")
     seen: set[ShapeCode] = set()
     out = []
-    for u, v, w, _residual, moved in _moves(tree):
-        code = canonical_code(moved)
-        if code not in seen:
-            seen.add(code)
-            out.append((moved, u, v, w))
+    for (a, b) in tree.edges:
+        base = [e for e in tree.edges if e != (a, b)]
+        for u, v in ((a, b), (b, a)):
+            # w runs over v's side once edge u-v is cut, in ascending order
+            for w in sorted(_walk(tree.neighbors, v, away=u)[0][1:]):
+                moved = Tree.on(tree.vertices, base + [(u, w)])
+                code = canonical_code(moved)
+                if code not in seen:
+                    seen.add(code)
+                    out.append((moved, u, v, w))
     return out
 
 
@@ -326,13 +318,7 @@ def corollary_chain(kind: str, **params) -> list[tuple[Tree, Tree]]:
 def _star_to_series(d: int) -> list[tuple[Tree, Tree]]:
     if d < 4:
         raise ValueError("star-to-series needs d >= 4")
-    trees = []
-    for k in range(1, d - 1):
-        edges = [(i, i + 1) for i in range(1, k + 1)]
-        edges += [(1, j) for j in range(k + 2, d + 1)]
-        trees.append(Tree.of(d, edges))
-    trees.reverse()  # series first, star last
-    return _chain_pairs(trees)
+    return _ray_tool(d - 1)  # the d-star is a hub with d - 1 rays
 
 
 def _ray_tool(d_ray: int, subtrees=()) -> list[tuple[Tree, Tree]]:

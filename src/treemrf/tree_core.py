@@ -19,6 +19,24 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def _walk(adj, root: int, away: int | None = None):
+    """Breadth-first order and parents of root's component, never entering
+    `away` (root's side of a tree, seen from its neighbour away).
+
+    Neighbours are taken in the order adj lists them, ascending for
+    Tree.neighbors; parent[root] is away. Each vertex is entered once, so
+    the walk also ends on a graph with a cycle.
+    """
+    parent = {root: away}
+    order = [root]
+    for x in order:  # the list grows while it is walked
+        for y in adj[x]:
+            if y not in parent and y != away:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
 @dataclass(frozen=True)
 class Tree:
     """Undirected tree on an explicit, sorted vertex label set."""
@@ -46,7 +64,8 @@ class Tree:
             seen.add(e)
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("a tree on d vertices has exactly d-1 edges")
-        if self._component(self.vertices[0]) != vs:
+        # d - 1 edges and connected make a tree
+        if len(_walk(self.neighbors, self.vertices[0])[0]) != len(vs):
             raise ValueError("edge set is not connected")
 
     @classmethod
@@ -75,19 +94,7 @@ class Tree:
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _norm_edge(a, b) in set(self.edges)
-
-    def _component(self, start: int) -> set[int]:
-        adj = self.neighbors
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        return comp
+        return b in self.neighbors.get(a, ())
 
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.d + 1)):
@@ -112,21 +119,11 @@ class RootedTree:
         if root not in tree.vertices:
             raise ValueError(f"invalid root {root}")
         adj = tree.neighbors
-        parent: dict[int, int] = {}
-        children: dict[int, tuple[int, ...]] = {}
-        order = [root]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            # every neighbour but the parent is a child, met in ascending order
-            cs = tuple(u for u in adj[v] if u != parent.get(v))
-            for u in cs:
-                parent[u] = v
-            children[v] = cs
-            order.extend(cs)
+        order, parent = _walk(adj, root)
+        del parent[root]
         self.parent = parent
-        self.children = children
+        # every neighbour but the parent is a child, in ascending order
+        self.children = {v: tuple(u for u in adj[v] if u != parent.get(v)) for v in order}
         self.order = tuple(order)
 
 
@@ -159,15 +156,7 @@ def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
         raise ValueError(f"({u},{v}) is not an edge")
     e = _norm_edge(u, v)
     rest = [x for x in tree.edges if x != e]
-    adj = tree.neighbors
-    side = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in side and (x, y) != (u, v):
-                side.add(y)
-                stack.append(y)
+    side = set(_walk(tree.neighbors, u, away=v)[0])
     detached = Tree.on(side, [x for x in rest if x[0] in side])
     res_vs = [x for x in tree.vertices if x not in side]
     residual = Tree.on(res_vs, [x for x in rest if x[0] not in side])
@@ -180,19 +169,11 @@ def _ahu_node(subtrees) -> bytes:
 
 
 def _ahu_up(adj, root: int, away: int | None = None):
-    """BFS order and parents of root's side of a tree, seen from its
+    """_walk's order and parents of root's side of a tree, seen from its
     neighbour `away` (the whole tree when away is None), and the AHU code of
     every subtree below root: side[parent[x], x] for each x but root.
-
-    adj maps each vertex to its neighbours.
     """
-    parent = {root: away}
-    order = [root]
-    for x in order:  # the list grows while it is walked
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
+    order, parent = _walk(adj, root, away)
     side: dict[tuple[int, int], bytes] = {}
     for x in reversed(order[1:]):
         side[parent[x], x] = _ahu_node(side[x, y] for y in adj[x] if y != parent[x])
@@ -222,24 +203,17 @@ def _ahu_codes(adj, root: int, away: int | None = None):
 
 
 def _centers(tree: Tree) -> list[int]:
-    """Center vertex (or the two of a bicenter) by iterative leaf removal."""
-    if tree.d == 1:
-        return [tree.vertices[0]]
-    adj = tree.neighbors
-    deg = {v: len(adj[v]) for v in tree.vertices}
-    remaining = set(tree.vertices)
-    layer = [v for v in tree.vertices if deg[v] == 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for u in adj[v]:
-                if u in remaining:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(remaining)
+    """Center vertex (or the two of a bicenter), ascending: the middle of a
+    longest path. A walk ends at a vertex farthest from its root, so a walk
+    from the last vertex of a first walk ends at the far end of such a path.
+    """
+    a = _walk(tree.neighbors, tree.vertices[0])[0][-1]
+    order, parent = _walk(tree.neighbors, a)
+    path = [order[-1]]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    n = len(path)
+    return sorted(path[(n - 1) // 2:n // 2 + 1])
 
 
 def canonical_code(tree: Tree) -> ShapeCode:

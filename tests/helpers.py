@@ -2,11 +2,12 @@
 
 Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, AHU
-codes one rooting at a time, paths by
-breadth-first search, trees from random Pruefer sequences, pgfs expanded with
-raw numpy convolutions, path sums by the rerooting recurrences on the
-tree's own adjacency, the compound pgf exponentiated as a truncated Taylor
-series, and the compound Poisson by the unscaled Panjer recursion.
+codes one rooting at a time, paths by breadth-first search, re-anchoring
+moves and tree centers from path lengths, trees from random Pruefer
+sequences, pgfs expanded with raw numpy convolutions, path sums by the
+rerooting recurrences on the tree's own adjacency, the compound pgf
+exponentiated as a truncated Taylor series, and the compound Poisson by the
+unscaled Panjer recursion.
 """
 
 from __future__ import annotations
@@ -112,6 +113,28 @@ def path(tree: Tree, u: int, w: int) -> list[tuple[int, int]]:
         seq.append((min(u, parent[u]), max(u, parent[u])))
         u = parent[u]
     return seq
+
+
+def centers(tree: Tree) -> list[int]:
+    """The vertices of least eccentricity (longest path to another vertex),
+    ascending."""
+    ecc = {v: max(len(path(tree, v, w)) for w in tree.vertices) for v in tree.vertices}
+    least = min(ecc.values())
+    return [v for v in tree.vertices if ecc[v] == least]
+
+
+def all_moves(tree: Tree):
+    """Every re-anchoring move of `tree`: (moved tree, u, v, w), edge (u,v) -> (u,w).
+
+    w runs in ascending order over v's side of the cut, the vertices other
+    than v that are nearer to v than to u, measured by path above.
+    """
+    for (a, b) in tree.edges:
+        edges = [e for e in tree.edges if e != (a, b)]
+        for u, v in ((a, b), (b, a)):
+            for w in tree.vertices:
+                if w != v and len(path(tree, w, v)) < len(path(tree, w, u)):
+                    yield Tree.on(tree.vertices, edges + [(u, w)]), u, v, w
 
 
 def pruefer_tree(seq: list[int], d: int) -> Tree:

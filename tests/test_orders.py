@@ -11,10 +11,9 @@ from treemrf.orders import (
     stop_loss,
     synecdochic_compare,
 )
-from treemrf.poset import _moves
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
 
-from helpers import eta_by_hand, poisson_pmf, random_tree, stop_loss_brute
+from helpers import all_moves, eta_by_hand, poisson_pmf, random_tree, stop_loss_brute
 
 
 def point_mass(k):
@@ -219,7 +218,7 @@ def test_shape_verdicts_imply_aggregate_convex_order(d):
         return agg_cache[key]
 
     for base in enumerate_shapes(d):
-        for _u, _v, _w, _residual, moved in _moves(base):
+        for moved, *_ in all_moves(base):
             for alpha in (0.2, 0.5, 0.8):
                 verdict = shape_compare(base, moved, alpha).relation
                 if verdict is Relation.INCOMPARABLE:

@@ -18,7 +18,7 @@ from treemrf.poset import (
 )
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
 
-from helpers import eta_by_hand
+from helpers import all_moves, eta_by_hand
 
 GRID = (0.1, 0.5, 0.9)
 
@@ -148,7 +148,7 @@ class TestResidualMoves:
                 edges = [e for e in reps[i].edges if e != (min(u, v), max(u, v))]
                 assert j == index[canonical_code(Tree.on(reps[i].vertices, edges + [(u, w)]))]
                 seen.add((i, u, v, w))
-        assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in _all_moves(t)}
+        assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in all_moves(t)}
 
     def test_d9_build_roots_at_most_400_trees(self, root_calls):
         build_poset(9)
@@ -181,7 +181,7 @@ class TestPosetOracle:
         arcs = np.eye(n, dtype=bool)
         expected = {}
         for i, tree in enumerate(ps.reps):
-            for moved, u, v, w in _all_moves(tree):
+            for moved, u, v, w in all_moves(tree):
                 residual, _detached = prune(tree, u, v)
                 rels = tuple(self._relation(residual, v, w, a) for a in self.ORACLE_GRID)
                 j = index[canonical_code(moved)]
@@ -204,17 +204,6 @@ class TestPosetOracle:
         recorded = sum(not (set(rels) <= {"LE", "EQ"} or set(rels) <= {"GE", "EQ"})
                        for _j, rels in expected.values())
         assert len(ps.flags) + len(ps.undecided) == recorded
-
-
-def _all_moves(tree: Tree):
-    """Every re-anchoring move of `tree`: (moved tree, u, v, w), edge (u,v) -> (u,w)."""
-    for (a, b) in tree.edges:
-        for u, v in ((a, b), (b, a)):
-            residual, _detached = prune(tree, u, v)
-            for w in residual.vertices:
-                if w != v:
-                    edges = [e for e in tree.edges if e != (min(u, v), max(u, v))]
-                    yield Tree.on(tree.vertices, edges + [(u, w)]), u, v, w
 
 
 class TestHasseDot:

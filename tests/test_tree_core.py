@@ -4,6 +4,8 @@ import pytest
 from treemrf.tree_core import (
     Tree,
     _ahu_codes,
+    _centers,
+    _walk,
     canonical_code,
     degree_vector,
     enumerate_shapes,
@@ -11,7 +13,7 @@ from treemrf.tree_core import (
     root_at,
 )
 
-from helpers import ahu_encoding, brute_force_isomorphic, path, random_tree, relabel
+from helpers import ahu_encoding, brute_force_isomorphic, centers, path, random_tree, relabel
 
 # free-tree counts, sequence A000055
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -35,6 +37,9 @@ class TestTreeValidation:
             Tree.of(4, [(1, 2), (1, 2), (3, 4)])
         with pytest.raises(ValueError):
             Tree.of(4, [(1, 2), (3, 4), (3, 4)])
+        # d - 1 distinct edges, but a triangle and an isolated vertex
+        with pytest.raises(ValueError, match="not connected"):
+            Tree.of(4, [(1, 2), (2, 3), (1, 3)])
 
     def test_self_loop(self):
         with pytest.raises(ValueError):
@@ -47,6 +52,12 @@ class TestTreeValidation:
     def test_degenerate_sizes_are_legal(self):
         assert Tree.of(1, []).d == 1
         assert Tree.of(2, [(1, 2)]).d == 2
+
+    def test_has_edge(self):
+        t = star_tree(4)
+        assert t.has_edge(1, 3) and t.has_edge(3, 1)
+        assert not t.has_edge(2, 3) and not t.has_edge(1, 1)
+        assert not t.has_edge(1, 9) and not t.has_edge(9, 1)
 
     def test_json_roundtrip(self):
         t = path_tree(4)
@@ -114,6 +125,48 @@ class TestRootAt:
                     assert r.children[v] == tuple(below)
 
 
+class TestWalk:
+    def test_breadth_first_in_listed_order(self):
+        t = Tree.of(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+        order, parent = _walk(t.neighbors, 1)
+        assert order == [1, 2, 3, 4, 5, 6]
+        assert parent == {1: None, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3}
+
+    def test_never_enters_away(self):
+        t = Tree.of(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
+        order, parent = _walk(t.neighbors, 2, away=1)
+        assert order == [2, 4, 5]
+        assert parent == {2: 1, 4: 2, 5: 2}
+
+    def test_ends_on_a_cycle(self):
+        adj = {1: (2, 3), 2: (1, 3), 3: (1, 2), 4: ()}
+        assert _walk(adj, 1) == ([1, 2, 3], {1: None, 2: 1, 3: 1})
+        assert _walk(adj, 4) == ([4], {4: None})
+
+
+class TestCenters:
+    """_centers against the least-eccentricity vertices of helpers.centers."""
+
+    def test_every_shape_up_to_d10(self):
+        for d in range(1, 11):
+            for t in enumerate_shapes(d):
+                assert _centers(t) == centers(t)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            t = random_tree(rng, int(rng.integers(1, 30)))
+            assert _centers(t) == centers(t)
+
+    def test_pruned_parts_with_gapped_labels(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            t = random_tree(rng, int(rng.integers(3, 14)))
+            for a, b in t.edges:
+                for part in prune(t, a, b):
+                    assert _centers(part) == centers(part)
+
+
 class TestPath:
     """The path oracle in helpers, which the exact covariance and closeness
     tests rely on."""
@@ -154,6 +207,20 @@ class TestPrune:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             prune(star_tree(4), 2, 3)
+
+    def test_detached_side_is_what_the_walk_reaches(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            t = random_tree(rng, int(rng.integers(2, 16)))
+            for a, b in t.edges:
+                for u, v in ((a, b), (b, a)):
+                    residual, detached = prune(t, u, v)
+                    side = set(_walk(t.neighbors, u, away=v)[0])
+                    assert set(detached.vertices) == side
+                    # u's side: the vertices nearer to u than to v
+                    assert side == {x for x in t.vertices
+                                    if len(path(t, x, u)) < len(path(t, x, v))}
+                    assert set(residual.vertices) == set(t.vertices) - side
 
     def test_reattach_restores_shape(self):
         rng = np.random.default_rng(7)
