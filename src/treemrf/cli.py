@@ -47,8 +47,8 @@ class InputError(Exception):
 
 
 def _validate(ns: argparse.Namespace) -> None:
-    if not 0.0 < ns.tol <= 1e-3:
-        raise InputError(f"tol {ns.tol} outside (0, 1e-3]")
+    if not 0.0 < getattr(ns, "tol", mpmrf.MAX_TOL) <= mpmrf.MAX_TOL:
+        raise InputError(f"tol {ns.tol} outside (0, {mpmrf.MAX_TOL:g}]")
     if getattr(ns, "n", 1) < 1:
         raise UsageError("n must be >= 1")
     if ns.format is not None and ns.format not in FORMATS[ns.command]:
@@ -158,9 +158,7 @@ def _compare_via_poset(t1, t2, alpha_grid):
     ps = poset_mod.build_poset(t1.d, alpha_grid)
     c1, c2 = tree_core.canonical_code(t1), tree_core.canonical_code(t2)
     le, ge = ps.leq(c1, c2), ps.leq(c2, c1)  # both only when c1 == c2: antisymmetry
-    rel = (orders.Relation.EQ if le and ge else orders.Relation.LE if le else
-           orders.Relation.GE if ge else orders.Relation.INCOMPARABLE)
-    return orders.OrderVerdict(rel), "poset_closure"
+    return orders.OrderVerdict(orders._RELATION[not le, not ge]), "poset_closure"
 
 
 def cmd_poset(ns: argparse.Namespace) -> None:
@@ -237,7 +235,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
     sub = ap.add_subparsers(dest="command", required=True)
     args: dict[str, dict[str, argparse.Action]] = {}
 
-    def command(name, help, model=True):
+    def command(name, help, model=True, tol=True):
         p = sub.add_parser(name, help=help)
         acts = args[name] = {}
 
@@ -248,7 +246,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
         add("--config", default=None, help="JSON file with flag defaults")
         if model:
             add("--model", default=None, help="model JSON file")
-        add("--tol", type=float, default=mpmrf.DEFAULT_TOL)
+        if tol:  # only the subcommands that compute an aggregate law
+            add("--tol", type=float, default=mpmrf.DEFAULT_TOL)
         add("--format", default=None)
         add("-o", "--output", default=None)
         return add
@@ -258,16 +257,16 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
     add("--kappa", type=float, default=0.95)
     add("--table", type=int, default=None, metavar="VERTEX",
         help="write one vertex's k,value allocation table instead")
-    add = command("compare", "shape comparison verdict as JSON")
+    add = command("compare", "shape comparison verdict as JSON", tol=False)
     add("tree2", nargs="?", default=None, help="second tree or model JSON file")
     add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
-    add = command("poset", "shape poset with Hasse diagram (DOT + JSON)", model=False)
+    add = command("poset", "shape poset with Hasse diagram (DOT + JSON)", model=False, tol=False)
     add("--d", type=int, default=None)
     add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
     add = command("mc", "Monte Carlo validation of the sampler")
     add("--seed", type=int, default=0)
     add("--n", type=int, default=100_000, metavar="N_SAMPLES")
-    command("spectral", "adjacency spectrum report as JSON")
+    command("spectral", "adjacency spectrum report as JSON", tol=False)
     return ap, args
 
 

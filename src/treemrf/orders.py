@@ -3,9 +3,9 @@
 All criteria here are sufficient conditions: INCOMPARABLE means the check is
 inconclusive, never a proof that no ordering exists.
 
-The single-move criterion for shapes lives in `single_move_verdicts`, which
-both `shape_compare` (one move, one alpha) and `poset.build_poset` (every
-move off one residual, its whole grid) call.
+Each criterion asks whether one curve dominates another (cdfs of H laws,
+or stop-loss curves of aggregates), and `_dominance` is where every one of
+them, `poset.build_poset`'s move criterion included, compares two curves.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import DiscreteDist, MpmrfModel, _eta, h_dist
-from .tree_core import RootedTree, Tree, prune, root_at
+from .tree_core import RootedTree, Tree, root_at
 
 CDF_TOL = 1e-12
 MEAN_TOL = 1e-8
@@ -53,14 +53,9 @@ class OrderVerdict:
         }
 
 
-def _verdict(not_le_at: int | None, not_ge_at: int | None) -> OrderVerdict:
-    if not_le_at is None and not_ge_at is None:
-        return OrderVerdict(Relation.EQ)
-    if not_le_at is None:
-        return OrderVerdict(Relation.LE, None, not_ge_at)
-    if not_ge_at is None:
-        return OrderVerdict(Relation.GE, not_le_at, None)
-    return OrderVerdict(Relation.INCOMPARABLE, not_le_at, not_ge_at)
+# the relation, keyed by whether a <= b fails and whether a >= b fails
+_RELATION = {(False, False): Relation.EQ, (False, True): Relation.LE,
+             (True, False): Relation.GE, (True, True): Relation.INCOMPARABLE}
 
 
 def _first_index(bad: np.ndarray) -> list[int | None]:
@@ -72,28 +67,36 @@ def _first_index(bad: np.ndarray) -> list[int | None]:
 def _verdicts(not_le: np.ndarray, not_ge: np.ndarray) -> list[OrderVerdict]:
     """One verdict per row of two boolean (rows, k) arrays marking where
     each direction of dominance fails; the witnesses are the first such k."""
-    return [_verdict(le, ge) for le, ge in zip(_first_index(not_le), _first_index(not_ge))]
+    return [OrderVerdict(_RELATION[le is not None, ge is not None], le, ge)
+            for le, ge in zip(_first_index(not_le), _first_index(not_ge))]
 
 
-def st_compare_rows(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> list[OrderVerdict]:
+def _dominance(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean arrays (not_le, not_ge), broadcast from two stacks of curves:
+    where fa falls below fb by more than tol, and where fb falls below fa.
+    `_verdicts` reads each row's relation and witnesses."""
+    return fa < fb - tol, fb < fa - tol
+
+
+def st_compare_rows(fa: np.ndarray, fb: np.ndarray) -> list[OrderVerdict]:
     """Usual stochastic order, one verdict per row of two stacked cdf arrays.
 
     fa and fb have the same shape (rows, k); row r of the result compares
     the laws with cdfs fa[r] and fb[r]. LE means F_a >= F_b pointwise up
-    to tol.
+    to CDF_TOL.
     """
-    return _verdicts(fa < fb - tol, fb < fa - tol)  # a <=_st b needs F_a(k) >= F_b(k)
+    return _verdicts(*_dominance(fa, fb))  # a <=_st b needs F_a(k) >= F_b(k)
 
 
-def st_compare(a: DiscreteDist, b: DiscreteDist, tol: float = CDF_TOL) -> OrderVerdict:
+def st_compare(a: DiscreteDist, b: DiscreteDist) -> OrderVerdict:
     """Usual stochastic order: LE means a <=_st b, i.e. F_a >= F_b pointwise."""
     n = max(len(a.pmf), len(b.pmf))
     fa = np.cumsum(np.pad(a.pmf, (0, n - len(a.pmf))))
     fb = np.cumsum(np.pad(b.pmf, (0, n - len(b.pmf))))
-    return st_compare_rows(fa[None], fb[None], tol)[0]
+    return st_compare_rows(fa[None], fb[None])[0]
 
 
-def synecdochic_compare(model: MpmrfModel, v: int, w: int, tol: float = CDF_TOL) -> OrderVerdict:
+def synecdochic_compare(model: MpmrfModel, v: int, w: int) -> OrderVerdict:
     """Compare how much components v and w contribute to the total.
 
     LE certifies that the pair (N_v, M) precedes (N_w, M) in the supermodular
@@ -101,7 +104,7 @@ def synecdochic_compare(model: MpmrfModel, v: int, w: int, tol: float = CDF_TOL)
     """
     if v == w:
         raise ValueError("vertices must be distinct")
-    return st_compare(h_dist(model, v), h_dist(model, w), tol)
+    return st_compare(h_dist(model, v), h_dist(model, w))
 
 
 def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
@@ -137,37 +140,21 @@ def _h_cdfs(rooted: RootedTree, grid: tuple[float, ...]) -> np.ndarray:
     return pmfs.cumsum(axis=1)
 
 
-def single_move_verdicts(fv: np.ndarray, fw: np.ndarray,
-                         tol: float = CDF_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The convex-order criterion of the moves that detach one subtree from v
-    and re-anchor it at each of several w, all vertices of one residual tree.
-
-    fv holds the cdfs of H_v on the residual, one row per grid alpha (G, k);
-    fw stacks those of H_w, one block per w (W, G, k). Returns the boolean
-    arrays (not_le, not_ge), each (W, G, k), marking where H_v <=_st H_w and
-    H_v >=_st H_w fail up to tol. A move is LE at an alpha when its not_le
-    row has no True: the tree before the move has the smaller aggregate in
-    convex order; `_verdicts` reads the relation and witnesses of a row.
-    """
-    return fv < fw - tol, fw < fv - tol
-
-
-def shape_compare(t1: Tree, t2: Tree, alpha: float, tol: float = CDF_TOL) -> OrderVerdict:
+def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     """Convex-order criterion between two trees one re-anchoring move apart.
 
     LE certifies M(t1) <=_cx M(t2) under a common edge parameter alpha: the
     anchoring vertices v (in t1) and w (in t2) are compared through their H
-    laws on the shared residual subtree.
+    laws on the shared residual subtree, v's side of t1 once edge u-v is
+    cut: H_v <=_st H_w there gives LE.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     u, v, w = _single_move(t1, t2)
-    residual, detached = prune(t1, u, v)
-    if w not in residual.vertices:
+    sides = [root_at(t1, x, away=u) for x in (v, w)]  # the residual, rooted at v and at w
+    if w not in sides[0].parent:
         raise ValueError("re-anchoring target is inside the detached subtree")
-    fv, fw = (_h_cdfs(root_at(residual, x), (alpha,)) for x in (v, w))
-    not_le, not_ge = single_move_verdicts(fv, fw[None], tol)
-    return _verdicts(not_le[0], not_ge[0])[0]
+    return st_compare_rows(*(_h_cdfs(side, (alpha,)) for side in sides))[0]
 
 
 def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL) -> OrderVerdict:
@@ -181,10 +168,7 @@ def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL
     n = max(len(m1.pmf), len(m2.pmf)) + 1
     s1 = _stop_loss_curve(m1.pmf, n)
     s2 = _stop_loss_curve(m2.pmf, n)
-    le_bad = np.nonzero(s1 > s2 + tol)[0]
-    ge_bad = np.nonzero(s2 > s1 + tol)[0]
-    return _verdict(int(le_bad[0]) if le_bad.size else None,
-                    int(ge_bad[0]) if ge_bad.size else None)
+    return _verdicts(*_dominance(s2[None], s1[None], tol))[0]  # m1 <=_cx m2 needs S_2 >= S_1
 
 
 def _stop_loss_curve(pmf: np.ndarray, n: int) -> np.ndarray:

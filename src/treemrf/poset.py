@@ -7,16 +7,17 @@ whose verdict varies across the grid are recorded in `flags` instead, and
 moves that are INCOMPARABLE at every grid point in `undecided`. Antisymmetry
 of the resulting relation is a conjecture, asserted loudly at build time.
 
-The move criterion itself is `orders.single_move_verdicts`, the one that
-`orders.shape_compare` applies at a single alpha. A move compares H laws on
-its residual tree, and an H law depends only on the rooted shape. So one
-all-roots AHU pass (`tree_core._ahu_codes`) per residual keys every move
-off it: the codes of the residual at v and at every w key their H cdfs in
-one dict, and w's residual sides plus the detached subtree's code give the
-moved tree rooted at w, whose shape index is a lookup among the rooted
-codes of all representatives. No move roots, builds or canonicalises a
-tree; `mpmrf._eta` runs once per rooted residual shape for the whole grid,
-and H_v is compared with every w's stacked cdfs in one array operation.
+The move criterion is `orders.shape_compare`'s at every grid alpha: H_v
+against H_w on the move's residual tree (`orders._dominance`). An H law
+depends only on the rooted shape. So one all-roots AHU pass
+(`tree_core._ahu_codes`) per residual keys every move off it: the codes of
+the residual at v and at every w key their H cdfs in one dict, and w's
+residual sides plus the detached subtree's code give the moved tree rooted
+at w, whose shape index is a lookup among the rooted codes of all
+representatives. No move builds or canonicalises a tree; each rooted
+residual shape is rooted once, as a side of its representative (`root_at`
+with `away`), for one `mpmrf._eta` pass per grid alpha, and H_v is compared
+with every w's stacked cdfs in one array operation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import MpmrfModel, aggregate_dist
-from .orders import _h_cdfs, _verdicts, single_move_verdicts
+from .orders import _dominance, _h_cdfs, _verdicts
 from .tree_core import (
     ShapeCode,
     Tree,
@@ -35,7 +36,6 @@ from .tree_core import (
     _walk,
     canonical_code,
     enumerate_shapes,
-    prune,
     root_at,
 )
 
@@ -171,12 +171,11 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
     for i, u, v, at, moves in _residual_moves(reps):
-        residual = None
         for x in (v, *(w for w, _j in moves)):
             if at[x] not in laws:
-                residual = residual or prune(reps[i], u, v)[0]
-                laws[at[x]] = _h_cdfs(root_at(residual, x), grid)
-        not_le, not_ge = single_move_verdicts(laws[at[v]], np.stack([laws[at[w]] for w, _j in moves]))
+                laws[at[x]] = _h_cdfs(root_at(reps[i], x, away=u), grid)
+        # (W, G, k): H_v against each w's H, at every grid alpha
+        not_le, not_ge = _dominance(laws[at[v]], np.stack([laws[at[w]] for w, _j in moves]))
         le_ok, ge_ok = ~not_le.any(axis=(1, 2)), ~not_ge.any(axis=(1, 2))
         for k, (w, j) in enumerate(moves):
             arcs[i, j] |= le_ok[k]

@@ -79,10 +79,10 @@ def majorizes(a, b) -> bool:
     return True
 
 
-def cospectral_pair_check(t1: Tree, t2: Tree, tol: float = SPECTRUM_TOL) -> bool:
-    """True when the sorted adjacency spectra coincide within tol."""
+def cospectral_pair_check(t1: Tree, t2: Tree) -> bool:
+    """True when the sorted adjacency spectra coincide within SPECTRUM_TOL."""
     if t1.d != t2.d:
         raise ValueError("trees must have the same vertex count")
     mu1 = np.linalg.eigvalsh(adjacency_matrix(t1))
     mu2 = np.linalg.eigvalsh(adjacency_matrix(t2))
-    return bool(np.max(np.abs(mu1 - mu2)) <= tol)
+    return bool(np.max(np.abs(mu1 - mu2)) <= SPECTRUM_TOL)

@@ -39,7 +39,8 @@ def _walk(adj, root: int, away: int | None = None):
 
 @dataclass(frozen=True)
 class Tree:
-    """Undirected tree on an explicit, sorted vertex label set."""
+    """Undirected tree on an explicit, sorted vertex label set; its edges are
+    stored as sorted (smaller, larger) pairs, however they are given."""
 
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -52,7 +53,7 @@ class Tree:
             raise ValueError("vertex labels must be positive integers")
         if tuple(sorted(vs)) != self.vertices:
             raise ValueError("vertices must be sorted")
-        seen: set[Edge] = set()
+        seen: dict[Edge, None] = {}  # keeps the given order, often sorted already: cheap to sort
         for (a, b) in self.edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
@@ -61,7 +62,8 @@ class Tree:
             e = _norm_edge(a, b)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+            seen[e] = None
+        object.__setattr__(self, "edges", tuple(sorted(seen)))  # the class is frozen
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("a tree on d vertices has exactly d-1 edges")
         # d - 1 edges and connected make a tree
@@ -73,12 +75,12 @@ class Tree:
         """Tree on vertices {1..d}."""
         if d < 1:
             raise ValueError("d must be >= 1")
-        return cls(tuple(range(1, d + 1)), tuple(sorted(_norm_edge(a, b) for a, b in edges)))
+        return cls(tuple(range(1, d + 1)), tuple(edges))
 
     @classmethod
     def on(cls, vertices, edges) -> "Tree":
         """Tree on an arbitrary vertex label set (used for subtrees)."""
-        return cls(tuple(sorted(vertices)), tuple(sorted(_norm_edge(a, b) for a, b in edges)))
+        return cls(tuple(sorted(vertices)), tuple(edges))
 
     @property
     def d(self) -> int:
@@ -113,17 +115,20 @@ class RootedTree:
     children is deterministic. `order` lists every vertex once, root first,
     each parent before its children, so one forward walk visits a vertex
     after its parent and one reversed walk visits it after its children.
+    With `away`, it covers root's side only, never entering or listing away:
+    for root on v's side of edge away-v, prune(tree, away, v)[0] rooted at root.
     """
 
-    def __init__(self, tree: Tree, root: int):
-        if root not in tree.vertices:
+    def __init__(self, tree: Tree, root: int, away: int | None = None):
+        if root not in tree.vertices or root == away:
             raise ValueError(f"invalid root {root}")
         adj = tree.neighbors
-        order, parent = _walk(adj, root)
+        order, parent = _walk(adj, root, away)
         del parent[root]
         self.parent = parent
-        # every neighbour but the parent is a child, in ascending order
-        self.children = {v: tuple(u for u in adj[v] if u != parent.get(v)) for v in order}
+        # every neighbour but the parent and away is a child, in ascending order
+        self.children = {v: tuple(u for u in adj[v] if u != parent.get(v) and u != away)
+                         for v in order}
         self.order = tuple(order)
 
 
@@ -141,9 +146,9 @@ class ShapeCode:
         return self.hex
 
 
-def root_at(tree: Tree, r: int) -> RootedTree:
-    """Rooted view of `tree` at vertex r."""
-    return RootedTree(tree, r)
+def root_at(tree: Tree, r: int, away: int | None = None) -> RootedTree:
+    """Rooted view of `tree` at vertex r; with `away`, of r's side only (see RootedTree)."""
+    return RootedTree(tree, r, away)
 
 
 def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:

@@ -90,9 +90,9 @@ def root_calls(monkeypatch) -> list:
     or poset (the modules that root trees), in call order."""
     calls = []
 
-    def counting_root_at(tree, r):
+    def counting_root_at(tree, r, away=None):
         calls.append(r)
-        return root_at(tree, r)
+        return root_at(tree, r, away)
 
     for module in (mpmrf, orders, poset):
         monkeypatch.setattr(module, "root_at", counting_root_at)

@@ -362,6 +362,19 @@ class TestSpectral:
         assert abs(obj["algebraic_connectivity"] - 1.0) < 1e-9
         assert obj["degrees"] == [2, 1, 1]
 
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "--model", "{t}"],
+        ["compare", "--model", "{m}", "{t}"],
+        ["poset", "--d", "4"],
+    ])
+    def test_tol_is_not_a_flag(self, tmp_path, argv):
+        # only pmf, allocate and mc compute an aggregate law to a tolerance
+        paths = {"t": write_tree(tmp_path / "t.json", 3, [(1, 2), (2, 3)]),
+                 "m": write_model(tmp_path / "m.json", 3, [(1, 2), (1, 3)])}
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--tol", "1e-6"]) == EXIT_USAGE
+
 
 class TestAllocationTableExport:
     def test_k_value_csv(self, tmp_path):
@@ -398,6 +411,15 @@ class TestConfigFile:
                      "-o", str(out)]) == EXIT_OK
         first = float(out.read_text().splitlines()[1].split(",")[1])
         assert abs(first - np.exp(-9.0)) < 1e-12
+
+    def test_tol_key_ignored_by_poset(self, tmp_path, capsys):
+        # like any key of another subcommand: tol is a flag of pmf, allocate and mc
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-6}))
+        assert main(["poset", "--d", "4", "--format", "json", "--config", str(cfg)]) == EXIT_OK
+        with_key = capsys.readouterr().out
+        assert main(["poset", "--d", "4", "--format", "json"]) == EXIT_OK
+        assert with_key == capsys.readouterr().out and '"hasse"' in with_key
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

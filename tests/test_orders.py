@@ -203,6 +203,22 @@ class TestCxCheckEmpirical:
         with pytest.raises(ValueError):
             cx_check_empirical(point_mass(1), point_mass(2))
 
+    def test_crossing_stop_loss_witnesses(self):
+        # equal means 1.8; the stop-loss premium of m1 is the larger at c=1
+        # (0.9 against 0.8) and the smaller from c=2 on (0 against 0.6)
+        m1 = DiscreteDist(np.array([0.1, 0.0, 0.9]))
+        m2 = DiscreteDist(np.array([0.0, 0.8, 0.0, 0.0, 0.0, 0.2]))
+        for a, b in ((m1, m2), (m2, m1)):
+            v = cx_check_empirical(a, b)
+            assert v.relation is Relation.INCOMPARABLE
+            cs = range(max(len(a.pmf), len(b.pmf)) + 1)
+            sa = [stop_loss_brute(a.pmf, c) for c in cs]
+            sb = [stop_loss_brute(b.pmf, c) for c in cs]
+            # a <=_cx b fails first where a's premium passes b's, and back
+            assert v.not_le_at == next(c for c in cs if sa[c] > sb[c] + 1e-8)
+            assert v.not_ge_at == next(c for c in cs if sb[c] > sa[c] + 1e-8)
+        assert (v.not_le_at, v.not_ge_at) == (2, 1)
+
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_shape_verdicts_imply_aggregate_convex_order(d):

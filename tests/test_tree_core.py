@@ -63,6 +63,11 @@ class TestTreeValidation:
         t = path_tree(4)
         assert Tree.from_json(t.to_json()) == t
 
+    def test_direct_constructor_normalises_and_sorts_edges(self):
+        t = Tree((1, 2, 3, 4), ((4, 2), (2, 1), (3, 2)))
+        assert t.edges == ((1, 2), (2, 3), (2, 4))
+        assert t == Tree.of(4, [(1, 2), (2, 3), (2, 4)])
+
 
 class TestRootAt:
     def test_path3_rooted_at_middle(self):
@@ -93,6 +98,8 @@ class TestRootAt:
     def test_invalid_root(self):
         with pytest.raises(ValueError):
             root_at(path_tree(3), 9)
+        with pytest.raises(ValueError):
+            root_at(path_tree(3), 2, away=2)
 
     def test_children_partition(self):
         rng = np.random.default_rng(0)
@@ -112,7 +119,7 @@ class TestRootAt:
         for _ in range(20):
             t = random_tree(rng, int(rng.integers(2, 12)))
             # a pruned part keeps its labels, so labels need not be 1..d;
-            # the direct constructor keeps edges in the order given
+            # the direct constructor stores the reversed edges normalised and sorted
             part = prune(t, *t.edges[0])[0] if t.d > 2 else t
             part = Tree(part.vertices, tuple((b, a) for a, b in reversed(part.edges)))
             nbrs = {v: sorted({b for e in part.edges for b in e if v in e} - {v})
@@ -123,6 +130,41 @@ class TestRootAt:
                 for v in part.vertices:
                     below = [u for u in nbrs[v] if u != r.parent.get(v)]
                     assert r.children[v] == tuple(below)
+
+
+class TestRootAtAway:
+    """root_at(t, x, away=u) against the residual of prune(t, u, v) rooted at
+    x, for every directed edge (u, v) and every residual vertex x."""
+
+    @staticmethod
+    def _check(t: Tree):
+        for a, b in t.edges:
+            for u, v in ((a, b), (b, a)):
+                residual = prune(t, u, v)[0]
+                for x in residual.vertices:
+                    side, want = root_at(t, x, away=u), root_at(residual, x)
+                    assert side.order == want.order
+                    assert side.parent == want.parent
+                    assert side.children == want.children
+
+    def test_every_shape_up_to_d8(self):
+        for d in range(2, 9):
+            for t in enumerate_shapes(d):
+                self._check(t)
+
+    def test_random_trees_with_gapped_labels(self):
+        rng = np.random.default_rng(37)
+        for _ in range(15):
+            t = random_tree(rng, int(rng.integers(3, 16)))
+            # a pruned part keeps its labels, so they need not be 1..m
+            for part in prune(t, *t.edges[int(rng.integers(len(t.edges)))]):
+                self._check(part)
+
+    def test_path_side(self):
+        r = root_at(path_tree(5), 4, away=2)
+        assert r.order == (4, 3, 5)
+        assert r.parent == {3: 4, 5: 4}
+        assert r.children == {4: (3, 5), 3: (), 5: ()}
 
 
 class TestWalk:
@@ -207,6 +249,11 @@ class TestPrune:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             prune(star_tree(4), 2, 3)
+
+    def test_edges_given_larger_first(self):
+        residual, detached = prune(Tree((1, 2, 3), ((2, 1), (3, 2))), 1, 2)
+        assert residual == Tree.on((2, 3), [(2, 3)])
+        assert detached == Tree.on((1,), [])
 
     def test_detached_side_is_what_the_walk_reaches(self):
         rng = np.random.default_rng(31)
