@@ -13,6 +13,7 @@ through its flag's type conversion; paths and names must be strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -224,9 +225,11 @@ def cmd_spectral(ns: argparse.Namespace) -> None:
     _write(json.dumps(report.to_json(), sort_keys=True) + "\n", ns.output)
 
 
+@functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
     """The parser, and each subcommand's arguments keyed by their dest, which
-    is also their config key."""
+    is also their config key. Built on the first call, then shared: main
+    puts back any default a config file changed."""
     ap = argparse.ArgumentParser(
         prog="treemrf",
         description="Tree-structured Poisson Markov random fields: aggregate "
@@ -318,6 +321,7 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    defaults = {key: action.default for key, action in args[ns.command].items()}
     try:
         if ns.config:
             # the config sets defaults, so flags given explicitly still win
@@ -334,6 +338,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:  # a config's defaults hold for this call only
+        for key, action in args[ns.command].items():
+            action.default = defaults[key]
     return EXIT_OK
 
 

@@ -131,13 +131,12 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
     return u, v, w
 
 
-def _h_cdfs(rooted: RootedTree, grid: tuple[float, ...]) -> np.ndarray:
-    """cdfs of H at the root of `rooted` over {0..d}, one row per grid alpha."""
-    pmfs = np.zeros((len(grid), len(rooted.order) + 1))  # H lives on {1..d}
-    for row, a in zip(pmfs, grid):
-        p = _eta(rooted, a)[rooted.order[0]]
-        row[: len(p)] = p
-    return pmfs.cumsum(axis=1)
+def _h_cdf(rooted: RootedTree, alpha: float) -> np.ndarray:
+    """cdf of H at the root of `rooted` over {0..d}."""
+    pmf = np.zeros(len(rooted.order) + 1)  # H lives on {1..d}
+    p = _eta(rooted, alpha)[rooted.order[0]]
+    pmf[: len(p)] = p
+    return pmf.cumsum()
 
 
 def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
@@ -146,15 +145,15 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     LE certifies M(t1) <=_cx M(t2) under a common edge parameter alpha: the
     anchoring vertices v (in t1) and w (in t2) are compared through their H
     laws on the shared residual subtree, v's side of t1 once edge u-v is
-    cut: H_v <=_st H_w there gives LE.
+    cut: H_v <=_st H_w there gives LE. (w is always on that side: were it
+    on u's, t2 would not be connected, and so not a Tree.)
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     u, v, w = _single_move(t1, t2)
-    sides = [root_at(t1, x, away=u) for x in (v, w)]  # the residual, rooted at v and at w
-    if w not in sides[0].parent:
-        raise ValueError("re-anchoring target is inside the detached subtree")
-    return st_compare_rows(*(_h_cdfs(side, (alpha,)) for side in sides))[0]
+    # the residual, rooted at v and at w
+    fv, fw = (_h_cdf(root_at(t1, x, away=u), alpha) for x in (v, w))
+    return st_compare_rows(fv[None], fw[None])[0]
 
 
 def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL) -> OrderVerdict:

@@ -11,32 +11,36 @@ The move criterion is `orders.shape_compare`'s at every grid alpha: H_v
 against H_w on the move's residual tree (`orders._dominance`). An H law
 depends only on the rooted shape. So one all-roots AHU pass
 (`tree_core._ahu_codes`) per residual keys every move off it: the codes of
-the residual at v and at every w key their H cdfs in one dict, and w's
-residual sides plus the detached subtree's code give the moved tree rooted
-at w, whose shape index is a lookup among the rooted codes of all
-representatives. No move builds or canonicalises a tree; each rooted
-residual shape is rooted once, as a side of its representative (`root_at`
-with `away`), for one `mpmrf._eta` pass per grid alpha, and H_v is compared
-with every w's stacked cdfs in one array operation.
+the residual at v and at every w key their H laws, and w's residual sides
+plus the detached subtree's code give the moved tree rooted at w, whose
+shape index is a lookup among the rooted codes of all representatives. No
+move builds, roots or canonicalises a tree. Each rooted code's H law is
+computed once per build for the whole grid, as t times the product of its
+subtrees' thinned laws (`_h_pmfs`, the subtrees read off the code's bytes),
+and H_v is compared with every w's stacked cdfs in one array operation.
+
+`build_poset` is memoised per (d, grid): a process builds each poset once
+and every later call returns the same read-only `ShapePoset`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .mpmrf import MpmrfModel, aggregate_dist
-from .orders import _dominance, _h_cdfs, _verdicts
+from .orders import _dominance, _verdicts
 from .tree_core import (
     ShapeCode,
     Tree,
+    _ahu_children,
     _ahu_codes,
     _ahu_node,
     _walk,
     canonical_code,
     enumerate_shapes,
-    root_at,
 )
 
 POSET_D_RANGE = (4, 9)
@@ -73,7 +77,7 @@ class ShapePoset:
     d: int
     shapes: tuple[ShapeCode, ...]
     reps: tuple[Tree, ...]
-    relation: np.ndarray  # boolean, reflexive-transitive closure
+    relation: np.ndarray  # boolean, reflexive-transitive closure, read-only
     hasse: tuple[tuple[int, int], ...]
     alpha_grid: tuple[float, ...]
     flags: tuple[MoveRecord, ...]       # verdict varied across the grid
@@ -152,6 +156,9 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     alpha; an arc needs a unanimous direction. The closure is checked for
     antisymmetry both structurally and empirically (no two distinct shapes
     may share an aggregate law at alpha = 0.5).
+
+    Memoised per (d, grid), the grid taken as a tuple of floats: later calls
+    return the same ShapePoset, whose relation is read-only.
     """
     lo, hi = POSET_D_RANGE
     if not lo <= d <= hi:
@@ -161,21 +168,27 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
         raise ValueError("alpha grid must not be empty")
     if any(not 0.0 < a < 1.0 for a in grid):
         raise ValueError("grid alphas must lie strictly inside (0, 1)")
+    return _build_poset(d, grid)
 
+
+@lru_cache(maxsize=16)
+def _build_poset(d: int, grid: tuple[float, ...]) -> ShapePoset:
     reps = tuple(enumerate_shapes(d))
     codes = tuple(canonical_code(t) for t in reps)
     n = len(reps)
 
-    laws: dict[bytes, np.ndarray] = {}  # H cdfs over the grid, by rooted residual code
+    alphas = np.array(grid)[:, None]
+    pmfs: dict[bytes, np.ndarray] = {}  # H pmfs over the grid, by rooted code
+    cdfs: dict[bytes, np.ndarray] = {}  # and the cdfs of the residuals' ones
     arcs = np.eye(n, dtype=bool)
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
     for i, u, v, at, moves in _residual_moves(reps):
         for x in (v, *(w for w, _j in moves)):
-            if at[x] not in laws:
-                laws[at[x]] = _h_cdfs(root_at(reps[i], x, away=u), grid)
+            if at[x] not in cdfs:
+                cdfs[at[x]] = _h_pmfs(at[x], alphas, pmfs).cumsum(axis=1)
         # (W, G, k): H_v against each w's H, at every grid alpha
-        not_le, not_ge = _dominance(laws[at[v]], np.stack([laws[at[w]] for w, _j in moves]))
+        not_le, not_ge = _dominance(cdfs[at[v]], np.stack([cdfs[at[w]] for w, _j in moves]))
         le_ok, ge_ok = ~not_le.any(axis=(1, 2)), ~not_ge.any(axis=(1, 2))
         for k, (w, j) in enumerate(moves):
             arcs[i, j] |= le_ok[k]
@@ -199,7 +212,36 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     two_step = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
     hasse_mat = strict & ~two_step
     hasse = tuple((int(i), int(j)) for i, j in np.argwhere(hasse_mat))
+    relation.setflags(write=False)  # every caller shares this poset
     return ShapePoset(d, codes, reps, relation, hasse, grid, tuple(flags), tuple(undecided))
+
+
+def _h_pmfs(code: bytes, alphas: np.ndarray, memo: dict[bytes, np.ndarray]) -> np.ndarray:
+    """pmfs of H at the root of the rooted shape with AHU code `code`, over
+    {0..n} for its n vertices, one row per alpha of the column `alphas`.
+
+    H is t times the product over the root's subtrees of (1 - alpha + alpha
+    * the subtree's H), as in mpmrf._eta; every subtree's law is computed
+    once per memo. The recursion is as deep as the shape is high.
+    """
+    pmf = memo.get(code)
+    if pmf is None:
+        pmf = np.zeros((len(alphas), 2))
+        pmf[:, 1] = 1.0  # t
+        for sub in _ahu_children(code):
+            f = alphas * _h_pmfs(sub, alphas, memo)
+            f[:, 0] += 1.0 - alphas[:, 0]
+            pmf = _mul_rows(pmf, f)
+        memo[code] = pmf
+    return pmf
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row by row, the product of the polynomials with coefficient rows a and b."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for k in range(b.shape[1]):
+        out[:, k:k + a.shape[1]] += b[:, k:k + 1] * a
+    return out
 
 
 def _transitive_closure(arcs: np.ndarray) -> np.ndarray:

@@ -173,6 +173,17 @@ def _ahu_node(subtrees) -> bytes:
     return b"(" + b"".join(sorted(subtrees)) + b")"
 
 
+def _ahu_children(code: bytes) -> list[bytes]:
+    """The codes of the root's subtrees, in order: _ahu_node's inverse."""
+    parts, depth, start = [], 0, 1
+    for k in range(1, len(code) - 1):
+        depth += 1 if code[k] == 40 else -1  # 40 is b"("
+        if depth == 0:
+            parts.append(code[start:k + 1])
+            start = k + 1
+    return parts
+
+
 def _ahu_up(adj, root: int, away: int | None = None):
     """_walk's order and parents of root's side of a tree, seen from its
     neighbour `away` (the whole tree when away is None), and the AHU code of

@@ -1,5 +1,5 @@
-"""Shared fixtures: the worked example trees, lazily built shape posets, and
-a count of the tree rootings a test makes."""
+"""Shared fixtures: the worked example trees and a count of the tree
+rootings a test makes."""
 
 import sys
 from pathlib import Path
@@ -8,8 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from treemrf import mpmrf, orders, poset
-from treemrf.poset import build_poset
+from treemrf import mpmrf, orders
 from treemrf.tree_core import Tree, root_at
 
 
@@ -68,32 +67,16 @@ def anchoring14() -> Tree:
                         (6, 9), (6, 14), (4, 10), (10, 11), (10, 12), (12, 13)])
 
 
-class _PosetCache:
-    def __init__(self):
-        self._built = {}
-
-    def __call__(self, d: int):
-        if d not in self._built:
-            self._built[d] = build_poset(d)
-        return self._built[d]
-
-
-@pytest.fixture(scope="session")
-def posets() -> _PosetCache:
-    """Lazily built shape posets with the default alpha grid, shared session-wide."""
-    return _PosetCache()
-
-
 @pytest.fixture
 def root_calls(monkeypatch) -> list:
-    """The root of every root_at call the test makes through mpmrf, orders
-    or poset (the modules that root trees), in call order."""
+    """The root of every root_at call the test makes through mpmrf or orders
+    (the modules that root trees), in call order."""
     calls = []
 
     def counting_root_at(tree, r, away=None):
         calls.append(r)
         return root_at(tree, r, away)
 
-    for module in (mpmrf, orders, poset):
+    for module in (mpmrf, orders):
         monkeypatch.setattr(module, "root_at", counting_root_at)
     return calls

@@ -260,11 +260,11 @@ class TestCriterion7Properties:
               f"the criterion on {pairs_checked} certified pairs")
 
 
-def test_criterion_8_spectral_crosscheck(posets, spectral_exception9):
+def test_criterion_8_spectral_crosscheck(spectral_exception9):
     t0 = time.monotonic()
     checked = 0
     for d in range(4, 9):
-        ps = posets(d)
+        ps = build_poset(d)
         reports = [spectrum(t) for t in ps.reps]
         strict = ps.relation & ~np.eye(len(ps.shapes), dtype=bool)
         for i, j in np.argwhere(strict):

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from treemrf import mpmrf
-from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, _parser, main
 from treemrf.poset import DEFAULT_ALPHA_GRID
 from treemrf.tree_core import Tree
 
@@ -421,6 +421,19 @@ class TestConfigFile:
         assert main(["poset", "--d", "4", "--format", "json"]) == EXIT_OK
         assert with_key == capsys.readouterr().out and '"hasse"' in with_key
 
+    @pytest.mark.parametrize("blob", [{"kappa": 0.5}, {"kappa": 0.5, "tol": "abc"}])
+    def test_config_holds_for_its_call_only(self, tmp_path, capsys, blob):
+        # the second blob sets kappa, then fails on tol: neither may leak
+        model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (2, 4)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        assert main(["allocate", "--model", model, "--kappa", "0.95"]) == EXIT_OK
+        explicit = capsys.readouterr().out
+        main(["allocate", "--model", model, "--config", str(cfg)])
+        with_config = capsys.readouterr().out
+        assert main(["allocate", "--model", model]) == EXIT_OK
+        assert capsys.readouterr().out == explicit != with_config
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -485,6 +498,13 @@ class TestConfigFile:
 
 
 class TestUsage:
+    def test_parser_is_built_once(self, capsys):
+        _parser.cache_clear()
+        assert main(["poset", "--d", "4", "--format", "dot"]) == EXIT_OK
+        assert main(["pmf"]) == EXIT_USAGE
+        assert main(["poset", "--d", "4", "--format", "dot"]) == EXIT_OK
+        assert _parser.cache_info().misses == 1
+
     def test_missing_subcommand(self):
         assert main([]) == EXIT_USAGE
 

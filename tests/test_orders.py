@@ -144,6 +144,14 @@ class TestShapeCompare:
         with pytest.raises(ValueError):
             shape_compare(broom, star, 1.5)
 
+    def test_target_inside_the_detached_subtree_is_no_tree(self):
+        # re-anchoring u = 3 of the path 1-2-3-4-5 from v = 2 to w = 5, on u's
+        # own side, leaves d - 1 edges with a cycle 3-4-5 and 1-2 cut off:
+        # no such t2 reaches shape_compare
+        t1 = path_tree(5)
+        with pytest.raises(ValueError, match="edge set is not connected"):
+            Tree.of(5, [e for e in t1.edges if e != (2, 3)] + [(3, 5)])
+
     def test_symmetric_move_gives_eq(self):
         # moving a leaf between the two symmetric ends of a path
         t1 = Tree.of(5, [(1, 2), (2, 3), (3, 4), (2, 5)])

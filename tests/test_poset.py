@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from treemrf.orders import Relation, shape_compare
+from treemrf.orders import Relation, _h_cdf, shape_compare
 from treemrf.poset import (
     DEFAULT_ALPHA_GRID,
     AntisymmetryError,
     ShapePoset,
     _assert_distinct_aggregates,
+    _build_poset,
+    _h_pmfs,
     _residual_moves,
     build_poset,
     corollary_chain,
@@ -16,7 +18,7 @@ from treemrf.poset import (
     minimal_elements,
     single_move_neighbors,
 )
-from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
+from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune, root_at
 
 from helpers import all_moves, eta_by_hand
 
@@ -80,8 +82,8 @@ class TestBuildPoset:
         ps = build_poset(5, GRID)
         assert len(ps.shapes) == 3 and len(ps.hasse) == 2
 
-    def test_relation_is_reflexive_transitive_antisymmetric(self, posets):
-        ps = posets(6)
+    def test_relation_is_reflexive_transitive_antisymmetric(self):
+        ps = build_poset(6)
         r = ps.relation
         n = len(ps.shapes)
         assert r.diagonal().all()
@@ -89,8 +91,8 @@ class TestBuildPoset:
         assert (closure == r).all()
         assert not (r & r.T & ~np.eye(n, dtype=bool)).any()
 
-    def test_hasse_has_no_shortcuts(self, posets):
-        ps = posets(7)
+    def test_hasse_has_no_shortcuts(self):
+        ps = build_poset(7)
         strict = ps.relation & ~np.eye(len(ps.shapes), dtype=bool)
         for (i, j) in ps.hasse:
             assert strict[i, j]
@@ -99,20 +101,20 @@ class TestBuildPoset:
                     assert not (strict[i, k] and strict[k, j])
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
-    def test_small_d_fully_decidable(self, posets, d):
-        ps = posets(d)
+    def test_small_d_fully_decidable(self, d):
+        ps = build_poset(d)
         assert ps.undecided == ()
         assert ps.flags == ()
 
-    def test_star_max_series_min(self, posets):
+    def test_star_max_series_min(self):
         for d in (5, 6, 7):
-            ps = posets(d)
+            ps = build_poset(d)
             assert minimal_elements(ps) == [ps.index_of(canonical_code(path_tree(d)))]
             assert maximal_elements(ps) == [ps.index_of(canonical_code(star_tree(d)))]
 
-    def test_lattice_small(self, posets):
-        assert is_lattice(posets(6))
-        assert is_lattice(posets(7))
+    def test_lattice_small(self):
+        assert is_lattice(build_poset(6))
+        assert is_lattice(build_poset(7))
 
     def test_duplicate_aggregate_detection(self):
         reps = [path_tree(5), Tree.of(5, [(2, 1), (1, 3), (3, 4), (4, 5)])]
@@ -120,14 +122,14 @@ class TestBuildPoset:
         with pytest.raises(AntisymmetryError):
             _assert_distinct_aggregates(reps, codes)
 
-    def test_composite_pair_in_closure(self, posets, composite9):
+    def test_composite_pair_in_closure(self, composite9):
         t, tp = composite9
-        ps = posets(9)
+        ps = build_poset(9)
         assert ps.leq(canonical_code(t), canonical_code(tp))
         assert not ps.leq(canonical_code(tp), canonical_code(t))
 
-    def test_json_schema(self, posets):
-        obj = posets(4).to_json()
+    def test_json_schema(self):
+        obj = build_poset(4).to_json()
         assert set(obj) == {"d", "shapes", "hasse", "alpha_grid", "flags", "undecided"}
         assert obj["d"] == 4 and len(obj["shapes"]) == 2 and obj["hasse"] == [[0, 1]]
         assert obj["alpha_grid"] == list(DEFAULT_ALPHA_GRID)
@@ -150,9 +152,49 @@ class TestResidualMoves:
                 seen.add((i, u, v, w))
         assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in all_moves(t)}
 
-    def test_d9_build_roots_at_most_400_trees(self, root_calls):
-        build_poset(9)
-        assert len(root_calls) <= 400
+    def test_d9_build_roots_one_tree_per_shape(self, root_calls):
+        _build_poset.cache_clear()  # a memo hit would root nothing
+        ps = build_poset(9)
+        # the moves root nothing: only the aggregate twin check roots each shape
+        assert len(root_calls) <= len(ps.shapes) == 47
+
+
+class TestCodeKeyedLaws:
+    def test_match_the_per_alpha_h_cdf_of_every_residual(self):
+        grid = DEFAULT_ALPHA_GRID
+        alphas = np.array(grid)[:, None]
+        checked = 0
+        for d in range(4, 10):
+            reps = enumerate_shapes(d)
+            memo = {}
+            for i, u, _v, at, _moves in _residual_moves(reps):
+                for x, code in at.items():  # the residual rooted at each of its vertices
+                    got = _h_pmfs(code, alphas, memo).cumsum(axis=1)
+                    rooted = root_at(reps[i], x, away=u)
+                    want = np.array([_h_cdf(rooted, a) for a in grid])
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-15
+                    checked += 1
+        assert checked == 4993
+
+
+class TestMemo:
+    def test_list_and_tuple_grids_share_one_poset(self):
+        ps = build_poset(5, list(GRID))
+        assert build_poset(5, GRID) is ps
+        assert build_poset(5, (0.2, 0.5, 0.9)) is not ps
+        assert build_poset(6, GRID) is not ps
+
+    def test_relation_is_read_only(self):
+        ps = build_poset(5, GRID)
+        with pytest.raises(ValueError):
+            ps.relation[0, 1] = True
+
+    def test_bad_arguments_raise_on_every_call(self):
+        for _ in range(2):
+            for d, grid in ((3, GRID), (10, GRID), (5, ()), (5, [0.0, 0.5]), (5, (0.5, 1.0))):
+                with pytest.raises(ValueError):
+                    build_poset(d, grid)
 
 
 class TestPosetOracle:
@@ -207,14 +249,14 @@ class TestPosetOracle:
 
 
 class TestHasseDot:
-    def test_d4(self, posets):
-        dot = hasse_dot(posets(4))
+    def test_d4(self):
+        dot = hasse_dot(build_poset(4))
         assert dot.count("[label=") == 2
         assert dot.count("->") == 1
         assert "rankdir=BT" in dot and "tooltip=" in dot
 
-    def test_d5(self, posets):
-        dot = hasse_dot(posets(5))
+    def test_d5(self):
+        dot = hasse_dot(build_poset(5))
         assert dot.count("[label=") == 3 and dot.count("->") == 2
 
     def test_degenerate_no_edges(self):

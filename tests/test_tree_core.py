@@ -3,6 +3,7 @@ import pytest
 
 from treemrf.tree_core import (
     Tree,
+    _ahu_children,
     _ahu_codes,
     _centers,
     _walk,
@@ -348,6 +349,8 @@ class TestAhuCodes:
         assert sorted(at) == list(part.vertices)
         for x in part.vertices:
             assert at[x] == ahu_encoding(root_at(part, x))
+            # and read back, the code gives its root's subtrees' codes
+            assert _ahu_children(at[x]) == sorted(side[x, y] for y in part.neighbors[x])
         assert len(side) == 2 * len(part.edges)
         for a, b in part.edges:
             for x, y in ((a, b), (b, a)):  # y's side seen from x, rooted at y
