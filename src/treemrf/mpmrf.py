@@ -113,8 +113,8 @@ class MpmrfModel:
     alpha: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, not {self.lam!r}")
         a = {_norm_edge(*e): float(v) for e, v in self.alpha.items()}
         if set(a) != set(self.tree.edges):
             raise ValueError("alpha must be given for exactly the tree's edges")
@@ -179,39 +179,40 @@ def _thin(a: float, p: np.ndarray) -> np.ndarray:
     return _trim(f)
 
 
+def _pairs(row: list[np.ndarray]) -> list[np.ndarray]:
+    """One level of a balanced product tree: neighbours multiplied pairwise, an odd last one kept."""
+    return [_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
+            for k in range(0, len(row), 2)]
+
+
 def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
     """pgf coefficients of the events each vertex seeds in its own subtree.
 
     eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
     built leaves first; alpha is a scalar or an edge map. Products are trimmed
     like the factors (_thin), so every convolution runs over the support. The
-    factor t and the children multiply as a balanced product tree, merged like
-    a binary counter: a star centre of degree n makes few long convolutions
-    instead of n passes over a growing product, and holds log2(n) partial
-    products. Up to two children this is the one-by-one product t * f1 * f2.
+    factor t and the children multiply level by level up the balanced product
+    tree of _all_but_one (_pairs): a star centre of degree n makes few long
+    convolutions instead of n passes over a growing product. Up to two
+    children this is the one-by-one product t * f1 * f2.
     """
     eta: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
-        stack = [np.array([0.0, 1.0])]  # partial products of 2**r factors, r falling upwards
-        for n, c in enumerate(rooted.children[v], 2):  # n factors once c is in
-            stack.append(_thin(_alpha_of(alpha, v, c), eta[c]))
-            while not n & 1:  # one merge per trailing zero bit of n
-                f = stack.pop()
-                stack[-1] = _trim(np.convolve(stack[-1], f))
-                n >>= 1
-        p = stack.pop()
-        while stack:
-            p = _trim(np.convolve(stack.pop(), p))
-        eta[v] = p
+        row = [np.array([0.0, 1.0])]
+        for c in rooted.children[v]:
+            row.append(_thin(_alpha_of(alpha, v, c), eta[c]))
+        while len(row) > 1:
+            row = _pairs(row)
+        eta[v] = row[0]
     return eta
 
 
 def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The product of all factors, and for each factor the product of the others.
 
-    The factors multiply pairwise, level by level, up a balanced product
-    tree; going down, each node hands each child its own share times the
-    child's sibling. That is fewer than 3n convolutions for n factors, none
+    The factors multiply pairwise, level by level (_pairs), up a balanced
+    product tree; going down, each node hands each child its own share times
+    the child's sibling. That is fewer than 3n convolutions for n factors, none
     longer than the whole product, so a star centre of degree n costs
     O(n^2 log n) arithmetic where prefix times suffix products cost O(n^3).
     """
@@ -219,9 +220,7 @@ def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
         return np.ones(1), []
     levels = [factors]
     while len(levels[-1]) > 1:
-        row = levels[-1]
-        levels.append([_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
-                       for k in range(0, len(row), 2)])
+        levels.append(_pairs(levels[-1]))
     others = [None]  # None: the empty product, which takes no convolution
     for row in reversed(levels[:-1]):
         shares = []
@@ -325,6 +324,8 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
     rate, sev = _severity_mixture(model)
+    if not math.isfinite(rate):
+        raise ValueError(f"compound-Poisson rate {rate!r} is not finite")
     j_max = len(sev) - 1
     js = np.arange(j_max + 1)
     mean = rate * float(js @ sev)

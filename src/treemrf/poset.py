@@ -209,9 +209,8 @@ def _build_poset(d: int, grid: tuple[float, ...]) -> ShapePoset:
     _assert_distinct_aggregates(reps, codes)
 
     strict = relation & ~np.eye(n, dtype=bool)
-    two_step = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
-    hasse_mat = strict & ~two_step
-    hasse = tuple((int(i), int(j)) for i, j in np.argwhere(hasse_mat))
+    # on booleans, strict @ strict marks the pairs two strict steps apart
+    hasse = tuple((int(i), int(j)) for i, j in np.argwhere(strict & ~(strict @ strict)))
     relation.setflags(write=False)  # every caller shares this poset
     return ShapePoset(d, codes, reps, relation, hasse, grid, tuple(flags), tuple(undecided))
 
@@ -245,18 +244,17 @@ def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _transitive_closure(arcs: np.ndarray) -> np.ndarray:
+    """Warshall's pass over a boolean adjacency matrix, cycles included."""
     r = arcs.copy()
-    while True:
-        nxt = r | ((r.astype(np.int64) @ r.astype(np.int64)) > 0)
-        if (nxt == r).all():
-            return r
-        r = nxt
+    for k in range(len(r)):
+        r |= r[:, k:k + 1] & r[k]
+    return r
 
 
-def _assert_distinct_aggregates(reps, codes, alpha: float = 0.5) -> None:
+def _assert_distinct_aggregates(reps, codes) -> None:
     # lambda = 1 loses nothing: the shape order, and whether two aggregate
     # laws coincide, do not depend on lambda
-    pmfs = [aggregate_dist(MpmrfModel.homogeneous(t, 1.0, alpha), 1e-12).pmf for t in reps]
+    pmfs = [aggregate_dist(MpmrfModel.homogeneous(t, 1.0, 0.5), 1e-12).pmf for t in reps]
     n = max(len(p) for p in pmfs)
     mat = np.array([np.pad(p, (0, n - len(p))) for p in pmfs])
     for i in range(len(mat)):

@@ -3,7 +3,8 @@
 Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, AHU
 codes one rooting at a time, paths by breadth-first search, re-anchoring
-moves and tree centers from path lengths, trees from random Pruefer
+moves and tree centers from path lengths, the reachability relation of a
+digraph by breadth-first search, trees from random Pruefer
 sequences, pgfs expanded with raw numpy convolutions, path sums by the
 rerooting recurrences on the tree's own adjacency, the compound pgf
 exponentiated as a truncated Taylor series, and the compound Poisson by the
@@ -135,6 +136,21 @@ def all_moves(tree: Tree):
             for w in tree.vertices:
                 if w != v and len(path(tree, w, v)) < len(path(tree, w, u)):
                     yield Tree.on(tree.vertices, edges + [(u, w)]), u, v, w
+
+
+def reachable_by_bfs(arcs: np.ndarray) -> np.ndarray:
+    """r[i, j]: j is reached from i along one or more arcs of the boolean
+    adjacency matrix `arcs`, found by a breadth-first search from each i."""
+    n = len(arcs)
+    succ = [[j for j in range(n) if arcs[i, j]] for i in range(n)]
+    r = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        queue = list(succ[i])
+        for x in queue:  # the queue grows while it is walked
+            if not r[i, x]:
+                r[i, x] = True
+                queue.extend(succ[x])
+    return r
 
 
 def pruefer_tree(seq: list[int], d: int) -> Tree:

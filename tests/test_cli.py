@@ -103,6 +103,14 @@ class TestPmf:
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
         assert main(["pmf", "--model", model, "--tol", "0.5"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["pmf", "allocate", "mc"])
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e308])
+    def test_nonfinite_lambda_or_rate_exits_3(self, tmp_path, capsys, command, lam):
+        # 1e308 is finite, but the rate 1e308 * (3 - 2 * 0.5) overflows
+        model = write_model(tmp_path / "m.json", 3, [(1, 2), (2, 3)], lam=lam)
+        assert main([command, "--model", model, "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: input:")
+
 
 class TestAllocate:
     def test_star_covariance_column(self, tmp_path):

@@ -57,6 +57,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MpmrfModel.homogeneous(path_tree(2), 0.0, 0.5)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_lambda_finite(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            MpmrfModel.homogeneous(path_tree(2), lam, 0.5)
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             MpmrfModel.homogeneous(path_tree(2), 1.0, 1.5)
@@ -215,9 +220,11 @@ class TestHArray:
                     want = _eta_at(t, v, None, alpha, x)
                     assert abs(np.polyval(h[::-1], x) - want) < 1e-12 * max(1.0, want)
 
-    @pytest.mark.parametrize("d,alpha", [(1000, 0.5), (3000, 0.9)])
+    @pytest.mark.parametrize("d,alpha", [(1000, 0.5), (3000, 0.9)] + [
+        (d, 0.7) for d in (2, 3, 5, 9, 17, 33, 65)])
     def test_star_centre_matches_hand_expansion(self, d, alpha):
-        # the centre's children multiply pairwise, the hand expansion one by one
+        # the centre's children multiply pairwise, the hand expansion one by one;
+        # at d = 2**k + 1 an odd last factor is carried up at every level
         h = h_poly(star_tree(d), 1, alpha)
         hand = eta_by_hand(star_tree(d), 1, alpha)
         assert len(h) == len(hand) and np.max(np.abs(h - hand)) < 1e-14
@@ -690,6 +697,16 @@ class TestDiscreteDist:
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):
             DiscreteDist(np.array([1.0, -1e-10]))
+
+    def test_mean_counts_only_the_retained_pmf(self):
+        # Poisson(50) cut at K = 73: the mean is short of 50 by sum_{k>73} k p_k,
+        # which is 50 P(N >= 73); tvar's explicit mean counts the cut tail
+        agg = aggregate_dist(MpmrfModel.homogeneous(path_tree(50), 1.0, 0.0), 1e-3)
+        assert agg.k_max == 73 and agg.tail_mass == pytest.approx(8.864e-4, rel=1e-3)
+        assert abs(agg.mean() - 50.0 * scipy.stats.poisson.cdf(72, 50)) < 1e-12
+        assert round(agg.mean(), 4) == 49.9328
+        assert tvar(agg, 0.0) == agg.mean()
+        assert tvar(agg, 0.0, mean=50.0) == 50.0
 
     def test_quantile_inf_definition(self):
         d = DiscreteDist(np.array([0.25, 0.25, 0.5]))

@@ -10,6 +10,7 @@ from treemrf.poset import (
     _build_poset,
     _h_pmfs,
     _residual_moves,
+    _transitive_closure,
     build_poset,
     corollary_chain,
     hasse_dot,
@@ -20,7 +21,7 @@ from treemrf.poset import (
 )
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune, root_at
 
-from helpers import all_moves, eta_by_hand
+from helpers import all_moves, eta_by_hand, reachable_by_bfs
 
 GRID = (0.1, 0.5, 0.9)
 
@@ -134,6 +135,26 @@ class TestBuildPoset:
         assert obj["d"] == 4 and len(obj["shapes"]) == 2 and obj["hasse"] == [[0, 1]]
         assert obj["alpha_grid"] == list(DEFAULT_ALPHA_GRID)
         assert obj["flags"] == [] and obj["undecided"] == []
+
+
+class TestTransitiveClosure:
+    def test_matches_breadth_first_reachability(self):
+        rng = np.random.default_rng(13)
+        cases = [np.zeros((0, 0), dtype=bool), np.zeros((5, 5), dtype=bool)]
+        for _ in range(40):
+            n = int(rng.integers(1, 81))
+            arcs = rng.random((n, n)) < rng.uniform(0.2, 3.0) / n
+            if rng.random() < 0.5:  # a DAG under a random labelling
+                perm = rng.permutation(n)
+                arcs = np.triu(arcs, 1)[perm][:, perm]
+            cases.append(arcs)
+        cyclic = 0
+        for arcs in cases:
+            want = reachable_by_bfs(arcs)
+            cyclic += bool(want.diagonal().any())
+            got = _transitive_closure(arcs)
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < cyclic < len(cases)
 
 
 class TestResidualMoves:
