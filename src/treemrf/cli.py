@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: pmf, allocate, compare, poset, mc, spectral. Exit codes:
+Subcommands: pmf, allocate, compare, poset, mc, spectral; only poset has a
+choice of output (--format dot or json, default both). Exit codes:
 0 ok, 2 usage, 3 bad input, 4 numerical tolerance failure. Identical
 arguments and seed give byte-identical outputs.
 
 An optional --config JSON file supplies defaults for any long flag
 (keys named like the flags: model, tree2, tol, seed, n, kappa, table, d,
 alpha_grid, output, format); explicit flags win. A config value goes
-through its flag's type conversion; paths and names must be strings.
+through its flag's type conversion and choices; paths and names must be
+strings.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_TOLERANCE = 4
 
-FORMATS = {
-    "pmf": ("csv",),
-    "allocate": ("csv",),
-    "compare": ("json",),
-    "poset": ("dot", "json"),
-    "mc": ("json",),
-    "spectral": ("json",),
-}
-
 
 class UsageError(Exception):
     pass
@@ -52,10 +45,6 @@ def _validate(ns: argparse.Namespace) -> None:
         raise InputError(f"tol {ns.tol} outside (0, {mpmrf.MAX_TOL:g}]")
     if getattr(ns, "n", 1) < 1:
         raise UsageError("n must be >= 1")
-    if ns.format is not None and ns.format not in FORMATS[ns.command]:
-        raise UsageError(
-            f"format {ns.format!r} not supported by {ns.command} "
-            f"(expects one of {', '.join(FORMATS[ns.command])})")
 
 
 def _fmt(x: float) -> str:
@@ -165,10 +154,7 @@ def _compare_via_poset(t1, t2, alpha_grid):
 def cmd_poset(ns: argparse.Namespace) -> None:
     if ns.d is None:
         raise UsageError("--d is required")
-    try:
-        ps = poset_mod.build_poset(ns.d, ns.alpha_grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    ps = poset_mod.build_poset(ns.d, ns.alpha_grid)
     texts = {"dot": poset_mod.hasse_dot(ps),
              "json": json.dumps(ps.to_json(), sort_keys=True) + "\n"}
     for fmt, text in texts.items():
@@ -238,8 +224,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
     sub = ap.add_subparsers(dest="command", required=True)
     args: dict[str, dict[str, argparse.Action]] = {}
 
-    def command(name, help, model=True, tol=True):
+    def command(name, run, help, model=True, tol=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         acts = args[name] = {}
 
         def add(*flags, **kwargs):
@@ -251,25 +238,26 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
             add("--model", default=None, help="model JSON file")
         if tol:  # only the subcommands that compute an aggregate law
             add("--tol", type=float, default=mpmrf.DEFAULT_TOL)
-        add("--format", default=None)
         add("-o", "--output", default=None)
         return add
 
-    command("pmf", "aggregate pmf as CSV")
-    add = command("allocate", "per-vertex covariance and TVaR contributions")
+    command("pmf", cmd_pmf, "aggregate pmf as CSV")
+    add = command("allocate", cmd_allocate, "per-vertex covariance and TVaR contributions")
     add("--kappa", type=float, default=0.95)
     add("--table", type=int, default=None, metavar="VERTEX",
         help="write one vertex's k,value allocation table instead")
-    add = command("compare", "shape comparison verdict as JSON", tol=False)
+    add = command("compare", cmd_compare, "shape comparison verdict as JSON", tol=False)
     add("tree2", nargs="?", default=None, help="second tree or model JSON file")
     add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
-    add = command("poset", "shape poset with Hasse diagram (DOT + JSON)", model=False, tol=False)
+    add = command("poset", cmd_poset, "shape poset with Hasse diagram (DOT + JSON)",
+                  model=False, tol=False)
     add("--d", type=int, default=None)
     add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
-    add = command("mc", "Monte Carlo validation of the sampler")
+    add("--format", choices=("dot", "json"), default=None, help="write only this one")
+    add = command("mc", cmd_mc, "Monte Carlo validation of the sampler")
     add("--seed", type=int, default=0)
     add("--n", type=int, default=100_000, metavar="N_SAMPLES")
-    command("spectral", "adjacency spectrum report as JSON", tol=False)
+    command("spectral", cmd_spectral, "adjacency spectrum report as JSON", tol=False)
     return ap, args
 
 
@@ -297,22 +285,16 @@ def _config_defaults(path: str, args: dict[str, dict[str, argparse.Action]],
 
 
 def _as_flag(action: argparse.Action, value):
-    """A config value converted as its flag's text would be; untyped flags take strings."""
+    """A config value converted and checked as its flag's text would be;
+    untyped flags take strings."""
     def one(x):
         if action.type is None and not isinstance(x, str):
             raise TypeError(f"expected a string, not {x!r}")
-        return x if action.type is None else action.type(str(x))
+        x = x if action.type is None else action.type(str(x))
+        if action.choices is not None and x not in action.choices:
+            raise ValueError(f"{x!r} is not one of {action.choices}")
+        return x
     return [one(x) for x in value] if action.nargs == "+" else one(value)
-
-
-COMMANDS = {
-    "pmf": cmd_pmf,
-    "allocate": cmd_allocate,
-    "compare": cmd_compare,
-    "poset": cmd_poset,
-    "mc": cmd_mc,
-    "spectral": cmd_spectral,
-}
 
 
 def main(argv=None) -> int:
@@ -328,7 +310,7 @@ def main(argv=None) -> int:
             _config_defaults(ns.config, args, ns.command)
             ns = ap.parse_args(argv)
         _validate(ns)
-        COMMANDS[ns.command](ns)
+        ns.run(ns)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,6 +36,7 @@ from .tree_core import RootedTree, Tree, _norm_edge, root_at
 PMF_SUM_TOL = 1e-9
 DEFAULT_TOL = 1e-12
 MAX_TOL = 1e-3
+MAX_K = 10**8  # the largest pmf or sampler table built: 800 MB of floats
 _SHIFT = 664  # a Panjer rescaling step, 2**-664 (about 1e-200)
 
 
@@ -319,7 +320,8 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised when, past
     the mean, the tail has not shrunk for more than the severity's support
     length: every later p_k is then below the rounding of the sum, so no K
-    reaches tol.
+    reaches tol. ValueError is raised, before anything is allocated, when the
+    first chunk would pass MAX_K entries.
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
@@ -331,7 +333,11 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     mean = rate * float(js @ sev)
     sd = math.sqrt(rate * float(js * js @ sev))
     jq = (js * sev)[:0:-1].copy()  # j * s_j for j = j_max..1, against q[k - j_max:k]
-    q = np.zeros(max(1, math.ceil(mean + 8.0 * sd)) + 1)
+    k_first = mean + 8.0 * sd
+    if not k_first <= MAX_K:
+        raise ValueError(f"aggregate support K = {k_first:.4g} passes MAX_K = {MAX_K:,} "
+                         f"(compound-Poisson rate {rate!r})")
+    q = np.zeros(max(1, math.ceil(k_first)) + 1)
     q[0] = 1.0
     shifts = 0
     summed, total, grew = 0, 0.0, 0  # p_0..p_{summed-1} add up to total, which last grew at K = grew
@@ -384,12 +390,16 @@ def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
 
 
 def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
-    """Vectorized Poisson sampling by cdf inversion of one uniform per draw."""
+    """Vectorized Poisson sampling by cdf inversion of one uniform per draw;
+    ValueError when the cdf table would pass MAX_K entries."""
     if mu == 0.0:
         rng.random(n)  # keep the stream layout independent of mu
         return np.zeros(n, dtype=np.int64)
-    k_hi = int(mu + 12.0 * math.sqrt(mu) + 30.0)
-    ks = np.arange(k_hi + 1)
+    k_hi = mu + 12.0 * math.sqrt(mu) + 30.0
+    if not k_hi <= MAX_K:
+        raise ValueError(f"Poisson sampler table of {k_hi:.4g} entries passes "
+                         f"MAX_K = {MAX_K:,} (rate mu = {mu!r})")
+    ks = np.arange(int(k_hi) + 1)
     logpmf = -mu + ks * math.log(mu) - np.array([math.lgamma(k + 1) for k in ks])
     cdf = np.cumsum(np.exp(logpmf))
     u = rng.random(n)

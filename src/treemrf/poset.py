@@ -257,21 +257,22 @@ def _assert_distinct_aggregates(reps, codes) -> None:
     pmfs = [aggregate_dist(MpmrfModel.homogeneous(t, 1.0, 0.5), 1e-12).pmf for t in reps]
     n = max(len(p) for p in pmfs)
     mat = np.array([np.pad(p, (0, n - len(p))) for p in pmfs])
-    for i in range(len(mat)):
-        for j in range(i + 1, len(mat)):
-            if np.max(np.abs(mat[i] - mat[j])) < 1e-10:
-                raise AntisymmetryError(
-                    f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")
+    for i in range(len(mat) - 1):
+        twins = np.flatnonzero(np.abs(mat[i + 1:] - mat[i]).max(axis=1) < 1e-10)
+        if twins.size:
+            j = i + 1 + int(twins[0])
+            raise AntisymmetryError(
+                f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")
 
 
 def minimal_elements(poset: ShapePoset) -> list[int]:
     strict = poset.relation & ~np.eye(len(poset.shapes), dtype=bool)
-    return [i for i in range(len(poset.shapes)) if not strict[:, i].any()]
+    return np.flatnonzero(~strict.any(axis=0)).tolist()
 
 
 def maximal_elements(poset: ShapePoset) -> list[int]:
     strict = poset.relation & ~np.eye(len(poset.shapes), dtype=bool)
-    return [i for i in range(len(poset.shapes)) if not strict[i, :].any()]
+    return np.flatnonzero(~strict.any(axis=1)).tolist()
 
 
 def _unique_bound(relation: np.ndarray, a: int, b: int, upper: bool) -> bool:

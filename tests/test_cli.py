@@ -104,12 +104,16 @@ class TestPmf:
         assert main(["pmf", "--model", model, "--tol", "0.5"]) == EXIT_INPUT
 
     @pytest.mark.parametrize("command", ["pmf", "allocate", "mc"])
-    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e308])
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e308, 1e12])
     def test_nonfinite_lambda_or_rate_exits_3(self, tmp_path, capsys, command, lam):
-        # 1e308 is finite, but the rate 1e308 * (3 - 2 * 0.5) overflows
+        # 1e308 is finite, but the rate 1e308 * (3 - 2 * 0.5) overflows;
+        # 1e12 is finite, but its aggregate or sampler table would pass MAX_K
         model = write_model(tmp_path / "m.json", 3, [(1, 2), (2, 3)], lam=lam)
         assert main([command, "--model", model, "-o", str(tmp_path / "out")]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: input:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:")
+        if lam == 1e12:
+            assert "MAX_K" in err and "rate" in err
 
 
 class TestAllocate:
@@ -495,6 +499,7 @@ class TestConfigFile:
         (["pmf"], {"model": 5}),
         (["poset", "--d", "4"], {"format": 1}),
         (["compare", "--model", "{m}"], {"tree2": None}),
+        (["poset", "--d", "4"], {"format": "xml"}),  # not one of its choices
     ])
     def test_wrong_typed_value_exits_3(self, tmp_path, capsys, command, blob):
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
@@ -519,9 +524,16 @@ class TestUsage:
     def test_missing_required_flag(self):
         assert main(["pmf"]) == EXIT_USAGE
 
-    def test_unsupported_format(self, tmp_path):
+    # only poset has a choice of output: the others take no --format, not
+    # even naming the one format they write
+    @pytest.mark.parametrize("command,fmt", [
+        ("pmf", "json"), ("pmf", "csv"), ("allocate", "csv"), ("compare", "json"),
+        ("mc", "json"), ("spectral", "json"),
+    ])
+    def test_unsupported_format(self, tmp_path, command, fmt):
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
-        assert main(["pmf", "--model", model, "--format", "json"]) == EXIT_USAGE
+        tree2 = [model] if command == "compare" else []
+        assert main([command, "--model", model, *tree2, "--format", fmt]) == EXIT_USAGE
 
     def test_poset_single_format(self, capsys):
         assert main(["poset", "--d", "4", "--format", "dot"]) == EXIT_OK
