@@ -36,7 +36,6 @@ from .poset import (
     is_lattice,
     maximal_elements,
     minimal_elements,
-    single_move_neighbors,
 )
 from .spectral import SpectrumReport, cospectral_pair_check, majorizes, spectrum
 from .tree_core import (
@@ -61,6 +60,6 @@ __all__ = [
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
     "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
     "minimal_elements", "prune", "root_at", "sample", "shape_compare",
-    "single_move_neighbors", "spectrum", "st_compare", "stop_loss",
-    "synecdochic_compare", "tvar", "tvar_contribution", "tvar_contribution_table",
+    "spectrum", "st_compare", "stop_loss", "synecdochic_compare", "tvar",
+    "tvar_contribution", "tvar_contribution_table",
 ]

@@ -400,15 +400,19 @@ def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
         raise ValueError(f"Poisson sampler table of {k_hi:.4g} entries passes "
                          f"MAX_K = {MAX_K:,} (rate mu = {mu!r})")
     ks = np.arange(int(k_hi) + 1)
-    logpmf = -mu + ks * math.log(mu) - np.array([math.lgamma(k + 1) for k in ks])
+    log_fact = np.fromiter((math.lgamma(k + 1) for k in range(ks.size)), dtype=float, count=ks.size)
+    logpmf = -mu + ks * math.log(mu) - log_fact
     cdf = np.cumsum(np.exp(logpmf))
     u = rng.random(n)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: float) -> np.ndarray:
-    """Sum of counts[i] Bernoulli(alpha) trials per draw, one uniform each."""
+    """Sum of counts[i] Bernoulli(alpha) trials per draw, one uniform each;
+    ValueError, before drawing, when the uniforms would pass MAX_K."""
     total = int(counts.sum())
+    if total > MAX_K:
+        raise ValueError(f"thinning {total:,} carried events passes MAX_K = {MAX_K:,} uniforms")
     if total == 0:
         return np.zeros(len(counts), dtype=np.int64)
     hits = (rng.random(total) < alpha).astype(np.int64)

@@ -19,6 +19,10 @@ computed once per build for the whole grid, as t times the product of its
 subtrees' thinned laws (`_h_pmfs`, the subtrees read off the code's bytes),
 and H_v is compared with every w's stacked cdfs in one array operation.
 
+The twin check reads the aggregate M off the same laws: at one d and one
+homogeneous alpha all shapes give M the same compound-Poisson rate, so its
+exponent Q fixes its law (`_aggregate_exponent`). A build roots no tree.
+
 `build_poset` is memoised per (d, grid): a process builds each poset once
 and every later call returns the same read-only `ShapePoset`.
 """
@@ -30,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mpmrf import MpmrfModel, aggregate_dist
 from .orders import _dominance, _verdicts
 from .tree_core import (
     ShapeCode,
@@ -38,7 +41,6 @@ from .tree_core import (
     _ahu_children,
     _ahu_codes,
     _ahu_node,
-    _walk,
     canonical_code,
     enumerate_shapes,
 )
@@ -130,32 +132,13 @@ def _residual_moves(reps):
                     yield i, u, v, at, moves
 
 
-def single_move_neighbors(tree: Tree) -> list[tuple[Tree, int, int, int]]:
-    """Trees one re-anchoring move away, one representative per shape."""
-    if tree.d < 3:
-        raise ValueError("single moves need at least 3 vertices")
-    seen: set[ShapeCode] = set()
-    out = []
-    for (a, b) in tree.edges:
-        base = [e for e in tree.edges if e != (a, b)]
-        for u, v in ((a, b), (b, a)):
-            # w runs over v's side once edge u-v is cut, in ascending order
-            for w in sorted(_walk(tree.neighbors, v, away=u)[0][1:]):
-                moved = Tree.on(tree.vertices, base + [(u, w)])
-                code = canonical_code(moved)
-                if code not in seen:
-                    seen.add(code)
-                    out.append((moved, u, v, w))
-    return out
-
-
 def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     """Construct the shape poset for all d-vertex trees.
 
     Every move of every shape representative is evaluated at every grid
     alpha; an arc needs a unanimous direction. The closure is checked for
     antisymmetry both structurally and empirically (no two distinct shapes
-    may share an aggregate law at alpha = 0.5).
+    may share an aggregate law at alpha = 0.5, read off its exponent Q).
 
     Memoised per (d, grid), the grid taken as a tuple of floats: later calls
     return the same ShapePoset, whose relation is read-only.
@@ -206,7 +189,7 @@ def _build_poset(d: int, grid: tuple[float, ...]) -> ShapePoset:
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise AntisymmetryError(f"shapes {codes[i].hex} and {codes[j].hex} compare both ways")
-    _assert_distinct_aggregates(reps, codes)
+    _assert_distinct_aggregates(codes)
 
     strict = relation & ~np.eye(n, dtype=bool)
     # on booleans, strict @ strict marks the pairs two strict steps apart
@@ -251,18 +234,32 @@ def _transitive_closure(arcs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _assert_distinct_aggregates(reps, codes) -> None:
-    # lambda = 1 loses nothing: the shape order, and whether two aggregate
-    # laws coincide, do not depend on lambda
-    pmfs = [aggregate_dist(MpmrfModel.homogeneous(t, 1.0, 0.5), 1e-12).pmf for t in reps]
-    n = max(len(p) for p in pmfs)
-    mat = np.array([np.pad(p, (0, n - len(p))) for p in pmfs])
+def _assert_distinct_aggregates(codes) -> None:
+    # alpha = 1/2 keeps distinct shapes' rows apart; near alpha = 0 their Q
+    # differ by about alpha^k, below the bound (1e-12 at alpha = 0.001, d = 9)
+    memo: dict[bytes, np.ndarray] = {}  # H laws at alpha = 1/2 only
+    mat = np.array([_aggregate_exponent(c.code, memo) for c in codes])
     for i in range(len(mat) - 1):
         twins = np.flatnonzero(np.abs(mat[i + 1:] - mat[i]).max(axis=1) < 1e-10)
         if twins.size:
             j = i + 1 + int(twins[0])
             raise AntisymmetryError(
                 f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")
+
+
+def _aggregate_exponent(code: bytes, memo: dict[bytes, np.ndarray]) -> np.ndarray:
+    """Q(t) = H_root + (1 - alpha) * the H laws of every proper subtree, at
+    alpha = 1/2, for the rooted shape with AHU code `code`. M's pgf is
+    exp(lambda (Q(t) - Q(1))) (mpmrf._severity_mixture) and Q(1) = (d + 1) / 2
+    for every d-vertex shape, so d-vertex shapes share M's law iff they share Q."""
+    half = np.array([[0.5]])
+    q = _h_pmfs(code, half, memo)[0].copy()
+    subs = _ahu_children(code)
+    for sub in subs:  # the list grows while it is walked: every proper subtree once
+        h = _h_pmfs(sub, half, memo)[0]
+        q[:len(h)] += 0.5 * h
+        subs.extend(_ahu_children(sub))
+    return q
 
 
 def minimal_elements(poset: ShapePoset) -> list[int]:
@@ -310,10 +307,6 @@ def hasse_dot(poset: ShapePoset) -> str:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _chain_pairs(trees: list[Tree]) -> list[tuple[Tree, Tree]]:
-    return [(trees[k], trees[k + 1]) for k in range(len(trees) - 1)]
 
 
 def _attach(edges: list, base: int, subtree: Tree, anchor: int) -> int:
@@ -373,7 +366,7 @@ def _ray_tool(d_ray: int, subtrees=()) -> list[tuple[Tree, Tree]]:
             base = _attach(edges, base, sub, anchor=1)
         trees.append(Tree.of(base, edges))
     trees.reverse()
-    return _chain_pairs(trees)
+    return list(zip(trees, trees[1:]))
 
 
 def _series_slide(d_se: int, tau: Tree) -> list[tuple[Tree, Tree]]:
@@ -384,7 +377,7 @@ def _series_slide(d_se: int, tau: Tree) -> list[tuple[Tree, Tree]]:
         edges = [(i, i + 1) for i in range(1, d_se)]
         base = _attach(edges, d_se, tau, anchor=k)
         trees.append(Tree.of(base, edges))
-    return _chain_pairs(trees)
+    return list(zip(trees, trees[1:]))
 
 
 def _beam_balance(d_beam: int, d_ray: int, subtrees=()) -> list[tuple[Tree, Tree]]:
@@ -406,4 +399,4 @@ def _beam_balance(d_beam: int, d_ray: int, subtrees=()) -> list[tuple[Tree, Tree
             if mirror != k:
                 base = _attach(edges, base, sub, anchor=mirror)
         trees.append(Tree.of(base, edges))
-    return _chain_pairs(trees)
+    return list(zip(trees, trees[1:]))

@@ -351,6 +351,14 @@ class TestMc:
         obj = json.loads(out.read_text())
         assert obj["tv_distance"] > 2 * obj["tv_limit"]
 
+    def test_huge_carried_count_exits_3(self, tmp_path, capsys):
+        # both Poisson tables pass MAX_K; thinning the root's n * lambda,
+        # about 10^11 carried events, would not
+        model = write_model(tmp_path / "m.json", 2, [(1, 2)], lam=1e6)
+        assert main(["mc", "--model", model, "-o", str(tmp_path / "mc.json")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:") and "MAX_K" in err
+
     def test_deterministic_given_seed(self, tmp_path):
         # n is small enough that the TV band may fail; the report must still
         # be written and be byte-identical across reruns

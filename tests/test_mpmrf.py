@@ -470,6 +470,15 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(m, 1, rng_seed=1, n=0)
 
+    def test_thinning_past_max_k_raises_before_drawing(self):
+        # 10^11 uniforms: without the check numpy fails to allocate them at
+        # once instead of filling gigabytes
+        rng = np.random.Generator(np.random.PCG64(5))
+        counts = np.full(1000, mpmrf.MAX_K)
+        with pytest.raises(ValueError, match="MAX_K"):
+            mpmrf._binomial_thinning(rng, counts, 0.5)
+        assert rng.random() == np.random.Generator(np.random.PCG64(5)).random()
+
 
 class TestCovWithSum:
     def test_star_center_and_leaf(self, star10):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from treemrf.mpmrf import MpmrfModel, _severity_mixture
 from treemrf.orders import Relation, _h_cdf, shape_compare
 from treemrf.poset import (
     DEFAULT_ALPHA_GRID,
     AntisymmetryError,
     ShapePoset,
+    _aggregate_exponent,
     _assert_distinct_aggregates,
     _build_poset,
     _h_pmfs,
@@ -17,7 +19,6 @@ from treemrf.poset import (
     is_lattice,
     maximal_elements,
     minimal_elements,
-    single_move_neighbors,
 )
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune, root_at
 
@@ -32,34 +33,6 @@ def star_tree(d):
 
 def path_tree(d):
     return Tree.of(d, [(i, i + 1) for i in range(1, d)])
-
-
-class TestSingleMoveNeighbors:
-    def test_star4_reaches_only_the_path(self):
-        neighbors = single_move_neighbors(star_tree(4))
-        codes = {canonical_code(t) for t, _u, _v, _w in neighbors}
-        assert codes == {canonical_code(path_tree(4))}
-
-    def test_path5_reaches_every_other_shape(self):
-        codes = {canonical_code(t) for t, *_ in single_move_neighbors(path_tree(5))}
-        allowed = {canonical_code(t) for t in enumerate_shapes(5)}
-        assert codes <= allowed
-        spider = Tree.of(5, [(1, 2), (2, 3), (2, 4), (4, 5)])  # the chair shape
-        assert canonical_code(spider) in codes
-
-    def test_anchoring_move_produces_the_partner(self, anchoring14):
-        t = anchoring14
-        for moved, u, v, w in single_move_neighbors(t):
-            if (u, v, w) == (10, 4, 6):
-                expect = set(t.edges) - {(4, 10)} | {(6, 10)}
-                assert set(moved.edges) == expect
-                break
-        else:
-            pytest.fail("the (10, 4 -> 6) re-anchoring was not generated")
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            single_move_neighbors(Tree.of(2, [(1, 2)]))
 
 
 class TestBuildPoset:
@@ -119,9 +92,8 @@ class TestBuildPoset:
 
     def test_duplicate_aggregate_detection(self):
         reps = [path_tree(5), Tree.of(5, [(2, 1), (1, 3), (3, 4), (4, 5)])]
-        codes = [canonical_code(t) for t in reps]
         with pytest.raises(AntisymmetryError):
-            _assert_distinct_aggregates(reps, codes)
+            _assert_distinct_aggregates([canonical_code(t) for t in reps])
 
     def test_composite_pair_in_closure(self, composite9):
         t, tp = composite9
@@ -176,8 +148,8 @@ class TestResidualMoves:
     def test_d9_build_roots_one_tree_per_shape(self, root_calls):
         _build_poset.cache_clear()  # a memo hit would root nothing
         ps = build_poset(9)
-        # the moves root nothing: only the aggregate twin check roots each shape
-        assert len(root_calls) <= len(ps.shapes) == 47
+        # neither the moves nor the twin check root a tree: both read codes
+        assert len(ps.shapes) == 47 and root_calls == []
 
 
 class TestCodeKeyedLaws:
@@ -197,6 +169,46 @@ class TestCodeKeyedLaws:
                     assert np.max(np.abs(got - want)) <= 1e-15
                     checked += 1
         assert checked == 4993
+
+
+class TestAggregateTwins:
+    """The twin check compares M's exponent Q at alpha = 1/2, read off the
+    code-keyed H laws; mpmrf's severity mixture is the reference."""
+
+    # ROADMAP item 3: non-isomorphic, and their aggregates agree at every alpha
+    TWINS11 = (
+        [(1, 2), (1, 3), (1, 8), (1, 9), (2, 4), (3, 5), (3, 7), (4, 6), (4, 11), (6, 10)],
+        [(1, 2), (1, 3), (1, 9), (2, 4), (3, 5), (3, 7), (3, 8), (4, 6), (4, 10), (5, 11)],
+    )
+
+    def test_d11_twin_pair_raises(self):
+        codes = [canonical_code(Tree.of(11, edges)) for edges in self.TWINS11]
+        assert codes[0] != codes[1]
+        with pytest.raises(AntisymmetryError, match="share an aggregate law"):
+            _assert_distinct_aggregates(codes)
+
+    def test_every_d10_shape_passes(self):
+        codes = [canonical_code(t) for t in enumerate_shapes(10)]
+        assert len(codes) == 106
+        _assert_distinct_aggregates(codes)
+
+    def test_exponent_is_rate_times_severity(self):
+        checked = 0
+        for d in range(1, 10):
+            memo = {}
+            for t in enumerate_shapes(d):
+                q = _aggregate_exponent(canonical_code(t).code, memo)
+                rate, sev = _severity_mixture(MpmrfModel.homogeneous(t, 1.0, 0.5))
+                assert len(q) == d + 1 >= len(sev)
+                assert np.max(np.abs(q - rate * np.pad(sev, (0, d + 1 - len(sev))))) <= 1e-15
+                checked += 1
+        assert checked == 95
+
+    @pytest.mark.parametrize("alpha, hasse", [(0.001, 77), (0.999, 79)])
+    def test_d9_builds_on_a_grid_near_0_or_1(self, alpha, hasse):
+        # at 0.001 distinct shapes' exponents differ by about 1e-12, so a
+        # check at the grid's alpha would take them for twins
+        assert len(build_poset(9, (alpha,)).hasse) == hasse
 
 
 class TestMemo:
