@@ -187,11 +187,12 @@ def cmd_mc(ns: argparse.Namespace) -> None:
     # together raise a false alarm at most 0.27% of the time, as one 3-sigma band
     z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * model.tree.d))
     covs = mpmrf.cov_with_sum(model)
+    centred = total - float(total.mean())
     for i, v in enumerate(model.tree.vertices):
         mean = float(draws[:, i].mean())
         band = z * (model.lam / n) ** 0.5
         cov = float(np.cov(draws[:, i], total)[0, 1])
-        prod = (draws[:, i] - model.lam) * (total - float(total.mean()))
+        prod = (draws[:, i] - model.lam) * centred
         cov_band = z * float(prod.std()) / n ** 0.5
         v_ok = abs(mean - model.lam) < band and abs(cov - covs[v]) < cov_band
         ok = ok and v_ok

@@ -38,6 +38,8 @@ DEFAULT_TOL = 1e-12
 MAX_TOL = 1e-3
 MAX_K = 10**8  # the largest pmf or sampler table built: 800 MB of floats
 _SHIFT = 664  # a Panjer rescaling step, 2**-664 (about 1e-200)
+_BLOCK = 1 << 16  # uniforms per sampler rng.random call, at most (one long draw aside)
+_GUIDE = 1 << 12  # guide-table bins of the Poisson inversion, a power of 2
 
 
 class ToleranceError(ArithmeticError):
@@ -367,59 +369,97 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
 
 
 def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
-    """n draws of the full vector, as an (n, d) array in vertex-label order.
+    """n draws of the full vector, as an (n, d) column-major array in vertex-label order.
 
     Reproducible across platforms: PCG64 stream, all variates by inversion.
     Consumption order is pinned: one Poisson block per vertex in BFS order
     (children ascending), each non-root block followed by its thinning block.
+    Each vertex's n draws are one contiguous column; ValueError, before
+    allocating, when the n * d draws would pass MAX_K.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
     tree = model.tree
+    if n * tree.d > MAX_K:
+        raise ValueError(f"{n:,} draws of {tree.d} vertices pass MAX_K = {MAX_K:,} entries")
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
     rooted = root_at(tree, root)
     col = {v: i for i, v in enumerate(tree.vertices)}
-    out = np.zeros((n, tree.d), dtype=np.int64)
+    out = np.empty((n, tree.d), dtype=np.int64, order="F")
     out[:, col[root]] = _poisson_inverse(rng, model.lam, n)
     for v in rooted.order[1:]:
         a = model.edge_alpha(rooted.parent[v], v)
-        innov = _poisson_inverse(rng, model.lam * (1.0 - a), n)
-        carried = _binomial_thinning(rng, out[:, col[rooted.parent[v]]], a)
-        out[:, col[v]] = innov + carried
+        out[:, col[v]] = _poisson_inverse(rng, model.lam * (1.0 - a), n)
+        out[:, col[v]] += _binomial_thinning(rng, out[:, col[rooted.parent[v]]], a)
     return out
 
 
 def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
-    """Vectorized Poisson sampling by cdf inversion of one uniform per draw;
-    ValueError when the cdf table would pass MAX_K entries."""
+    """n Poisson(mu) draws by cdf inversion of one uniform each, drawn in blocks
+    of _BLOCK; ValueError when the cdf table would pass MAX_K entries.
+
+    A guide table (Chen & Asau 1974) of _GUIDE equal bins of [0, 1) holds, per
+    bin, the count of cdf entries at or below its left edge: that is the draw
+    of every uniform in a bin with no cdf entry strictly inside it, and the
+    other uniforms are searched in the full cdf, so every draw equals
+    searchsorted(cdf, u, "right").
+    """
     if mu == 0.0:
-        rng.random(n)  # keep the stream layout independent of mu
+        for lo in range(0, n, _BLOCK):  # keep the stream layout independent of mu
+            rng.random(min(_BLOCK, n - lo))
         return np.zeros(n, dtype=np.int64)
     k_hi = mu + 12.0 * math.sqrt(mu) + 30.0
     if not k_hi <= MAX_K:
         raise ValueError(f"Poisson sampler table of {k_hi:.4g} entries passes "
                          f"MAX_K = {MAX_K:,} (rate mu = {mu!r})")
-    ks = np.arange(int(k_hi) + 1)
-    log_fact = np.fromiter((math.lgamma(k + 1) for k in range(ks.size)), dtype=float, count=ks.size)
-    logpmf = -mu + ks * math.log(mu) - log_fact
-    cdf = np.cumsum(np.exp(logpmf))
-    u = rng.random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    size = int(k_hi) + 1
+    log_fact = np.fromiter((math.lgamma(k + 1) for k in range(size)), dtype=float, count=size)
+    cdf = np.arange(size, dtype=float)  # -mu + k log(mu) - log(k!), built in place
+    cdf *= math.log(mu)
+    cdf += -mu
+    cdf -= log_fact
+    del log_fact
+    np.exp(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.searchsorted(cdf, edges[:-1], side="right")
+    mixed = np.searchsorted(cdf, edges[1:], side="left") > guide
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        u = rng.random(min(_BLOCK, n - lo))
+        j = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of 2
+        k = guide[j]
+        m = mixed[j]
+        k[m] = np.searchsorted(cdf, u[m], side="right")
+        out[lo: lo + len(u)] = k
+    return out
 
 
 def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: float) -> np.ndarray:
     """Sum of counts[i] Bernoulli(alpha) trials per draw, one uniform each;
-    ValueError, before drawing, when the uniforms would pass MAX_K."""
-    total = int(counts.sum())
+    ValueError, before drawing, when the uniforms would pass MAX_K.
+
+    The uniforms are drawn in blocks of whole draws carrying about _BLOCK
+    events each (a draw carrying more is a block alone), so the temporaries
+    are O(block), not O(total carried).
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     if total > MAX_K:
         raise ValueError(f"thinning {total:,} carried events passes MAX_K = {MAX_K:,} uniforms")
-    if total == 0:
-        return np.zeros(len(counts), dtype=np.int64)
-    hits = (rng.random(total) < alpha).astype(np.int64)
-    cs = np.concatenate([[0], np.cumsum(hits)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return cs[ends] - cs[starts]
+    out = np.zeros(len(counts), dtype=np.int64)
+    hits = np.zeros(min(total, _BLOCK) + 1, dtype=np.int64)  # hits[i]: successes in a block's first i
+    lo, base = 0, 0
+    while base < total:
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
+        k = int(ends[hi - 1]) - base
+        if k >= len(hits):
+            hits = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(rng.random(k) < alpha, out=hits[1: k + 1])
+        stop = ends[lo:hi] - base
+        out[lo:hi] = hits[stop] - hits[stop - counts[lo:hi]]
+        lo, base = hi, base + k
+    return out
 
 
 def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:

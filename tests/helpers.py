@@ -7,8 +7,9 @@ moves and tree centers from path lengths, the reachability relation of a
 digraph by breadth-first search, trees from random Pruefer
 sequences, pgfs expanded with raw numpy convolutions, path sums by the
 rerooting recurrences on the tree's own adjacency, the compound pgf
-exponentiated as a truncated Taylor series, and the compound Poisson by the
-unscaled Panjer recursion.
+exponentiated as a truncated Taylor series, the compound Poisson by the
+unscaled Panjer recursion, and the sampler's stream drawn whole, one array
+per vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from treemrf.mpmrf import MpmrfModel
-from treemrf.tree_core import RootedTree, Tree
+from treemrf.tree_core import RootedTree, Tree, root_at
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -299,3 +300,43 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, n - len(p)))
     q = np.pad(q, (0, n - len(q)))
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def reference_sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
+    """The sampler as a whole-array pass per vertex: the same PCG64 stream and
+    consumption order as `mpmrf.sample`, each vertex's uniforms in one
+    `rng.random` call and every carried event's uniform in one array."""
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    tree = model.tree
+    rooted = root_at(tree, root)
+    col = {v: i for i, v in enumerate(tree.vertices)}
+    out = np.zeros((n, tree.d), dtype=np.int64)
+    out[:, col[root]] = reference_poisson(rng, model.lam, n)
+    for v in rooted.order[1:]:
+        a = model.edge_alpha(rooted.parent[v], v)
+        innov = reference_poisson(rng, model.lam * (1.0 - a), n)
+        carried = reference_thinning(rng, out[:, col[rooted.parent[v]]], a)
+        out[:, col[v]] = innov + carried
+    return out
+
+
+def reference_poisson(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
+    if mu == 0.0:
+        rng.random(n)
+        return np.zeros(n, dtype=np.int64)
+    ks = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1)
+    log_fact = np.fromiter((math.lgamma(k + 1) for k in range(ks.size)), dtype=float, count=ks.size)
+    cdf = np.cumsum(np.exp(-mu + ks * math.log(mu) - log_fact))
+    u = rng.random(n)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def reference_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: float) -> np.ndarray:
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(len(counts), dtype=np.int64)
+    hits = (rng.random(total) < alpha).astype(np.int64)
+    cs = np.concatenate([[0], np.cumsum(hits)])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return cs[ends] - cs[starts]

@@ -359,6 +359,14 @@ class TestMc:
         err = capsys.readouterr().err
         assert err.startswith("error: input:") and "MAX_K" in err
 
+    def test_huge_n_exits_3(self, tmp_path, capsys):
+        # 2 * 10^12 draws would take 14.6 TiB; the bound stops it before allocating
+        model = write_model(tmp_path / "m.json", 2, [(1, 2)])
+        assert main(["mc", "--model", model, "--n", str(10**12),
+                     "-o", str(tmp_path / "mc.json")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:") and "MAX_K" in err
+
     def test_deterministic_given_seed(self, tmp_path):
         # n is small enough that the TV band may fail; the report must still
         # be written and be byte-identical across reruns

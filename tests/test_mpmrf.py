@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -32,6 +33,8 @@ from helpers import (
     path_sums_by_hand,
     poisson_pmf,
     random_tree,
+    reference_sample,
+    reference_thinning,
     relabel,
     relabel_model,
     tv_distance,
@@ -478,6 +481,98 @@ class TestSample:
         with pytest.raises(ValueError, match="MAX_K"):
             mpmrf._binomial_thinning(rng, counts, 0.5)
         assert rng.random() == np.random.Generator(np.random.PCG64(5)).random()
+
+
+E8 = [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (5, 7), (5, 8)]
+PER_EDGE8 = dict(zip(E8, (0.1, 0.9, 0.5, 1.0, 0.0, 0.3, 0.75)))
+
+
+def _model(tree, lam, alpha):
+    """alpha: one value for every edge, or a dict per edge."""
+    return (MpmrfModel(tree, lam, alpha) if isinstance(alpha, dict)
+            else MpmrfModel.homogeneous(tree, lam, alpha))
+
+
+class TestBlockedSampler:
+    """The blocked sampler against the whole-array oracle: the same stream, bit for bit."""
+
+    @pytest.mark.parametrize("tree, lam, alpha, n", [
+        (Tree.of(4, [(1, 2), (2, 3), (3, 4)]), 1.0, 0.5, 65535),
+        (Tree.of(4, [(1, 2), (2, 3), (3, 4)]), 1.0, 0.5, 65536),
+        (Tree.of(4, [(1, 2), (2, 3), (3, 4)]), 1.0, 0.5, 65537),
+        (Tree.of(6, [(1, i) for i in range(2, 7)]), 2.0, 0.0, 70_000),
+        (Tree.of(6, [(1, i) for i in range(2, 7)]), 2.0, 1.0, 70_000),  # innovations of rate 0
+        (Tree.of(8, E8), 0.7, PER_EDGE8, 65537),
+        (Tree.of(1, []), 3.0, 0.5, 65537),
+        (Tree.of(3, [(1, 2), (2, 3)]), 0.05, 0.9, 1),
+        # about 200,000 carried events per edge: blocks of many whole draws
+        (Tree.of(3, [(1, 2), (1, 3)]), 40.0, 0.6, 5000),
+        # draws carrying more than a block each, alone and next to small ones
+        (Tree.of(2, [(1, 2)]), 1e5, 0.5, 3),
+        (Tree.of(3, [(1, 2), (2, 3)]), 2e4, 0.4, 7),
+    ])
+    def test_equals_the_whole_array_sampler(self, tree, lam, alpha, n):
+        m = _model(tree, lam, alpha)
+        draws = sample(m, 1, 20240901, n)
+        expected = reference_sample(m, 1, 20240901, n)
+        assert draws.dtype == expected.dtype and draws.shape == expected.shape
+        assert np.array_equal(draws, expected)
+        assert draws.flags.f_contiguous
+
+    @pytest.mark.parametrize("tree, lam, alpha, seed, n, digest", [
+        (Tree.of(6, [(1, 2), (2, 3), (3, 4), (3, 5), (3, 6)]), 1.0, 0.5, 7, 200,
+         "40560ea7a19356306137ed3ca8655e785baa377674284657ef2ff5cd039abbbd"),
+        (Tree.of(4, [(1, 2), (2, 3), (3, 4)]), 2.0, 0.3, 11, 65537,
+         "c0cc5f3f3d557709163f6dafa5ba10b5bbb1ccfbebdbdf666688384280cd4d00"),
+        (Tree.of(8, E8), 0.7, PER_EDGE8, 2024, 100_000,
+         "c0a85b4fd637ec4837a9a7a69f15a103cb34ce27aa5cb638ac7eb930e3245d16"),
+    ])
+    def test_stream_is_pinned(self, tree, lam, alpha, seed, n, digest):
+        # digests of the draws in row-major bytes, taken from the whole-array sampler
+        m = _model(tree, lam, alpha)
+        assert hashlib.sha256(sample(m, 1, seed, n).tobytes()).hexdigest() == digest
+
+    # at mu = ln 2 the first cdf entry, exp(-mu), is the bin edge 1/2 exactly
+    @pytest.mark.parametrize("mu", [0.05, math.log(2), 3.0, 50.0, 1e4])
+    def test_guide_table_matches_searchsorted_at_bin_and_cdf_edges(self, mu):
+        ks = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1)
+        log_fact = np.array([math.lgamma(k + 1) for k in ks])
+        cdf = np.cumsum(np.exp(-mu + ks * math.log(mu) - log_fact))
+        assert mu != math.log(2) or cdf[0] == 0.5
+        grid = np.arange(4096) / 4096
+        points = np.concatenate([grid, cdf[cdf < 1.0]])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                            [0.0, 1.0 - 2.0**-53]])
+        u = np.clip(u, 0.0, 1.0 - 2.0**-53)
+
+        class Stub:  # hands out u in order, as rng.random does its stream
+            at = 0
+
+            def random(self, size):
+                self.at += size
+                return u[self.at - size: self.at].copy()
+
+        stub = Stub()
+        draws = mpmrf._poisson_inverse(stub, mu, len(u))
+        assert stub.at == len(u)
+        assert np.array_equal(draws, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("counts", [
+        [0, 100_000, 0, 3, 70_000, 0, 0],  # an empty draw before each long one
+        [0, 0, 0, 0, 0],
+        [5, 0, 65536, 65535, 1, 0, 131072],
+    ])
+    def test_thinning_cut_at_empty_and_long_draws(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        rng, ref = (np.random.Generator(np.random.PCG64(9)) for _ in range(2))
+        got = mpmrf._binomial_thinning(rng, counts, 0.3)
+        assert np.array_equal(got, reference_thinning(ref, counts, 0.3))
+        assert rng.random() == ref.random()  # both stop at the same point of the stream
+
+    def test_past_max_k_draws_raise_before_allocating(self):
+        m = MpmrfModel.homogeneous(Tree.of(2, [(1, 2)]), 1.0, 0.5)
+        with pytest.raises(ValueError, match="MAX_K"):
+            sample(m, 1, rng_seed=1, n=10**12)
 
 
 class TestCovWithSum:
