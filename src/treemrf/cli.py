@@ -43,8 +43,8 @@ class InputError(Exception):
 def _validate(ns: argparse.Namespace) -> None:
     if not 0.0 < getattr(ns, "tol", mpmrf.MAX_TOL) <= mpmrf.MAX_TOL:
         raise InputError(f"tol {ns.tol} outside (0, {mpmrf.MAX_TOL:g}]")
-    if getattr(ns, "n", 1) < 1:
-        raise UsageError("n must be >= 1")
+    if getattr(ns, "n", 2) < 2:
+        raise UsageError("n must be >= 2")
 
 
 def _fmt(x: float) -> str:
@@ -164,7 +164,7 @@ def cmd_poset(ns: argparse.Namespace) -> None:
 
 def cmd_mc(ns: argparse.Namespace) -> None:
     model = _require_model(ns)
-    n = ns.n
+    n, lam = ns.n, model.lam
     draws = mpmrf.sample(model, model.tree.vertices[0], ns.seed, n)
     total = draws.sum(axis=1)
     agg = mpmrf.aggregate_dist(model, ns.tol)
@@ -177,8 +177,7 @@ def cmd_mc(ns: argparse.Namespace) -> None:
     # 0.5 * sum_k sqrt(p_k (1 - p_k) / n) plus the tail mass, and one draw moves
     # it by at most 1/n, so by McDiarmid's inequality it passes that mean by
     # sqrt(ln(1/0.0027) / (2n)) at most 0.27% of the time.
-    p = agg.pmf
-    tv_limit = (0.5 * float(np.sqrt(p * (1.0 - p) / n).sum())
+    tv_limit = (0.5 * float(np.sqrt(agg.pmf * (1.0 - agg.pmf) / n).sum())
                 + math.sqrt(math.log(1 / 0.0027) / (2 * n)) + agg.tail_mass)
     report = {"n": n, "seed": ns.seed, "tv_distance": tv, "tv_limit": tv_limit,
               "vertices": {}}
@@ -188,21 +187,26 @@ def cmd_mc(ns: argparse.Namespace) -> None:
     z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * model.tree.d))
     covs = mpmrf.cov_with_sum(model)
     centred = total - float(total.mean())
+    del total
+    buf = np.empty(n)  # each vertex's n-long terms in turn, so memory is draws + two columns
     for i, v in enumerate(model.tree.vertices):
-        mean = float(draws[:, i].mean())
-        band = z * (model.lam / n) ** 0.5
-        cov = float(np.cov(draws[:, i], total)[0, 1])
-        prod = (draws[:, i] - model.lam) * centred
-        cov_band = z * float(prod.std()) / n ** 0.5
-        v_ok = abs(mean - model.lam) < band and abs(cov - covs[v]) < cov_band
+        x = draws[:, i]
+        mean = float(x.mean())
+        band = z * (lam / n) ** 0.5
+        np.subtract(x, mean, out=buf)
+        cov = float(buf @ centred) / (n - 1)
+        np.subtract(x, lam, out=buf)
+        buf *= centred
+        buf -= buf.mean()  # the population std of (x - lam) * centred, as np.std forms it
+        np.square(buf, out=buf)
+        cov_band = z * math.sqrt(float(buf.sum()) / n) / n ** 0.5
+        v_ok = abs(mean - lam) < band and abs(cov - covs[v]) < cov_band
         ok = ok and v_ok
         report["vertices"][str(v)] = {
-            "mean": mean, "mean_expected": model.lam, "mean_band": band,
-            "cov_with_sum": cov, "cov_expected": covs[v], "cov_band": cov_band,
-            "ok": v_ok,
-        }
+            "mean": mean, "mean_expected": lam, "mean_band": band,
+            "cov_with_sum": cov, "cov_expected": covs[v], "cov_band": cov_band, "ok": v_ok}
     report["ok"] = ok
-    _write(json.dumps(report, sort_keys=True) + "\n", ns.output)
+    _write(json.dumps(report, sort_keys=True, allow_nan=False) + "\n", ns.output)
     if not ok:
         raise ToleranceError("Monte Carlo statistics fall outside tolerance bands")
 

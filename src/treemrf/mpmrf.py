@@ -25,6 +25,7 @@ Key derived objects:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -374,8 +375,8 @@ def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
     Reproducible across platforms: PCG64 stream, all variates by inversion.
     Consumption order is pinned: one Poisson block per vertex in BFS order
     (children ascending), each non-root block followed by its thinning block.
-    Each vertex's n draws are one contiguous column; ValueError, before
-    allocating, when the n * d draws would pass MAX_K.
+    Each vertex's n draws are one contiguous column, filled in place;
+    ValueError, before allocating, when the n * d draws would pass MAX_K.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -386,68 +387,77 @@ def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
     rooted = root_at(tree, root)
     col = {v: i for i, v in enumerate(tree.vertices)}
     out = np.empty((n, tree.d), dtype=np.int64, order="F")
-    out[:, col[root]] = _poisson_inverse(rng, model.lam, n)
-    for v in rooted.order[1:]:
-        a = model.edge_alpha(rooted.parent[v], v)
-        out[:, col[v]] = _poisson_inverse(rng, model.lam * (1.0 - a), n)
-        out[:, col[v]] += _binomial_thinning(rng, out[:, col[rooted.parent[v]]], a)
+    _poisson_inverse(rng, model.lam, out[:, col[root]])
+    ends = np.empty(n, dtype=np.int64)
+    for p in rooted.order:  # BFS order lists each vertex's children together, ascending
+        if rooted.children[p]:
+            np.cumsum(out[:, col[p]], out=ends)  # one cumsum serves all of p's children
+        for v in rooted.children[p]:
+            a = model.edge_alpha(p, v)
+            _poisson_inverse(rng, model.lam * (1.0 - a), out[:, col[v]])
+            _binomial_thinning(rng, ends, a, out[:, col[v]])
     return out
 
 
-def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
-    """n Poisson(mu) draws by cdf inversion of one uniform each, drawn in blocks
-    of _BLOCK; ValueError when the cdf table would pass MAX_K entries.
+def _poisson_cdf(mu: float) -> np.ndarray:
+    """The Poisson(mu > 0) cdf at k = 0 .. mu + 12 sqrt(mu) + 30; ValueError past MAX_K entries.
 
-    A guide table (Chen & Asau 1974) of _GUIDE equal bins of [0, 1) holds, per
-    bin, the count of cdf entries at or below its left edge: that is the draw
-    of every uniform in a bin with no cdf entry strictly inside it, and the
-    other uniforms are searched in the full cdf, so every draw equals
-    searchsorted(cdf, u, "right").
+    The log-pmf k log(mu) - mu - lgamma(k + 1) rises up to the mode; exp gives 0.0
+    below the first k where it reaches -746, so lgamma is called from that k on.
     """
-    if mu == 0.0:
-        for lo in range(0, n, _BLOCK):  # keep the stream layout independent of mu
-            rng.random(min(_BLOCK, n - lo))
-        return np.zeros(n, dtype=np.int64)
     k_hi = mu + 12.0 * math.sqrt(mu) + 30.0
     if not k_hi <= MAX_K:
         raise ValueError(f"Poisson sampler table of {k_hi:.4g} entries passes "
                          f"MAX_K = {MAX_K:,} (rate mu = {mu!r})")
-    size = int(k_hi) + 1
-    log_fact = np.fromiter((math.lgamma(k + 1) for k in range(size)), dtype=float, count=size)
-    cdf = np.arange(size, dtype=float)  # -mu + k log(mu) - log(k!), built in place
-    cdf *= math.log(mu)
-    cdf += -mu
-    cdf -= log_fact
-    del log_fact
-    np.exp(cdf, out=cdf)
-    np.cumsum(cdf, out=cdf)
+    size, log_mu = int(k_hi) + 1, math.log(mu)
+    lo = bisect_left(range(int(mu)), -746.0, key=lambda k: k * log_mu + -mu - math.lgamma(k + 1))
+    pmf = np.arange(lo, size, dtype=float) * log_mu  # the log-pmf from k = lo, then in place
+    pmf += -mu
+    pmf -= np.fromiter((math.lgamma(k + 1) for k in range(lo, size)), dtype=float, count=size - lo)
+    np.exp(pmf, out=pmf)
+    return np.concatenate((np.zeros(lo), np.cumsum(pmf)))
+
+
+def _poisson_inverse(rng: np.random.Generator, mu: float, out: np.ndarray) -> None:
+    """Fill out with Poisson(mu) draws by cdf inversion of one uniform each,
+    drawn in blocks of _BLOCK; ValueError when the cdf table would pass MAX_K.
+
+    A guide table (Chen & Asau 1974) of _GUIDE equal bins of [0, 1) holds, per
+    bin, the count of cdf entries at or below its left edge: that is the draw
+    of every uniform in a bin with no cdf entry strictly inside it. The other
+    bins hold -1, and their uniforms are searched in the full cdf, so every
+    draw equals searchsorted(cdf, u, "right").
+    """
+    n = len(out)
+    if mu == 0.0:
+        for lo in range(0, n, _BLOCK):  # keep the stream layout independent of mu
+            rng.random(min(_BLOCK, n - lo))
+        out[:] = 0
+        return
+    cdf = _poisson_cdf(mu)
     edges = np.arange(_GUIDE + 1) / _GUIDE
     guide = np.searchsorted(cdf, edges[:-1], side="right")
-    mixed = np.searchsorted(cdf, edges[1:], side="left") > guide
-    out = np.empty(n, dtype=np.int64)
+    guide[np.searchsorted(cdf, edges[1:], side="left") > guide] = -1
     for lo in range(0, n, _BLOCK):
         u = rng.random(min(_BLOCK, n - lo))
-        j = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of 2
-        k = guide[j]
-        m = mixed[j]
+        k = out[lo: lo + len(u)]  # one gather; u * _GUIDE is exact, _GUIDE being a power of 2
+        np.take(guide, (u * _GUIDE).astype(np.intp), out=k, mode="clip")
+        m = np.flatnonzero(k < 0)
         k[m] = np.searchsorted(cdf, u[m], side="right")
-        out[lo: lo + len(u)] = k
-    return out
 
 
-def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: float) -> np.ndarray:
-    """Sum of counts[i] Bernoulli(alpha) trials per draw, one uniform each;
-    ValueError, before drawing, when the uniforms would pass MAX_K.
+def _binomial_thinning(rng: np.random.Generator, ends: np.ndarray, alpha: float,
+                       out: np.ndarray) -> None:
+    """Add to out[i] the successes of draw i's Bernoulli(alpha) trials, one uniform
+    each, ends being the trials' cumulative counts; ValueError, before drawing, past MAX_K.
 
     The uniforms are drawn in blocks of whole draws carrying about _BLOCK
     events each (a draw carrying more is a block alone), so the temporaries
     are O(block), not O(total carried).
     """
-    ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     if total > MAX_K:
         raise ValueError(f"thinning {total:,} carried events passes MAX_K = {MAX_K:,} uniforms")
-    out = np.zeros(len(counts), dtype=np.int64)
     hits = np.zeros(min(total, _BLOCK) + 1, dtype=np.int64)  # hits[i]: successes in a block's first i
     lo, base = 0, 0
     while base < total:
@@ -456,10 +466,10 @@ def _binomial_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: floa
         if k >= len(hits):
             hits = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(rng.random(k) < alpha, out=hits[1: k + 1])
-        stop = ends[lo:hi] - base
-        out[lo:hi] = hits[stop] - hits[stop - counts[lo:hi]]
+        upto = hits[ends[lo:hi] - base]  # successes up to each draw's end: differenced in place
+        out[lo:hi] += upto
+        out[lo + 1: hi] -= upto[:-1]
         lo, base = hi, base + k
-    return out
 
 
 def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:

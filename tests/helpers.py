@@ -8,8 +8,9 @@ digraph by breadth-first search, trees from random Pruefer
 sequences, pgfs expanded with raw numpy convolutions, path sums by the
 rerooting recurrences on the tree's own adjacency, the compound pgf
 exponentiated as a truncated Taylor series, the compound Poisson by the
-unscaled Panjer recursion, and the sampler's stream drawn whole, one array
-per vertex.
+unscaled Panjer recursion, the sampler's stream drawn whole, one array
+per vertex, and the Monte Carlo report's covariance statistics by np.cov
+and np.std.
 """
 
 from __future__ import annotations
@@ -340,3 +341,10 @@ def reference_thinning(rng: np.random.Generator, counts: np.ndarray, alpha: floa
     ends = np.cumsum(counts)
     starts = ends - counts
     return cs[ends] - cs[starts]
+
+
+def mc_cov_stats(x: np.ndarray, total: np.ndarray, lam: float) -> tuple[float, float]:
+    """The sample covariance of x and total by np.cov, and the population std
+    of (x - lam) * (total - mean total), the spread behind the report's band."""
+    centred = total - float(total.mean())
+    return float(np.cov(x, total)[0, 1]), float(((x - lam) * centred).std())

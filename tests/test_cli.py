@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from treemrf.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, _parser
 from treemrf.poset import DEFAULT_ALPHA_GRID
 from treemrf.tree_core import Tree
 
-from helpers import path_star_moments, poisson_pmf, random_tree
+from helpers import mc_cov_stats, path_star_moments, poisson_pmf, random_tree
 
 
 def write_model(path, d, edges, lam=1.0, alpha=0.5):
@@ -378,6 +381,110 @@ class TestMc:
                             "-o", str(out)]))
         assert codes <= {EXIT_OK, EXIT_TOLERANCE} and len(codes) == 1
         assert a.read_bytes() == b.read_bytes()
+
+
+def _no_nan(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+PER_EDGE4 = ([(1, 2), (2, 3), (2, 4)], {"1-2": 0.0, "2-3": 1.0, "2-4": 0.4})
+
+
+class TestMcReport:
+    """The streamed covariance statistics against np.cov and np.std."""
+
+    @pytest.mark.parametrize("d, edges, lam, alpha, n, seed", [
+        (4, [(1, 2), (2, 3), (3, 4)], 1.0, 0.5, 70_000, 3),
+        (6, [(1, i) for i in range(2, 7)], 2.0, 0.3, 20_000, 8),
+        (8, list(random_tree(np.random.default_rng(17), 8).edges), 0.5, 0.7, 65_537, 21),
+        (4, *PER_EDGE4[:1], 1.3, PER_EDGE4[1], 70_000, 5),
+        (4, *PER_EDGE4[:1], 1.3, PER_EDGE4[1], 2, 6),  # the smallest n
+        (6, [(1, i) for i in range(2, 7)], 0.4, 0.9, 3, 1),
+        (1, [], 2.0, 0.0, 1000, 4),
+    ])
+    def test_matches_the_np_cov_oracle(self, tmp_path, d, edges, lam, alpha, n, seed):
+        model = write_model(tmp_path / "m.json", d, edges, lam=lam, alpha=alpha)
+        out = tmp_path / "mc.json"
+        code = main(["mc", "--model", model, "--n", str(n), "--seed", str(seed),
+                     "-o", str(out)])
+        obj = json.loads(out.read_text(), parse_constant=_no_nan)
+        m = mpmrf.MpmrfModel.from_json(json.loads((tmp_path / "m.json").read_text()))
+        draws = mpmrf.sample(m, m.tree.vertices[0], seed, n)
+        total = draws.sum(axis=1)
+        z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * d))
+        ok = obj["tv_distance"] < obj["tv_limit"]
+        for i, v in enumerate(m.tree.vertices):
+            rep = obj["vertices"][str(v)]
+            cov, spread = mc_cov_stats(draws[:, i], total, lam)
+            cov_band = z * spread / n ** 0.5
+            assert rep["cov_with_sum"] == pytest.approx(cov, rel=1e-12, abs=0.0)
+            assert rep["cov_band"] == pytest.approx(cov_band, rel=1e-12, abs=0.0)
+            v_ok = (abs(rep["mean"] - lam) < rep["mean_band"]
+                    and abs(cov - rep["cov_expected"]) < cov_band)
+            assert rep["ok"] is v_ok
+            ok = ok and v_ok
+        assert obj["ok"] is ok
+        assert code == (EXIT_OK if ok else EXIT_TOLERANCE)
+
+    def test_other_fields_are_pinned(self, tmp_path):
+        # values of the np.cov report: only cov_with_sum and cov_band may
+        # differ from it, in their last bits
+        model = write_model(tmp_path / "m.json", 4, PER_EDGE4[0], lam=1.3, alpha=PER_EDGE4[1])
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--model", model, "--n", "70000", "--seed", "5",
+                     "-o", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert (obj["tv_distance"], obj["tv_limit"]) == (0.004703607990490327,
+                                                         0.013406848020661775)
+        band = 0.015448000513003182
+        assert {v: (r["mean"], r["mean_band"], r["cov_expected"])
+                for v, r in obj["vertices"].items()} == {
+            "1": (1.3008285714285714, band, 1.3),
+            "2": (1.3032142857142857, band, 3.12),
+            "3": (1.3032142857142857, band, 3.12),
+            "4": (1.3022857142857143, band, 2.3400000000000003),
+        }
+
+    def test_working_memory_is_the_draws_and_three_columns(self, tmp_path):
+        # 8 n d bytes of draws, the centred total and one scratch column, with
+        # a column to spare for the thinning's cumulative counts
+        d, n = 4, 10**6
+        model = write_model(tmp_path / "m.json", d, [(1, 2), (2, 3), (3, 4)])
+        tracemalloc.start()
+        try:
+            code = main(["mc", "--model", model, "--n", str(n), "--seed", "3",
+                         "-o", str(tmp_path / "mc.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 8 * n * (d + 3)
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_n_below_2_exits_2(self, tmp_path, capsys, how):
+        # one draw has no sample covariance: the report would divide by n - 1 = 0
+        model = write_model(tmp_path / "m.json", 2, [(1, 2)])
+        out = tmp_path / "mc.json"
+        argv = ["mc", "--model", model, "-o", str(out)]
+        if how == "flag":
+            argv += ["--n", "1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 1}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert "n must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_nan_statistic_exits_3_without_a_report(self, tmp_path, monkeypatch, capsys):
+        # a bare NaN token is not JSON: the report is refused, not written
+        monkeypatch.setattr(mpmrf, "cov_with_sum",
+                            lambda model: {v: math.nan for v in model.tree.vertices})
+        model = write_model(tmp_path / "m.json", 2, [(1, 2)])
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--model", model, "--n", "1000", "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: input:")
+        assert not out.exists()
 
 
 class TestSpectral:

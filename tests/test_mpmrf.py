@@ -479,7 +479,7 @@ class TestSample:
         rng = np.random.Generator(np.random.PCG64(5))
         counts = np.full(1000, mpmrf.MAX_K)
         with pytest.raises(ValueError, match="MAX_K"):
-            mpmrf._binomial_thinning(rng, counts, 0.5)
+            mpmrf._binomial_thinning(rng, np.cumsum(counts), 0.5, np.zeros(1000, dtype=np.int64))
         assert rng.random() == np.random.Generator(np.random.PCG64(5)).random()
 
 
@@ -553,7 +553,8 @@ class TestBlockedSampler:
                 return u[self.at - size: self.at].copy()
 
         stub = Stub()
-        draws = mpmrf._poisson_inverse(stub, mu, len(u))
+        draws = np.empty(len(u), dtype=np.int64)
+        mpmrf._poisson_inverse(stub, mu, draws)
         assert stub.at == len(u)
         assert np.array_equal(draws, np.searchsorted(cdf, u, side="right"))
 
@@ -565,9 +566,27 @@ class TestBlockedSampler:
     def test_thinning_cut_at_empty_and_long_draws(self, counts):
         counts = np.array(counts, dtype=np.int64)
         rng, ref = (np.random.Generator(np.random.PCG64(9)) for _ in range(2))
-        got = mpmrf._binomial_thinning(rng, counts, 0.3)
+        got = np.zeros(len(counts), dtype=np.int64)
+        mpmrf._binomial_thinning(rng, np.cumsum(counts), 0.3, got)
         assert np.array_equal(got, reference_thinning(ref, counts, 0.3))
         assert rng.random() == ref.random()  # both stop at the same point of the stream
+
+    # digests of the cdf's bytes, taken when lgamma was formed at every entry:
+    # the entries below exp's underflow stay 0.0 exactly
+    @pytest.mark.parametrize("mu, digest", [
+        (1e-3, "05ea2082fb616fd1e23e902fea918bb5c05fffddf4b5d2514ded896c6f30d41a"),
+        (0.05, "f09ecc7102095ea55a37f513743955408e356f385bea16dad0986ecb9511154b"),
+        (1.0, "8896dca294b9bf7392cb00ad5dc698f1e3edece0096a2a5ea4b32d16eaa1e11a"),
+        (7.3, "50c6fe2bb7f49aca58ae903a24bea771effe825ecffe9af8e97fde7d1bd09000"),
+        (300.0, "be72ea12e7dabef882048c5aa58b7b9ec748498eb0134d79d44eebad4cb87f73"),
+        (5e3, "e6913c5ed443db34c3fca4ffb6798643d7dbc6f3d3ab31fe8778b338ae1f05a4"),
+        (1e5, "d80a0f47eff8e57d6e8efd7815d56550e17290881b36d62c3b05d8240fb69280"),
+        (4e6, "a5abd07e6d2f32e997daad7376e1f6894f110e31e86dc3bfeaf44fa1b3b7cb13"),
+    ])
+    def test_poisson_cdf_is_pinned(self, mu, digest):
+        cdf = mpmrf._poisson_cdf(mu)
+        assert len(cdf) == int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1
+        assert hashlib.sha256(cdf.tobytes()).hexdigest() == digest
 
     def test_past_max_k_draws_raise_before_allocating(self):
         m = MpmrfModel.homogeneous(Tree.of(2, [(1, 2)]), 1.0, 0.5)
