@@ -16,7 +16,6 @@ from .mpmrf import (
     h_dist,
     sample,
     tvar,
-    tvar_contribution,
     tvar_contribution_table,
 )
 from .orders import (
@@ -25,7 +24,6 @@ from .orders import (
     cx_check_empirical,
     shape_compare,
     st_compare,
-    stop_loss,
     synecdochic_compare,
 )
 from .poset import (
@@ -45,7 +43,6 @@ from .tree_core import (
     canonical_code,
     degree_vector,
     enumerate_shapes,
-    prune,
     root_at,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
     "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
-    "minimal_elements", "prune", "root_at", "sample", "shape_compare",
-    "spectrum", "st_compare", "stop_loss", "synecdochic_compare", "tvar",
-    "tvar_contribution", "tvar_contribution_table",
+    "minimal_elements", "root_at", "sample", "shape_compare", "spectrum",
+    "st_compare", "synecdochic_compare", "tvar", "tvar_contribution_table",
 ]

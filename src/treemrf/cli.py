@@ -97,7 +97,7 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         _write(mpmrf.allocation_to_csv(table), ns.output)
         return
     agg = mpmrf.aggregate_dist(model, ns.tol)
-    contrib = mpmrf._contribution_table(model, agg, [ns.kappa])
+    contrib = mpmrf.tvar_contribution_table(model, agg, [ns.kappa])
     covs = mpmrf.cov_with_sum(model)
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0

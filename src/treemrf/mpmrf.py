@@ -62,7 +62,7 @@ class DiscreteDist:
         p.flags.writeable = False
         object.__setattr__(self, "pmf", p)
         total = float(p.sum()) + self.tail_mass
-        if abs(total - 1.0) > PMF_SUM_TOL:
+        if not abs(total - 1.0) <= PMF_SUM_TOL:  # a NaN entry or tail fails here too
             raise ValueError(f"pmf plus tail mass sums to {total}, not 1")
 
     @property
@@ -75,12 +75,6 @@ class DiscreteDist:
     def mean(self) -> float:
         """Mean of the retained pmf only: short by about K * tail_mass on a cut aggregate."""
         return float(np.arange(len(self.pmf)) @ self.pmf)
-
-    def var(self) -> float:
-        """Variance of the retained pmf only, about its own mean; blind to the tail, like mean."""
-        ks = np.arange(len(self.pmf))
-        m = self.mean()
-        return float((ks - m) ** 2 @ self.pmf)
 
     def quantile(self, kappa: float) -> int:
         """Smallest k with F(k) >= kappa (the inf-style quantile).
@@ -535,33 +529,18 @@ def _euler_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
     return (above + atom) / (1.0 - kappa)
 
 
-def tvar_contribution(model: MpmrfModel, v: int, kappa: float, tol: float = DEFAULT_TOL) -> float:
-    """Euler TVaR contribution of component v at level kappa.
+def tvar_contribution_table(model: MpmrfModel, agg: DiscreteDist, kappas) -> dict[int, np.ndarray]:
+    """Euler TVaR contributions of every vertex over a grid of levels, on agg = aggregate_dist(model).
 
-    With q = VaR_kappa(M):
-      (E[N_v 1{M>q}] + (F_M(q)-kappa)/p_M(q) * E[N_v 1{M=q}]) / (1-kappa).
-    Contributions over all vertices sum to TVaR_kappa(M).
+    With q = VaR_kappa(M), vertex v's contribution at level kappa is
+      (E[N_v 1{M>q}] + (F_M(q)-kappa)/p_M(q) * E[N_v 1{M=q}]) / (1-kappa),
+    and the contributions over all vertices sum to TVaR_kappa(M). The
+    quantiles come first, so a kappa outside [0, 1) raises ValueError before
+    the one _h_all pass that gives every H law.
     """
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("kappa must be in [0, 1)")
-    agg = aggregate_dist(model, tol)
-    return _euler_contribution(agg.pmf, agg.cdf(), agg.quantile(kappa), h_dist(model, v).pmf,
-                               model.lam, kappa)
-
-
-def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL) -> dict[int, np.ndarray]:
-    """Contributions of every vertex over a grid of levels, one aggregate pass."""
-    kappas = [float(k) for k in kappas]
-    if any(not 0.0 <= k < 1.0 for k in kappas):
-        raise ValueError("kappa must be in [0, 1)")
-    return _contribution_table(model, aggregate_dist(model, tol), kappas)
-
-
-def _contribution_table(model: MpmrfModel, agg: DiscreteDist, kappas) -> dict[int, np.ndarray]:
-    """tvar_contribution_table on the aggregate agg; every H law from one _h_all pass."""
+    levels = [(agg.quantile(k), k) for k in kappas]
     h = _h_all(model.tree, model.alpha)
     cdf = agg.cdf()
-    levels = [(agg.quantile(k), k) for k in kappas]
     return {v: np.array([_euler_contribution(agg.pmf, cdf, q, h[v], model.lam, k) for q, k in levels])
             for v in model.tree.vertices}
 

@@ -171,18 +171,8 @@ def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL
 
 
 def _stop_loss_curve(pmf: np.ndarray, n: int) -> np.ndarray:
-    """E[(X-c)+] for c = 0..n-1, via the survival-function tail sums."""
-    sf = 1.0 - np.cumsum(np.pad(pmf, (0, max(0, n - len(pmf)))))[:n]
+    """E[(X-c)+] for c = 0..n-1, via the survival-function tail sums over the whole support."""
+    sf = 1.0 - np.cumsum(np.pad(pmf, (0, max(0, n - len(pmf)))))
     sf = np.maximum(sf, 0.0)
-    return np.cumsum(sf[::-1])[::-1]
+    return np.cumsum(sf[::-1])[::-1][:n]
 
-
-def stop_loss(p, c: int) -> float:
-    """Stop-loss premium E[(X - c)+] of a pmf on {0,1,...}.
-
-    Accepts a DiscreteDist or any sequence of probabilities.
-    """
-    pmf = np.asarray(getattr(p, "pmf", p), dtype=float)
-    ks = np.arange(len(pmf))
-    over = ks > c
-    return float(np.sum((ks[over] - c) * pmf[over]))

@@ -1,9 +1,9 @@
-"""Vertex-labeled trees: rooted views, pruning, canonical shapes, enumeration.
+"""Vertex-labeled trees: rooted views, canonical shapes, enumeration.
 
-Vertices are positive integer labels. Freshly built trees live on {1..d};
-pruning preserves the original labels, so subtrees may live on any label set.
-Shapes (isomorphism classes) are identified by a canonical code computed from
-a center-rooted AHU encoding.
+Vertices are positive integer labels: {1..d} for Tree.of and JSON, any sorted
+set for the direct constructor. root_at(tree, x, away=u) roots x's side of an
+edge and keeps the tree's labels. Shapes (isomorphism classes) are
+identified by a canonical code computed from a center-rooted AHU encoding.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ Edge = tuple[int, int]
 
 def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
+
+
+def _integer(x) -> int:
+    """x itself when it is an int and not a bool (which JSON's true and false load as)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"vertex counts and labels must be integers, not {x!r}")
+    return x
 
 
 def _walk(adj, root: int, away: int | None = None):
@@ -77,11 +84,6 @@ class Tree:
             raise ValueError("d must be >= 1")
         return cls(tuple(range(1, d + 1)), tuple(edges))
 
-    @classmethod
-    def on(cls, vertices, edges) -> "Tree":
-        """Tree on an arbitrary vertex label set (used for subtrees)."""
-        return cls(tuple(sorted(vertices)), tuple(edges))
-
     @property
     def d(self) -> int:
         return len(self.vertices)
@@ -95,9 +97,6 @@ class Tree:
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.neighbors.get(a, ())
-
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.d + 1)):
             raise ValueError("JSON export requires contiguous labels 1..d")
@@ -105,7 +104,8 @@ class Tree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Tree":
-        return cls.of(int(obj["d"]), [(int(a), int(b)) for a, b in obj["edges"]])
+        """d and the labels must be JSON integers: ValueError for 3.9, "3" or true."""
+        return cls.of(_integer(obj["d"]), [(_integer(a), _integer(b)) for a, b in obj["edges"]])
 
 
 class RootedTree:
@@ -116,7 +116,7 @@ class RootedTree:
     each parent before its children, so one forward walk visits a vertex
     after its parent and one reversed walk visits it after its children.
     With `away`, it covers root's side only, never entering or listing away:
-    for root on v's side of edge away-v, prune(tree, away, v)[0] rooted at root.
+    for root on v's side of edge away-v, the part cutting it leaves on v's end.
     """
 
     def __init__(self, tree: Tree, root: int, away: int | None = None):
@@ -149,23 +149,6 @@ class ShapeCode:
 def root_at(tree: Tree, r: int, away: int | None = None) -> RootedTree:
     """Rooted view of `tree` at vertex r; with `away`, of r's side only (see RootedTree)."""
     return RootedTree(tree, r, away)
-
-
-def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
-    """Delete edge (u,v) and return (residual, detached).
-
-    `detached` is the subtree containing u, `residual` the one containing v;
-    vertex labels are preserved in both parts.
-    """
-    if not tree.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    e = _norm_edge(u, v)
-    rest = [x for x in tree.edges if x != e]
-    side = set(_walk(tree.neighbors, u, away=v)[0])
-    detached = Tree.on(side, [x for x in rest if x[0] in side])
-    res_vs = [x for x in tree.vertices if x not in side]
-    residual = Tree.on(res_vs, [x for x in rest if x[0] not in side])
-    return residual, detached
 
 
 def _ahu_node(subtrees) -> bytes:

@@ -4,7 +4,8 @@ Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, AHU
 codes one rooting at a time, paths by breadth-first search, re-anchoring
 moves and tree centers from path lengths, the reachability relation of a
-digraph by breadth-first search, trees from random Pruefer
+digraph by breadth-first search, the two parts of a cut edge by
+growing one side over the edge list, trees from random Pruefer
 sequences, pgfs expanded with raw numpy convolutions, path sums by the
 rerooting recurrences on the tree's own adjacency, the compound pgf
 exponentiated as a truncated Taylor series, the compound Poisson by the
@@ -46,9 +47,38 @@ def ahu_encoding(rooted: RootedTree) -> bytes:
     return enc[rooted.order[0]]
 
 
+def tree_on(vertices, edges) -> Tree:
+    """The tree on any set of positive labels, given in any order."""
+    return Tree(tuple(sorted(vertices)), tuple(edges))
+
+
+def prune(tree: Tree, u: int, v: int) -> tuple[Tree, Tree]:
+    """Delete edge (u,v) and return (residual, detached), each keeping its labels.
+
+    `detached` is the part containing u, `residual` the one containing v:
+    `root_at(tree, x, away=u)` should root the residual at x.
+    """
+    e = (min(u, v), max(u, v))
+    rest = list(tree.edges)  # stored as (smaller, larger)
+    if e not in rest:
+        raise ValueError(f"({u},{v}) is not an edge")
+    rest.remove(e)
+    side = {u}
+    grew = True
+    while grew:  # add every vertex one remaining edge away from the side, until none is
+        grew = False
+        for a, b in rest:
+            if (a in side) != (b in side):
+                side |= {a, b}
+                grew = True
+    detached = tree_on(side, [x for x in rest if x[0] in side])
+    residual = tree_on(set(tree.vertices) - side, [x for x in rest if x[0] not in side])
+    return residual, detached
+
+
 def relabel(tree: Tree, mapping: dict[int, int]) -> Tree:
     """The tree with each vertex v renamed mapping[v] (mapping injective)."""
-    return Tree.on([mapping[v] for v in tree.vertices],
+    return tree_on([mapping[v] for v in tree.vertices],
                    [(mapping[a], mapping[b]) for a, b in tree.edges])
 
 
@@ -137,7 +167,7 @@ def all_moves(tree: Tree):
         for u, v in ((a, b), (b, a)):
             for w in tree.vertices:
                 if w != v and len(path(tree, w, v)) < len(path(tree, w, u)):
-                    yield Tree.on(tree.vertices, edges + [(u, w)]), u, v, w
+                    yield tree_on(tree.vertices, edges + [(u, w)]), u, v, w
 
 
 def reachable_by_bfs(arcs: np.ndarray) -> np.ndarray:
@@ -290,6 +320,12 @@ def path_star_moments(shape: str, d: int, lam: float, alpha: float) -> tuple[flo
     else:
         v = d + 2 * (d - 1) * alpha + (d - 1) * (d - 2) * alpha ** 2
     return d * lam, lam * v
+
+
+def variance(pmf) -> float:
+    """Variance of a pmf on {0, 1, ...} about its own mean, from the definition."""
+    mean = math.fsum(k * p for k, p in enumerate(pmf))
+    return math.fsum((k - mean) ** 2 * p for k, p in enumerate(pmf))
 
 
 def stop_loss_brute(pmf, c: int) -> float:

@@ -29,11 +29,10 @@ from treemrf.tree_core import (
     _enumerate_shapes_cached,
     canonical_code,
     enumerate_shapes,
-    prune,
 )
 from treemrf.mpmrf import DiscreteDist, h_poly
 
-from helpers import agg_pmf_series_exp, poisson_pmf, random_tree, relabel_model, tv_distance
+from helpers import agg_pmf_series_exp, poisson_pmf, prune, random_tree, relabel_model, tv_distance
 
 
 def path_tree(d):
@@ -223,7 +222,7 @@ class TestCriterion7Properties:
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
         agg = aggregate_dist(m)
         kappas = np.arange(0.01, 1.0, 0.01)
-        table = tvar_contribution_table(m, kappas)
+        table = tvar_contribution_table(m, agg, kappas)
         totals = sum(table[v] for v in hub6.vertices)
         gaps = [abs(totals[i] - tvar(agg, k)) for i, k in enumerate(kappas)]
         assert max(gaps) < 1e-6
@@ -242,7 +241,7 @@ class TestCriterion7Properties:
                     cov = cov_with_sum(m)
                     cum = {v: np.cumsum(m.lam * np.convolve(h[v].pmf, agg.pmf))
                            for v in tree.vertices}
-                    contrib = tvar_contribution_table(m, kappas)
+                    contrib = tvar_contribution_table(m, agg, kappas)
                     for v in tree.vertices:
                         for w in tree.vertices:
                             if v == w:

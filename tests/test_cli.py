@@ -106,6 +106,19 @@ class TestPmf:
         model = write_model(tmp_path / "m.json", 2, [(1, 2)])
         assert main(["pmf", "--model", model, "--tol", "0.5"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("d,edges", [
+        (3.9, [[1, 2], [2, 3]]),  # once read as a 3-vertex path
+        (3, [[1, 2.7], [2, 3]]),  # once read as the edge (1, 2)
+        (True, []),  # once read as a single vertex
+        ("3", [[1, 2], [2, 3]]),
+    ])
+    def test_non_integer_d_or_label_exits_3(self, tmp_path, capsys, d, edges):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": d, "edges": edges, "lambda": 1.0, "alpha": 0.5}))
+        assert main(["pmf", "--model", str(path), "-o", str(tmp_path / "out.csv")]) == EXIT_INPUT
+        assert "must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", ["pmf", "allocate", "mc"])
     @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e308, 1e12])
     def test_nonfinite_lambda_or_rate_exits_3(self, tmp_path, capsys, command, lam):
@@ -159,8 +172,8 @@ class TestAllocate:
         out = tmp_path / "alloc.csv"
         assert main(["allocate", "--model", model, "--kappa", "0.93", "-o", str(out)]) == EXIT_OK
         rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
-        table = mpmrf.tvar_contribution_table(
-            mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 0.8, 0.6), [0.93])
+        m = mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 0.8, 0.6)
+        table = mpmrf.tvar_contribution_table(m, mpmrf.aggregate_dist(m), [0.93])
         assert {int(r[0]): r[3] for r in rows} == {v: repr(float(c[0])) for v, c in table.items()}
 
     def test_tvar_check_matches_the_sum(self, tmp_path):

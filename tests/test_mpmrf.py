@@ -19,7 +19,6 @@ from treemrf.mpmrf import (
     h_poly,
     sample,
     tvar,
-    tvar_contribution,
     tvar_contribution_table,
 )
 from treemrf.tree_core import Tree
@@ -38,6 +37,7 @@ from helpers import (
     relabel,
     relabel_model,
     tv_distance,
+    variance,
 )
 
 
@@ -305,7 +305,7 @@ class TestAggregateDist:
                     for (a, b) in path(m.tree, v, j):
                         prod *= m.edge_alpha(a, b)
                     var += m.lam * prod
-            assert abs(agg.var() - var) < 1e-6
+            assert abs(variance(agg.pmf) - var) < 1e-6
 
     def test_root_invariance(self):
         # the aggregate roots at the smallest label; swapping it with another
@@ -363,7 +363,7 @@ class TestAggregateDist:
         assert agg.tail_mass < 1e-12
         mean, var = path_star_moments("star", d, lam, alpha)
         assert agg.mean() == pytest.approx(mean, rel=1e-9)
-        assert agg.var() == pytest.approx(var, rel=1e-9)
+        assert variance(agg.pmf) == pytest.approx(var, rel=1e-9)
 
     def test_plateau_tail_returns(self):
         # the tail stays flat over about 2,700 steps between the leaves'
@@ -374,7 +374,7 @@ class TestAggregateDist:
         assert agg.tail_mass < 1e-12
         mean, var = path_star_moments("star", d, lam, alpha)
         assert agg.mean() == pytest.approx(mean, rel=1e-9)
-        assert agg.var() == pytest.approx(var, rel=1e-9)
+        assert variance(agg.pmf) == pytest.approx(var, rel=1e-9)
 
     def test_unreachable_tol_raises(self):
         # Poisson(4): each step is one scalar product, so the rounded sum is
@@ -430,7 +430,7 @@ class TestAggregateDist:
         assert agg.tail_mass < 1e-12
         mean, var = path_star_moments(shape, d, lam, alpha)
         assert agg.mean() == pytest.approx(mean, rel=1e-9)
-        assert agg.var() == pytest.approx(var, rel=1e-9)
+        assert variance(agg.pmf) == pytest.approx(var, rel=1e-9)
 
     def test_tail_mass_below_tolerance(self):
         m = MpmrfModel.homogeneous(path_tree(4), 2.0, 0.6)
@@ -683,29 +683,28 @@ class TestTvarContribution:
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
         agg = aggregate_dist(m)
         kappas = [0.1, 0.5, 0.9, 0.99]
-        table = tvar_contribution_table(m, kappas)
+        table = tvar_contribution_table(m, agg, kappas)
         for i, kappa in enumerate(kappas):
             total = sum(table[v][i] for v in hub6.vertices)
             assert abs(total - tvar(agg, kappa)) < 1e-6
 
     def test_kappa_zero_gives_means(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        total = sum(tvar_contribution(m, v, 0.0) for v in hub6.vertices)
-        assert abs(total - 6.0) < 1e-8
+        table = tvar_contribution_table(m, aggregate_dist(m), [0.0])
+        assert abs(sum(c[0] for c in table.values()) - 6.0) < 1e-8
 
-    def test_kappa_domain(self, hub6):
+    def test_kappa_domain(self, hub6, monkeypatch):
+        # the quantiles are formed first: a bad level raises before any H law
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            tvar_contribution(m, 1, 1.0)
+        agg = aggregate_dist(m)
 
-    def test_single_and_table_paths_agree(self, hub6):
-        rng = np.random.default_rng(30)
-        models = [MpmrfModel.homogeneous(hub6, 1.0, 0.7)]
-        models += [random_model(rng, d_max=12) for _ in range(4)]
-        for m in models:
-            table = tvar_contribution_table(m, [0.95])
-            for v in m.tree.vertices:
-                assert abs(tvar_contribution(m, v, 0.95) - table[v][0]) < 1e-12
+        def no_h_pass(*args):
+            raise AssertionError("the H laws were computed before the levels were checked")
+
+        monkeypatch.setattr(mpmrf, "_h_all", no_h_pass)
+        for kappas in ([1.0], [0.5, -0.1], [math.nan]):
+            with pytest.raises(ValueError, match=r"kappa must be in \[0, 1\)"):
+                tvar_contribution_table(m, agg, kappas)
 
     def test_direct_sums_match_full_convolution(self):
         # the table reads two entries of each allocation table; build the
@@ -715,7 +714,7 @@ class TestTvarContribution:
         for _ in range(6):
             m = random_model(rng, d_max=30)
             agg = aggregate_dist(m)
-            table = tvar_contribution_table(m, kappas)
+            table = tvar_contribution_table(m, agg, kappas)
             for v in m.tree.vertices:
                 alloc = m.lam * np.convolve(h_poly(m.tree, v, m.alpha), agg.pmf)
                 for i, kappa in enumerate(kappas):
@@ -727,8 +726,8 @@ class TestTvarContribution:
 
     def test_table_roots_the_tree_at_most_twice(self, root_calls):
         # once for the aggregate, once for every H law; not once per vertex
-        t = random_tree(np.random.default_rng(31), 100)
-        table = tvar_contribution_table(MpmrfModel.homogeneous(t, 0.2, 0.5), [0.9, 0.99])
+        m = MpmrfModel.homogeneous(random_tree(np.random.default_rng(31), 100), 0.2, 0.5)
+        table = tvar_contribution_table(m, aggregate_dist(m), [0.9, 0.99])
         assert len(table) == 100 and len(root_calls) <= 2
 
 
@@ -812,6 +811,12 @@ class TestDiscreteDist:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DiscreteDist(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize("pmf,tail", [([math.nan, 1.0], 0.0), ([1.0], math.nan)])
+    def test_nan_mass_rejected(self, pmf, tail):
+        # NaN compares False with everything, so a bound written as a > test passes it
+        with pytest.raises(ValueError, match="sums to nan"):
+            DiscreteDist(np.array(pmf), tail)
 
     def test_tiny_negative_clamped(self):
         d = DiscreteDist(np.array([1.0, -1e-16]))

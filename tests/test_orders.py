@@ -4,16 +4,16 @@ import pytest
 from treemrf.mpmrf import DiscreteDist, MpmrfModel, aggregate_dist
 from treemrf.orders import (
     Relation,
+    _stop_loss_curve,
     cx_check_empirical,
     shape_compare,
     st_compare,
     st_compare_rows,
-    stop_loss,
     synecdochic_compare,
 )
-from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune
+from treemrf.tree_core import Tree, canonical_code, enumerate_shapes
 
-from helpers import all_moves, eta_by_hand, poisson_pmf, random_tree, stop_loss_brute
+from helpers import all_moves, eta_by_hand, poisson_pmf, prune, random_tree, stop_loss_brute
 
 
 def point_mass(k):
@@ -257,18 +257,36 @@ def test_shape_verdicts_imply_aggregate_convex_order(d):
 
 
 class TestStopLoss:
+    """_stop_loss_curve, which cx_check_empirical compares, against the
+    premiums summed from their definition (helpers.stop_loss_brute)."""
+
+    @staticmethod
+    def _check(pmf, n):
+        curve = _stop_loss_curve(np.asarray(pmf, dtype=float), n)
+        assert curve.shape == (n,)
+        for c in range(n):
+            assert abs(curve[c] - stop_loss_brute(pmf, c)) < 1e-12
+
     def test_point_mass(self):
-        d = DiscreteDist(np.array([0.0, 0.0, 0.0, 1.0]))
-        assert stop_loss(d, 1) == 2.0
+        self._check([0.0, 0.0, 0.0, 1.0], 6)
+        assert _stop_loss_curve(np.array([0.0, 0.0, 0.0, 1.0]), 4)[1] == 2.0
 
     def test_beyond_support_is_zero(self):
-        d = DiscreteDist(np.array([0.2, 0.3, 0.5]))
-        assert stop_loss(d, 2) == 0.0
-        assert stop_loss(d, 10) == 0.0
+        curve = _stop_loss_curve(np.array([0.2, 0.3, 0.5]), 11)
+        assert np.all(curve[2:] == 0.0)
+        self._check([0.2, 0.3, 0.5], 11)
 
     def test_at_zero_recovers_mean(self):
         pmf = poisson_pmf(1.0, 40)  # tail far below 1e-12
-        assert abs(stop_loss(pmf, 0) - 1.0) < 1e-9
+        assert abs(_stop_loss_curve(pmf, 42)[0] - 1.0) < 1e-9
+        self._check(pmf, 42)
 
-    def test_accepts_plain_sequences(self):
-        assert stop_loss([0.5, 0.0, 0.5], 0) == 1.0
+    def test_aggregates_and_curves_shorter_than_the_pmf(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            m = MpmrfModel.homogeneous(random_tree(rng, int(rng.integers(2, 12))), 0.7,
+                                       float(rng.uniform(0.1, 0.9)))
+            pmf = aggregate_dist(m).pmf
+            pmf = pmf / pmf.sum()  # the curve counts the cut tail's mass, the brute sum does not
+            for n in (1, len(pmf) // 2, len(pmf) + 3):
+                self._check(pmf, n)

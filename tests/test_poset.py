@@ -20,9 +20,9 @@ from treemrf.poset import (
     maximal_elements,
     minimal_elements,
 )
-from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, prune, root_at
+from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, root_at
 
-from helpers import all_moves, eta_by_hand, reachable_by_bfs
+from helpers import all_moves, eta_by_hand, prune, reachable_by_bfs, tree_on
 
 GRID = (0.1, 0.5, 0.9)
 
@@ -141,7 +141,7 @@ class TestResidualMoves:
             assert [w for w, _j in moves] == [w for w in residual.vertices if w != v]
             for w, j in moves:
                 edges = [e for e in reps[i].edges if e != (min(u, v), max(u, v))]
-                assert j == index[canonical_code(Tree.on(reps[i].vertices, edges + [(u, w)]))]
+                assert j == index[canonical_code(tree_on(reps[i].vertices, edges + [(u, w)]))]
                 seen.add((i, u, v, w))
         assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in all_moves(t)}
 

@@ -10,11 +10,19 @@ from treemrf.tree_core import (
     canonical_code,
     degree_vector,
     enumerate_shapes,
-    prune,
     root_at,
 )
 
-from helpers import ahu_encoding, brute_force_isomorphic, centers, path, random_tree, relabel
+from helpers import (
+    ahu_encoding,
+    brute_force_isomorphic,
+    centers,
+    path,
+    prune,
+    random_tree,
+    relabel,
+    tree_on,
+)
 
 # free-tree counts, sequence A000055
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -54,15 +62,21 @@ class TestTreeValidation:
         assert Tree.of(1, []).d == 1
         assert Tree.of(2, [(1, 2)]).d == 2
 
-    def test_has_edge(self):
-        t = star_tree(4)
-        assert t.has_edge(1, 3) and t.has_edge(3, 1)
-        assert not t.has_edge(2, 3) and not t.has_edge(1, 1)
-        assert not t.has_edge(1, 9) and not t.has_edge(9, 1)
-
     def test_json_roundtrip(self):
         t = path_tree(4)
         assert Tree.from_json(t.to_json()) == t
+
+    @pytest.mark.parametrize("obj", [
+        {"d": 3.9, "edges": [[1, 2], [2, 3]]},
+        {"d": 3.0, "edges": [[1, 2], [2, 3]]},
+        {"d": "3", "edges": [[1, 2], [2, 3]]},
+        {"d": True, "edges": []},
+        {"d": 3, "edges": [[1, 2.7], [2, 3]]},
+        {"d": 3, "edges": [[1, 2], [True, 3]]},
+    ])
+    def test_json_numbers_must_be_integers(self, obj):
+        with pytest.raises(ValueError, match="must be integers"):
+            Tree.from_json(obj)
 
     def test_direct_constructor_normalises_and_sorts_edges(self):
         t = Tree((1, 2, 3, 4), ((4, 2), (2, 1), (3, 2)))
@@ -230,6 +244,8 @@ class TestPath:
 
 
 class TestPrune:
+    """helpers.prune, the oracle of root_at(t, x, away=u)."""
+
     def test_detaches_four_vertex_subtree(self, anchoring14):
         residual, detached = prune(anchoring14, 10, 4)
         assert set(detached.vertices) == {10, 11, 12, 13}
@@ -253,8 +269,8 @@ class TestPrune:
 
     def test_edges_given_larger_first(self):
         residual, detached = prune(Tree((1, 2, 3), ((2, 1), (3, 2))), 1, 2)
-        assert residual == Tree.on((2, 3), [(2, 3)])
-        assert detached == Tree.on((1,), [])
+        assert residual == tree_on((2, 3), [(2, 3)])
+        assert detached == tree_on((1,), [])
 
     def test_detached_side_is_what_the_walk_reaches(self):
         rng = np.random.default_rng(31)
@@ -276,7 +292,7 @@ class TestPrune:
             t = random_tree(rng, 8)
             a, b = t.edges[int(rng.integers(len(t.edges)))]
             residual, detached = prune(t, a, b)
-            back = Tree.on(t.vertices, list(residual.edges) + list(detached.edges) + [(a, b)])
+            back = tree_on(t.vertices, list(residual.edges) + list(detached.edges) + [(a, b)])
             assert back == t
 
 
