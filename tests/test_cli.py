@@ -119,6 +119,24 @@ class TestPmf:
         assert "must be integers" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("lam,alpha", [
+        (True, 0.5),  # once read as lambda = 1.0
+        (1.0, True),  # once read as alpha = 1.0
+        ("2.5", 0.5),  # once read as the number 2.5
+        (1.0, "0.5"),
+        (1.0, {"1-2": "0.3", "2-3": 0.5}),  # once read as alpha[1-2] = 0.3
+        (1.0, {"1-2": False, "2-3": 0.5}),
+        (None, 0.5),
+        (10 ** 400, 0.5),  # an int past the float range: once an OverflowError trace
+    ], ids=["lambda-true", "alpha-true", "lambda-str", "alpha-str", "edge-alpha-str",
+            "edge-alpha-bool", "lambda-null", "lambda-huge-int"])
+    def test_non_number_lambda_or_alpha_exits_3(self, tmp_path, capsys, lam, alpha):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [2, 3]], "lambda": lam, "alpha": alpha}))
+        assert main(["pmf", "--model", str(path), "-o", str(tmp_path / "out.csv")]) == EXIT_INPUT
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", ["pmf", "allocate", "mc"])
     @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 1e308, 1e12])
     def test_nonfinite_lambda_or_rate_exits_3(self, tmp_path, capsys, command, lam):
@@ -441,13 +459,14 @@ class TestMcReport:
 
     def test_other_fields_are_pinned(self, tmp_path):
         # values of the np.cov report: only cov_with_sum and cov_band may
-        # differ from it, in their last bits
+        # differ from it, in their last bits; tv_distance reads the blocked
+        # Panjer pass's law of M, whose summation order moves its last bit
         model = write_model(tmp_path / "m.json", 4, PER_EDGE4[0], lam=1.3, alpha=PER_EDGE4[1])
         out = tmp_path / "mc.json"
         assert main(["mc", "--model", model, "--n", "70000", "--seed", "5",
                      "-o", str(out)]) == EXIT_OK
         obj = json.loads(out.read_text())
-        assert (obj["tv_distance"], obj["tv_limit"]) == (0.004703607990490327,
+        assert (obj["tv_distance"], obj["tv_limit"]) == (0.004703607990490325,
                                                          0.013406848020661775)
         band = 0.015448000513003182
         assert {v: (r["mean"], r["mean_band"], r["cov_expected"])

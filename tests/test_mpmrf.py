@@ -406,17 +406,27 @@ class TestAggregateDist:
 
     def test_matches_unscaled_panjer(self):
         # below rate 700 the textbook recursion's start does not underflow;
-        # the last two models reach rates where the pass rescales q
+        # the random 400-vertex tree and the 690-path reach rates where the
+        # pass rescales q (the path first at k = 339, inside a block). The
+        # 15-, 16- and 17-paths have severities one shorter than a block, as
+        # long as one and one longer; the single vertex at lambda = 1e-3
+        # stops inside its first block, and the 300-star at alpha = 1 has
+        # the severity t^300, so every weight of a block's own entries is 0
         rng = np.random.default_rng(11)
         models = [random_model(rng, d_max=40) for _ in range(10)]
         models += [MpmrfModel.homogeneous(random_tree(rng, 400), 2.0, 0.2),
                    MpmrfModel.homogeneous(path_tree(690), 1.0, 0.0)]
+        models += [MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5) for d in (15, 16, 17)]
+        models += [MpmrfModel.homogeneous(Tree.of(1, []), 1e-3, 0.5),
+                   MpmrfModel.homogeneous(star_tree(300), 1.0, 1.0)]
         for m in models:
             rate, sev = mpmrf._severity_mixture(m)
             assert rate < 700
             agg = aggregate_dist(m)
             want = panjer_exp_start(rate, sev, agg.k_max)
             assert np.max(np.abs(agg.pmf - want)) < 1e-12
+            big = want > 1e-250
+            assert np.all(np.abs(agg.pmf[big] - want[big]) <= 1e-13 * want[big])
 
     # rounding leaves these severity mixtures about 1.25e-14 short of mass 1;
     # unnormalised, Panjer loses rate times that at every K, above tol
