@@ -3,7 +3,6 @@ aggregate laws, risk allocations, stochastic-order comparisons between
 vertices and between tree shapes, and the tree-shape partial order."""
 
 from .mpmrf import (
-    AllocationTable,
     DiscreteDist,
     MpmrfModel,
     ToleranceError,
@@ -49,8 +48,8 @@ from .tree_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationTable", "DiscreteDist", "MpmrfModel", "OrderVerdict",
-    "Relation", "RootedTree", "ShapeCode", "ShapePoset", "SpectrumReport",
+    "DiscreteDist", "MpmrfModel", "OrderVerdict", "Relation",
+    "RootedTree", "ShapeCode", "ShapePoset", "SpectrumReport",
     "ToleranceError", "Tree", "aggregate_dist", "allocation_to_csv",
     "build_poset", "canonical_code", "closeness_indices", "corollary_chain",
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",

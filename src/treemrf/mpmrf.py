@@ -14,9 +14,10 @@ Key derived objects:
     from one down-and-up pass of O(d) convolutions.
   * M = sum of all components: compound Poisson with rate
     lambda * (d - sum(alpha_e)) and severity a mixture of the H_v laws,
-    evaluated by one rescaled Panjer pass at any rate, cut at the first K
-    whose tail mass is below tol, in blocks of _PANJER_BLOCK entries: one
-    matrix-vector product per block, then forward substitution within it.
+    evaluated by one rescaled Panjer pass at any rate into one array sized
+    by a Chernoff tail bound, cut at the first K whose tail mass is below
+    tol, in blocks of _PANJER_BLOCK entries: one matrix-vector product per
+    block, then forward substitution within it.
   * Expected allocations E[N_v 1{M=k}] = lambda * (pmf_{H_v} conv pmf_M)(k),
     the basis of conditional mean risk sharing and Euler TVaR contributions.
   * Cov(N_v, M) = lambda * E[H_v] and the closeness indices: every vertex's
@@ -86,22 +87,6 @@ class DiscreteDist:
         if not 0.0 <= kappa < 1.0:
             raise ValueError("kappa must be in [0, 1)")
         return min(int(np.searchsorted(self.cdf(), kappa)), self.k_max)
-
-
-@dataclass(frozen=True)
-class AllocationTable:
-    """Expected allocations E[N_v 1{M=k}] of one vertex across outcomes of M."""
-
-    vertex: int
-    by_k: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.by_k, dtype=float)
-        if b.min(initial=0.0) < -1e-12:
-            raise ValueError("allocation entries must be nonnegative")
-        b = np.where(b < 0.0, 0.0, b)
-        b.flags.writeable = False
-        object.__setattr__(self, "by_k", b)
 
 
 @dataclass(frozen=True)
@@ -316,6 +301,29 @@ def _panjer_start(rate: float, shifts: int) -> float:
     return float(x)
 
 
+def _tail_bound(rate: float, sev: np.ndarray, tol: float) -> float:
+    """A K* with P(M >= K*) <= tol / 2 for M compound Poisson(rate) with severity sev; inf past floats.
+
+    Chernoff: P(M >= K) <= exp(g(theta) - theta K) at any theta > 0, with the
+    log-mgf g(theta) = rate * sum_j s_j expm1(theta j). It is tightest where
+    h(theta) = theta g'(theta) - g(theta), rising from 0, meets ln(2 / tol);
+    bisection on log theta over [2**-64, 1] * 700 / j_max comes within 0.1%
+    of that theta (a nan or inf h counting as too far).
+    """
+    js = np.arange(len(sev))
+    need = math.log(2.0) - math.log(tol)  # tol / 2 underflows at the smallest tol
+    hi = 700.0 / (len(sev) - 1)
+    lo = hi * 2.0 ** -64
+    for _ in range(16):
+        theta = math.sqrt(lo * hi)
+        e = np.expm1(theta * js)
+        if rate * float(sev @ (theta * js * (e + 1.0) - e)) < need:
+            lo = theta
+        else:
+            hi = theta
+    return float(np.ceil((rate * float(sev @ np.expm1(lo * js)) + need) / lo))
+
+
 def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     """Law of M = sum of all components, cut at the first K with tail below tol.
 
@@ -324,88 +332,67 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     p_k = rate/k * sum_j w_j p_{k-j}, w_j = j s_j, runs on q = p / c from
     q_0 = 1; each time an entry passes 1e250, all of q so far is scaled by
     2**-664, an exact step, and c = exp(-rate) 2**(664 * shifts)
-    (_panjer_start; the severity has no mass at 0, since every H_v >= 1), so
-    no rate underflows.
+    (_panjer_start; every H_v >= 1, so s_0 = 0), so no rate underflows.
+    q is allocated once, up to the K* of _tail_bound (P(M >= K*) <= tol / 2);
+    ValueError comes first when K* passes MAX_K.
 
     The entries come in blocks of B = _PANJER_BLOCK. For the block from k0,
     one product of the B x (j_max + B) Toeplitz matrix of the w_j (row a
-    holds w_{j_max}..w_1 from column a; 8 B (j_max + B) bytes, built once a
-    call: 0.9 MB at j_max = 7000) with q[k0 - j_max:k0 + B] gives each
-    entry's sum over the entries before k0, since q[k0:] is still 0. The
-    block's own entries follow in Python floats by forward substitution,
-    x_a = rate/(k0 + a) * (past_a + sum_{l<a} w_{a-l} x_l), w_j = 0 past
-    j_max; a rescaling inside a block also scales the block's finished
-    entries and its pending sums. Every term is nonnegative, so each entry
-    keeps its relative accuracy; against one dot product per entry, the sums
-    are added in another order, so entries move in their last bits (at most
-    3e-15 relative on the inputs measured) and the cut K by one where the
-    tail lands within about 1e-15 of tol.
-
-    The pass grows in chunks, first to mean + 8 sd of M, then by about 2
-    sd, and stops at the first K where 1 - sum(p_0..p_K) < tol.
-    ToleranceError is raised when, past the mean, the tail has not shrunk
-    for more than the severity's support length: every later p_k is then
-    below the rounding of the sum, so no K reaches tol. ValueError is
-    raised, before anything is allocated, when the first chunk would pass
-    MAX_K entries.
+    holds w_{j_max}..w_1 from column a) with q[k0 - j_max:k0 + B] gives each
+    entry's sum over the entries before k0, as q[k0:] is still 0. Its own
+    entries follow in Python floats, x_a = rate/(k0 + a) * (past_a +
+    sum_{l<a} w_{a-l} x_l); a rescaling inside a block also scales them and
+    the pending sums. Every term is nonnegative, so each entry keeps its
+    relative accuracy. Then the block's p_k join a running sum, which stops
+    at the first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised
+    only at K*, where the true tail is at most tol / 2: the rest is rounding.
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
     rate, sev = _severity_mixture(model)
     if not math.isfinite(rate):
         raise ValueError(f"compound-Poisson rate {rate!r} is not finite")
-    j_max = len(sev) - 1
-    js = np.arange(j_max + 1)
-    mean = rate * float(js @ sev)
-    sd = math.sqrt(rate * float(js * js @ sev))
-    k_first = mean + 8.0 * sd
-    if not k_first <= MAX_K:
-        raise ValueError(f"aggregate support K = {k_first:.4g} passes MAX_K = {MAX_K:,} "
+    k_end = _tail_bound(rate, sev, tol)
+    if not k_end <= MAX_K:
+        raise ValueError(f"aggregate support K = {k_end:.4g} passes MAX_K = {MAX_K:,} "
                          f"(compound-Poisson rate {rate!r})")
-    w = js * sev  # w_j = j * s_j; w_0 = 0
+    j_max = len(sev) - 1
+    w = np.arange(j_max + 1) * sev  # w_j = j * s_j; w_0 = 0
     n_b = _PANJER_BLOCK
     past_w = np.zeros((n_b, j_max + n_b))  # row a: w_{j_max}..w_1 against q[k0 + a - j_max:k0 + a]
     for a in range(n_b):
         past_w[a, a : a + j_max] = w[:0:-1]
     # the block's own columns: w_a..w_1 (0 past j_max), against its x_0..x_{a-1}
     own_w = [past_w[a, j_max : j_max + a].tolist() for a in range(n_b)]
-    q = np.zeros(max(1, math.ceil(k_first)) + 1)
-    q[0] = 1.0
-    shifts = 0
-    summed, total, grew = 0, 0.0, 0  # p_0..p_{summed-1} add up to total, which last grew at K = grew
-    while True:
-        for k0 in range(max(1, summed), len(q), n_b):
-            n = min(n_b, len(q) - k0)
-            lo = max(0, j_max - k0)  # the columns before q[0]
-            past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
-            xs = []
-            for a in range(n):
-                x = past[a]
-                for wj, xl in zip(own_w[a], xs):
-                    x += wj * xl
-                x *= rate / (k0 + a)
-                xs.append(x)
-                if x > 1e250:
-                    q[:k0] *= 2.0 ** -_SHIFT
-                    xs = [xl * 2.0 ** -_SHIFT for xl in xs]
-                    past[a + 1 :] = [pa * 2.0 ** -_SHIFT for pa in past[a + 1 :]]
-                    shifts += 1
-            q[k0 : k0 + n] = xs
+    q = np.zeros(int(k_end) + 1)
+    q[0], shifts = 1.0, 0
+    k, total = 0, 0.0  # p_0..p_{k-1} add up to total
+    for k0 in range(1, len(q), n_b):
+        n = min(n_b, len(q) - k0)
+        lo = max(0, j_max - k0)  # the columns before q[0]
+        past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
+        xs = []
+        for a in range(n):
+            x = past[a]
+            for wj, xl in zip(own_w[a], xs):
+                x += wj * xl
+            x *= rate / (k0 + a)
+            xs.append(x)
+            if x > 1e250:
+                q[:k0] *= 2.0 ** -_SHIFT
+                xs = [xl * 2.0 ** -_SHIFT for xl in xs]
+                past[a + 1 :] = [pa * 2.0 ** -_SHIFT for pa in past[a + 1 :]]
+                shifts += 1
+        q[k0 : k0 + n] = xs
         c = _panjer_start(rate, shifts)
-        run = np.cumsum(np.concatenate(([total], c * q[summed:])))  # run[i]: the sum to K = summed + i - 1
-        below = np.flatnonzero(1.0 - run[1:] < tol)
-        if below.size:
-            k = summed + int(below[0])
-            return DiscreteDist(c * q[: k + 1], max(0.0, 1.0 - float(run[below[0] + 1])))
-        steps = np.flatnonzero(np.diff(run))
-        if steps.size:
-            grew = summed + int(steps[-1])
-        summed, total = len(q), float(run[-1])
-        if summed - 1 - max(grew, mean) > j_max:
-            raise ToleranceError(
-                f"aggregate tail mass {1.0 - total!r} stopped shrinking by K = {summed - 1} "
-                f"(compound-Poisson rate {rate!r}); tol {tol!r} is out of reach")
-        q = np.concatenate((q, np.zeros(max(1, math.ceil(2.0 * sd)))))
+        for x in q[k : k0 + n].tolist():
+            total += c * x
+            if 1.0 - total < tol:
+                return DiscreteDist(c * q[: k + 1], max(0.0, 1.0 - total))
+            k += 1
+    raise ToleranceError(f"aggregate tail mass {1.0 - total!r} is not below tol {tol!r} by "
+                         f"K = {k - 1}, where the true tail is at most tol / 2: the rest is "
+                         f"float rounding (compound-Poisson rate {rate!r})")
 
 
 def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
@@ -533,15 +520,17 @@ def cov_with_sum(model: MpmrfModel) -> dict[int, float]:
     return {v: model.lam * sums[v] for v in model.tree.vertices}
 
 
-def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> AllocationTable:
-    """E[N_v 1{M=k}] for k up to the aggregate support bound.
+def expected_allocation(model: MpmrfModel, v: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """E[N_v 1{M=k}] for k up to the aggregate support bound, as a read-only array.
 
     Generating identity: sum_k E[N_v 1{M=k}] t^k = lambda * eta_v(t) * P_M(t),
     read coefficientwise, i.e. lambda times the convolution of the H_v and M
-    pmfs. Entries total E[N_v] = lambda up to the truncation tail.
+    pmfs, both nonnegative. Entries total E[N_v] = lambda up to the truncation tail.
     """
     agg = aggregate_dist(model, tol)
-    return AllocationTable(v, model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf))
+    table = model.lam * np.convolve(h_dist(model, v).pmf, agg.pmf)
+    table.flags.writeable = False
+    return table
 
 
 def tvar(dist: DiscreteDist, kappa: float, mean: float | None = None) -> float:
@@ -598,10 +587,10 @@ def dist_to_csv(dist: DiscreteDist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def allocation_to_csv(table: AllocationTable) -> str:
-    """CSV rows k,value for one vertex's expected allocations."""
+def allocation_to_csv(table: np.ndarray) -> str:
+    """CSV rows k,value for one vertex's expected allocations (expected_allocation)."""
     lines = ["k,value"]
-    lines += [f"{k},{repr(float(x))}" for k, x in enumerate(table.by_k)]
+    lines += [f"{k},{repr(float(x))}" for k, x in enumerate(table)]
     return "\n".join(lines) + "\n"
 
 

@@ -235,14 +235,13 @@ def _transitive_closure(arcs: np.ndarray) -> np.ndarray:
 
 
 def _assert_distinct_aggregates(codes) -> None:
-    # alpha = 1/2 keeps distinct shapes' rows apart; near alpha = 0 their Q
-    # differ by about alpha^k, below the bound (1e-12 at alpha = 0.001, d = 9)
+    # at alpha = 1/2 every H coefficient is a dyadic rational (Q * 2**d is
+    # integral), so each Q row is exact in floats and twins share its bytes
     memo: dict[bytes, np.ndarray] = {}  # H laws at alpha = 1/2 only
-    mat = np.array([_aggregate_exponent(c.code, memo) for c in codes])
-    for i in range(len(mat) - 1):
-        twins = np.flatnonzero(np.abs(mat[i + 1:] - mat[i]).max(axis=1) < 1e-10)
-        if twins.size:
-            j = i + 1 + int(twins[0])
+    seen: dict[bytes, int] = {}
+    for j, c in enumerate(codes):
+        i = seen.setdefault(_aggregate_exponent(c.code, memo).tobytes(), j)
+        if i != j:
             raise AntisymmetryError(
                 f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")
 

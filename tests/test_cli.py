@@ -81,7 +81,7 @@ class TestPmf:
         argv = ["pmf", "--model", model, "--tol", "1e-300", "-o", str(tmp_path / "pmf.csv")]
         assert main(argv) == EXIT_TOLERANCE
         err = capsys.readouterr().err
-        assert err.startswith("error: tolerance:") and "stopped shrinking by K = " in err
+        assert err.startswith("error: tolerance:") and "is not below tol 1e-300 by K = " in err
         assert "compound-Poisson rate 4.0" in err
 
     @pytest.mark.parametrize("shape,d,lam,alpha", [

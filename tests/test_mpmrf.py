@@ -367,8 +367,8 @@ class TestAggregateDist:
 
     def test_plateau_tail_returns(self):
         # the tail stays flat over about 2,700 steps between the leaves'
-        # events and the centre's jump; a stall rule spanning fewer steps
-        # than the severity's support (3,000) gives up there
+        # events and the centre's jump; the pass runs on to the first K
+        # below tol, which the tail bound K* covers
         d, lam, alpha = 3000, 0.05, 0.9
         agg = aggregate_dist(MpmrfModel.homogeneous(star_tree(d), lam, alpha))
         assert agg.tail_mass < 1e-12
@@ -381,10 +381,45 @@ class TestAggregateDist:
         # the same everywhere and stops 3.3e-16 short of 1, above this tol
         m = MpmrfModel.homogeneous(path_tree(4), 1.0, 0.0)
         t0 = time.monotonic()
-        with pytest.raises(ToleranceError, match=r"tail mass .* stopped shrinking by K = \d+ "
+        with pytest.raises(ToleranceError, match=r"tail mass .* is not below tol .* by K = \d+, .* "
                                                  r"\(compound-Poisson rate 4\.0\)"):
             aggregate_dist(m, tol=1e-300)
         assert time.monotonic() - t0 < 5.0
+
+    @pytest.mark.filterwarnings("error")  # the search meets inf at high rates, silently
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3, 1e-300])
+    @pytest.mark.parametrize("d,lam", [(4, 1.0), (800, 1.0), (5000, 1.0), (3, 1e12)])
+    def test_tail_bound_on_poisson(self, d, lam, tol):
+        # at alpha = 0 every H_v is t, so M is Poisson(lambda * d)
+        rate, sev = mpmrf._severity_mixture(MpmrfModel.homogeneous(path_tree(d), lam, 0.0))
+        k = mpmrf._tail_bound(rate, sev, tol)
+        assert scipy.stats.poisson.sf(k - 1, rate) <= tol / 2  # P(M >= K*)
+        # not far out: half the way from the mean falls short
+        assert scipy.stats.poisson.sf(math.ceil((rate + k) / 2) - 1, rate) > tol / 2
+
+    def test_tail_bound_covers_the_textbook_tail(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            rate, sev = mpmrf._severity_mixture(random_model(rng, d_max=40))
+            for tol in (1e-3, 1e-9, 1e-12):
+                k = int(mpmrf._tail_bound(rate, sev, tol))
+                assert 1.0 - panjer_exp_start(rate, sev, k - 1).sum() <= tol / 2
+
+    def test_max_k_checked_on_the_whole_support(self, monkeypatch):
+        # mean + 8 sd of this M is 39.4, and its K is 71: a check on a first
+        # stretch of the pass to the mean + 8 sd would let it through
+        m = MpmrfModel.homogeneous(star_tree(10), 0.5, 0.5)
+        assert aggregate_dist(m).k_max == 71
+        monkeypatch.setattr(mpmrf, "MAX_K", 60)
+        with pytest.raises(ValueError, match=r"passes MAX_K = 60 \(compound-Poisson rate"):
+            aggregate_dist(m)
+
+    def test_rate_below_tol_keeps_only_k0(self):
+        m = MpmrfModel.homogeneous(path_tree(2), 1e-14, 0.5)  # rate 1.5e-14
+        agg = aggregate_dist(m)
+        assert agg.k_max == 0
+        assert agg.pmf[0] == pytest.approx(math.exp(-1.5e-14), rel=1e-15)
+        assert agg.tail_mass == pytest.approx(1.5e-14, rel=1e-2)
 
     def test_start_constant_at_any_rate(self):
         # 2**(664 * 6519) is far above decimal's default Emax and exp(-3e6) far
@@ -667,7 +702,9 @@ class TestExpectedAllocation:
     def test_totals_to_lambda(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.2, 0.6)
         for v in hub6.vertices:
-            assert abs(expected_allocation(m, v).by_k.sum() - m.lam) < 1e-6
+            table = expected_allocation(m, v)
+            assert not table.flags.writeable
+            assert abs(table.sum() - m.lam) < 1e-6
 
     def test_conditional_means_sum_to_k(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
@@ -676,15 +713,15 @@ class TestExpectedAllocation:
         for k in range(agg.k_max + 1):
             if agg.pmf[k] <= 0.0:
                 continue
-            total = sum(t.by_k[k] for t in tables)
+            total = sum(t[k] for t in tables)
             assert abs(total / agg.pmf[k] - k) < 1e-8
 
     def test_allocation_recovers_covariance(self, star10):
         m = MpmrfModel.homogeneous(star10, 1.0, 0.5)
         agg = aggregate_dist(m)
         table = expected_allocation(m, 1)
-        ks = np.arange(len(table.by_k))
-        cov = float(ks @ table.by_k) - m.lam * agg.mean()
+        ks = np.arange(len(table))
+        cov = float(ks @ table) - m.lam * agg.mean()
         assert abs(cov - 5.5) < 1e-6
 
 
