@@ -21,6 +21,7 @@ from .orders import (
     OrderVerdict,
     Relation,
     cx_check_empirical,
+    exponent_compare,
     shape_compare,
     st_compare,
     synecdochic_compare,
@@ -54,7 +55,8 @@ __all__ = [
     "build_poset", "canonical_code", "closeness_indices", "corollary_chain",
     "cospectral_pair_check", "cov_with_sum", "cx_check_empirical",
     "degree_vector", "dist_to_csv", "enumerate_shapes", "expected_allocation",
-    "h_dist", "hasse_dot", "is_lattice", "majorizes", "maximal_elements",
-    "minimal_elements", "root_at", "sample", "shape_compare", "spectrum",
-    "st_compare", "synecdochic_compare", "tvar", "tvar_contribution_table",
+    "exponent_compare", "h_dist", "hasse_dot", "is_lattice", "majorizes",
+    "maximal_elements", "minimal_elements", "root_at", "sample",
+    "shape_compare", "spectrum", "st_compare", "synecdochic_compare", "tvar",
+    "tvar_contribution_table",
 ]

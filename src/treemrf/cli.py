@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: pmf, allocate, compare, poset, mc, spectral; only poset has a
-choice of output (--format dot or json, default both). Exit codes:
+choice of output (--format dot or json, default both). compare decides the
+convex order of two trees' aggregates at every lambda, at the model's alpha
+and any d, from their exponents (orders.exponent_compare). Exit codes:
 0 ok, 2 usage, 3 bad input, 4 numerical tolerance failure. Identical
 arguments and seed give byte-identical outputs.
 
@@ -116,39 +118,14 @@ def cmd_compare(ns: argparse.Namespace) -> None:
     model = _require_model(ns)
     if ns.tree2 is None:
         raise UsageError("a second tree file is required")
-    t1 = model.tree
     obj2 = _load_json(ns.tree2)
     is_model = isinstance(obj2, dict) and "lambda" in obj2
     t2 = _parse(obj2, ns.tree2).tree if is_model else _parse(obj2, ns.tree2, tree_core.Tree)
-    if t1.vertices != t2.vertices:
-        raise InputError("trees must share the same vertex count")
     if not model.is_homogeneous():
         raise InputError("shape comparison needs a homogeneous alpha")
-    alpha = next(iter(model.alpha.values()))
-    if set(t1.edges) == set(t2.edges):
-        verdict, method = orders.OrderVerdict(orders.Relation.EQ), "identical"
-    else:
-        try:
-            verdict = orders.shape_compare(t1, t2, alpha)
-            method = "single_move_criterion"
-        except ValueError:
-            verdict, method = _compare_via_poset(t1, t2, ns.alpha_grid)
-    out = verdict.to_json()
-    out["method"] = method
-    if verdict.relation is orders.Relation.INCOMPARABLE:
-        out["note"] = "criterion inconclusive: the sufficient condition is not met"
-    _write(json.dumps(out, sort_keys=True) + "\n", ns.output)
-
-
-def _compare_via_poset(t1, t2, alpha_grid):
-    lo, hi = poset_mod.POSET_D_RANGE
-    if not lo <= t1.d <= hi:
-        raise InputError(
-            f"trees differ by several moves and d={t1.d} is outside the poset range [{lo},{hi}]")
-    ps = poset_mod.build_poset(t1.d, alpha_grid)
-    c1, c2 = tree_core.canonical_code(t1), tree_core.canonical_code(t2)
-    le, ge = ps.leq(c1, c2), ps.leq(c2, c1)  # both only when c1 == c2: antisymmetry
-    return orders.OrderVerdict(orders._RELATION[not le, not ge]), "poset_closure"
+    alpha = next(iter(model.alpha.values()), 0.0)  # a 1-vertex tree has no edge
+    verdict = orders.exponent_compare(model.tree, t2, alpha)
+    _write(json.dumps(verdict.to_json(), sort_keys=True) + "\n", ns.output)
 
 
 def cmd_poset(ns: argparse.Namespace) -> None:
@@ -253,7 +230,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
         help="write one vertex's k,value allocation table instead")
     add = command("compare", cmd_compare, "shape comparison verdict as JSON", tol=False)
     add("tree2", nargs="?", default=None, help="second tree or model JSON file")
-    add("--alpha-grid", type=float, nargs="+", default=poset_mod.DEFAULT_ALPHA_GRID)
     add = command("poset", cmd_poset, "shape poset with Hasse diagram (DOT + JSON)",
                   model=False, tol=False)
     add("--d", type=int, default=None)

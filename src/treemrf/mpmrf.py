@@ -58,10 +58,10 @@ class DiscreteDist:
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.pmf, dtype=float)
+        p = np.array(self.pmf, dtype=float)  # the one copy, clamped in place
         if p.min(initial=0.0) < -1e-15:
             raise ValueError("pmf has a significantly negative entry")
-        p = np.where(p < 0.0, 0.0, p)
+        p[p < 0.0] = 0.0
         p.flags.writeable = False
         object.__setattr__(self, "pmf", p)
         total = float(p.sum()) + self.tail_mass
@@ -122,7 +122,7 @@ class MpmrfModel:
     def to_json(self) -> dict:
         obj = self.tree.to_json()
         obj["lambda"] = self.lam
-        if self.is_homogeneous():
+        if self.is_homogeneous() and self.alpha:  # a 1-vertex tree writes "alpha": {}
             obj["alpha"] = next(iter(self.alpha.values()))
         else:
             obj["alpha"] = {f"{a}-{b}": v for (a, b), v in sorted(self.alpha.items())}
@@ -388,7 +388,9 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
         for x in q[k : k0 + n].tolist():
             total += c * x
             if 1.0 - total < tol:
-                return DiscreteDist(c * q[: k + 1], max(0.0, 1.0 - total))
+                pmf = q[: k + 1]
+                pmf *= c
+                return DiscreteDist(pmf, max(0.0, 1.0 - total))
             k += 1
     raise ToleranceError(f"aggregate tail mass {1.0 - total!r} is not below tol {tol!r} by "
                          f"K = {k - 1}, where the true tail is at most tol / 2: the rest is "

@@ -1,11 +1,14 @@
 """Stochastic-order criteria between vertices and between tree shapes.
 
-All criteria here are sufficient conditions: INCOMPARABLE means the check is
+`exponent_compare` decides the convex order of two trees' aggregates at
+every lambda exactly, so its INCOMPARABLE refutes that order. The other
+criteria are sufficient conditions: their INCOMPARABLE means the check is
 inconclusive, never a proof that no ordering exists.
 
 Each criterion asks whether one curve dominates another (cdfs of H laws,
-or stop-loss curves of aggregates), and `_dominance` is where every one of
-them, `poset.build_poset`'s move criterion included, compares two curves.
+or stop-loss curves of aggregates or severities), and `_dominance` is where
+every one of them, `poset.build_poset`'s move criterion included, compares
+two curves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpmrf import DiscreteDist, MpmrfModel, _eta, h_dist
+from .mpmrf import DiscreteDist, MpmrfModel, _eta, _severity_mixture, h_dist
 from .tree_core import RootedTree, Tree, root_at
 
 CDF_TOL = 1e-12
@@ -154,6 +157,33 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     # the residual, rooted at v and at w
     fv, fw = (_h_cdf(root_at(t1, x, away=u), alpha) for x in (v, w))
     return st_compare_rows(fv[None], fw[None])[0]
+
+
+def exponent_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
+    """Convex order of the aggregates M(t1), M(t2) at every lambda under a
+    common edge parameter alpha: LE means M(t1) <=_cx M(t2) for all lambda > 0.
+
+    At one d and alpha every d-vertex tree gives M the compound-Poisson rate
+    lambda (d - (d - 1) alpha) and the severity X = Q / Q(1)
+    (mpmrf._severity_mixture). The convex order is closed under compounding
+    (Shaked & Shanthikumar 2007, Stochastic Orders, section 3.A), so
+    X1 <=_cx X2 gives M(t1) <=_cx M(t2) at every lambda; and
+    lambda^-1 E[(M - c)+] -> Q(1) E[(X - c)+] as lambda -> 0, so the converse
+    holds. So the verdict is exact, at any d: INCOMPARABLE refutes the
+    every-lambda order, and its witnesses are the first c where each
+    direction fails. O(d) convolutions per tree; labels play no part.
+
+    X1 and X2 have equal means in exact arithmetic. Each stop-loss curve sums
+    at most d + 1 nonnegative terms, none above its S(0), the mean; means and
+    curves are compared to tol = 4 (d + 1) eps max(S_1(0), S_2(0)), eps the
+    float epsilon, a tolerance symmetric in the two trees.
+    """
+    if t1.d != t2.d:
+        raise ValueError(f"trees have {t1.d} and {t2.d} vertices, not the same count")
+    s1, s2 = (DiscreteDist(_severity_mixture(MpmrfModel.homogeneous(t, 1.0, alpha))[1])
+              for t in (t1, t2))
+    tol = 4 * (t1.d + 1) * np.finfo(float).eps * max(s1.mean(), s2.mean())
+    return cx_check_empirical(s1, s2, tol)
 
 
 def cx_check_empirical(m1: DiscreteDist, m2: DiscreteDist, tol: float = MEAN_TOL) -> OrderVerdict:

@@ -22,15 +22,11 @@ and H_v is compared with every w's stacked cdfs in one array operation.
 The twin check reads the aggregate M off the same laws: at one d and one
 homogeneous alpha all shapes give M the same compound-Poisson rate, so its
 exponent Q fixes its law (`_aggregate_exponent`). A build roots no tree.
-
-`build_poset` is memoised per (d, grid): a process builds each poset once
-and every later call returns the same read-only `ShapePoset`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,9 +135,7 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     alpha; an arc needs a unanimous direction. The closure is checked for
     antisymmetry both structurally and empirically (no two distinct shapes
     may share an aggregate law at alpha = 0.5, read off its exponent Q).
-
-    Memoised per (d, grid), the grid taken as a tuple of floats: later calls
-    return the same ShapePoset, whose relation is read-only.
+    The returned ShapePoset is frozen, its relation array read-only.
     """
     lo, hi = POSET_D_RANGE
     if not lo <= d <= hi:
@@ -151,11 +145,6 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
         raise ValueError("alpha grid must not be empty")
     if any(not 0.0 < a < 1.0 for a in grid):
         raise ValueError("grid alphas must lie strictly inside (0, 1)")
-    return _build_poset(d, grid)
-
-
-@lru_cache(maxsize=16)
-def _build_poset(d: int, grid: tuple[float, ...]) -> ShapePoset:
     reps = tuple(enumerate_shapes(d))
     codes = tuple(canonical_code(t) for t in reps)
     n = len(reps)
@@ -194,7 +183,7 @@ def _build_poset(d: int, grid: tuple[float, ...]) -> ShapePoset:
     strict = relation & ~np.eye(n, dtype=bool)
     # on booleans, strict @ strict marks the pairs two strict steps apart
     hasse = tuple((int(i), int(j)) for i, j in np.argwhere(strict & ~(strict @ strict)))
-    relation.setflags(write=False)  # every caller shares this poset
+    relation.setflags(write=False)  # a ShapePoset is a frozen value
     return ShapePoset(d, codes, reps, relation, hasse, grid, tuple(flags), tuple(undecided))
 
 

@@ -61,6 +61,17 @@ def cospectral9() -> tuple[Tree, Tree]:
 
 
 @pytest.fixture(scope="session")
+def twins11() -> tuple[Tree, Tree]:
+    """The d=11 pair of non-isomorphic trees whose aggregates agree at every
+    alpha and lambda (ROADMAP item 1)."""
+    t = Tree.of(11, [(1, 2), (1, 3), (1, 8), (1, 9), (2, 4), (3, 5), (3, 7),
+                     (4, 6), (4, 11), (6, 10)])
+    tp = Tree.of(11, [(1, 2), (1, 3), (1, 9), (2, 4), (3, 5), (3, 7), (3, 8),
+                      (4, 6), (4, 10), (5, 11)])
+    return t, tp
+
+
+@pytest.fixture(scope="session")
 def anchoring14() -> Tree:
     """14-vertex tree whose edge (10,4) detaches a 4-vertex subtree."""
     return Tree.of(14, [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7), (6, 8),

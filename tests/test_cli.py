@@ -224,49 +224,62 @@ class TestAllocate:
 
 
 class TestCompare:
+    def _verdict(self, tmp_path, argv):
+        out = tmp_path / "verdict.json"
+        assert main(["compare", *argv, "-o", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())
+
     def test_incomparable_pair(self, tmp_path):
         model = write_model(tmp_path / "m.json", 12, T12, alpha=0.9)
         tree2 = write_tree(tmp_path / "t2.json", 12, T12P)
-        out = tmp_path / "verdict.json"
-        assert main(["compare", "--model", model, tree2, "-o", str(out)]) == EXIT_OK
-        obj = json.loads(out.read_text())
-        assert obj["relation"] == "INCOMPARABLE"
-        assert "inconclusive" in obj["note"]
+        obj = self._verdict(tmp_path, ["--model", model, tree2])
+        # the verdict is the whole output: a refutation with its crossing points
+        assert obj == {"relation": "INCOMPARABLE", "witness": [3, 2],
+                       "not_le_at": 3, "not_ge_at": 2}
 
     def test_identical_files(self, tmp_path):
         model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])
-        out = tmp_path / "verdict.json"
-        assert main(["compare", "--model", model, model, "-o", str(out)]) == EXIT_OK
-        obj = json.loads(out.read_text())
-        assert obj["relation"] == "EQ" and obj["method"] == "identical"
+        obj = self._verdict(tmp_path, ["--model", model, model])
+        assert obj == {"relation": "EQ", "witness": None, "not_le_at": None, "not_ge_at": None}
 
-    def test_multi_move_pair_through_poset(self, tmp_path):
+    def test_multi_move_pair(self, tmp_path):
         model = write_model(tmp_path / "m.json", 9, SPIDER9)
         tree2 = write_tree(tmp_path / "t2.json", 9, CATERPILLAR9)
-        out = tmp_path / "verdict.json"
-        assert main(["compare", "--model", model, tree2,
-                     "--alpha-grid", "0.3", "0.6", "-o", str(out)]) == EXIT_OK
-        obj = json.loads(out.read_text())
-        assert obj["relation"] == "LE" and obj["method"] == "poset_closure"
+        assert self._verdict(tmp_path, ["--model", model, tree2])["relation"] == "LE"
 
-    def test_isomorphic_pair_through_poset(self, tmp_path):
+    def test_isomorphic_pair(self, tmp_path):
         # vertex labels reversed: several edges differ, the shape is the same
         model = write_model(tmp_path / "m.json", 9, SPIDER9)
         tree2 = write_tree(tmp_path / "t2.json", 9, [(10 - a, 10 - b) for a, b in SPIDER9])
-        out = tmp_path / "verdict.json"
-        assert main(["compare", "--model", model, tree2, "-o", str(out)]) == EXIT_OK
-        obj = json.loads(out.read_text())
-        assert obj["relation"] == "EQ" and obj["method"] == "poset_closure"
+        assert self._verdict(tmp_path, ["--model", model, tree2])["relation"] == "EQ"
 
-    def test_poset_fallback_ignores_lambda(self, tmp_path):
-        # the shape poset depends on alpha alone; a large lambda once failed
-        # the fallback's aggregate sanity check
-        model = write_model(tmp_path / "m.json", 9, SPIDER9, lam=200.0)
+    def test_verdict_ignores_lambda(self, tmp_path):
+        # the every-lambda order depends on the trees and alpha alone
         tree2 = write_tree(tmp_path / "t2.json", 9, CATERPILLAR9)
-        out = tmp_path / "verdict.json"
-        assert main(["compare", "--model", model, tree2, "-o", str(out)]) == EXIT_OK
-        obj = json.loads(out.read_text())
-        assert obj["relation"] == "LE" and obj["method"] == "poset_closure"
+        verdicts = [self._verdict(tmp_path, ["--model", write_model(
+            tmp_path / "m.json", 9, SPIDER9, lam=lam), tree2]) for lam in (0.01, 200.0)]
+        assert verdicts[0] == verdicts[1] and verdicts[0]["relation"] == "LE"
+
+    def test_any_d(self, tmp_path):
+        # far outside the poset's d range: path below star at every lambda
+        d = 1000
+        model = write_model(tmp_path / "m.json", d, [(i, i + 1) for i in range(1, d)])
+        tree2 = write_tree(tmp_path / "t2.json", d, [(1, i) for i in range(2, d + 1)])
+        assert self._verdict(tmp_path, ["--model", model, tree2])["relation"] == "LE"
+
+    def test_single_vertex_models_are_eq(self, tmp_path):
+        model = write_model(tmp_path / "m.json", 1, [])
+        assert self._verdict(tmp_path, ["--model", model, model])["relation"] == "EQ"
+
+    def test_vertex_count_mismatch_exits_3(self, tmp_path, capsys):
+        model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])
+        tree2 = write_tree(tmp_path / "t2.json", 3, [(1, 2), (2, 3)])
+        assert main(["compare", "--model", model, tree2]) == EXIT_INPUT
+        assert "not the same count" in capsys.readouterr().err
+
+    def test_alpha_grid_is_not_a_flag(self, tmp_path):
+        model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])
+        assert main(["compare", "--model", model, model, "--alpha-grid", "0.3"]) == EXIT_USAGE
 
     def test_bad_second_file(self, tmp_path):
         model = write_model(tmp_path / "m.json", 4, [(1, 2), (2, 3), (3, 4)])

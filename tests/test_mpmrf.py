@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestModelValidation:
         m2 = MpmrfModel(path_tree(3), 1.0, {(1, 2): 0.2, (2, 3): 0.7})
         back = MpmrfModel.from_json(m2.to_json())
         assert back.alpha == m2.alpha and not back.is_homogeneous()
+
+    def test_json_roundtrip_single_vertex(self):
+        # no edge, so no alpha to write as a scalar
+        m = MpmrfModel(Tree.of(1, []), 2.0, {})
+        obj = m.to_json()
+        assert obj["alpha"] == {}
+        back = MpmrfModel.from_json(obj)
+        assert (back.tree, back.lam, back.alpha) == (m.tree, m.lam, m.alpha)
 
 
 class TestHDist:
@@ -280,6 +289,20 @@ def _eta_at(tree, v, parent, alpha, x):
 
 
 class TestAggregateDist:
+    def test_peak_memory_is_about_two_pmfs(self):
+        # q up to the tail bound K* and the returned copy: about 2.2 pmfs,
+        # where a scaled product and a clamped copy made 3.3. Poisson(10^6),
+        # traced outside the suite (a minute under tracemalloc), peaks at
+        # 17.1 MB for its 8.06 MB pmf, down from 25.2 MB
+        m = MpmrfModel(Tree.of(1, []), 1e4, {})
+        tracemalloc.start()
+        try:
+            agg = aggregate_dist(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * agg.pmf.nbytes
+
     def test_independence_gives_poisson(self):
         m = MpmrfModel.homogeneous(path_tree(3), 1.0, 0.0)
         agg = aggregate_dist(m)
@@ -868,6 +891,13 @@ class TestDiscreteDist:
     def test_tiny_negative_clamped(self):
         d = DiscreteDist(np.array([1.0, -1e-16]))
         assert d.pmf[0] == 1.0 and d.pmf[1] == 0.0
+
+    def test_one_clamped_copy(self):
+        # the bytes np.where(p < 0, 0, p) gives, -0.0 kept; the input is not written
+        p = np.array([-0.0, 0.5, -1e-16, 0.5])
+        d = DiscreteDist(p)
+        assert d.pmf.tobytes() == np.where(p < 0.0, 0.0, p).tobytes()
+        assert p[2] == -1e-16 and not d.pmf.flags.writeable
 
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):

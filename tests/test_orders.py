@@ -6,14 +6,24 @@ from treemrf.orders import (
     Relation,
     _stop_loss_curve,
     cx_check_empirical,
+    exponent_compare,
     shape_compare,
     st_compare,
     st_compare_rows,
     synecdochic_compare,
 )
+from treemrf.poset import DEFAULT_ALPHA_GRID, build_poset
 from treemrf.tree_core import Tree, canonical_code, enumerate_shapes
 
-from helpers import all_moves, eta_by_hand, poisson_pmf, prune, random_tree, stop_loss_brute
+from helpers import (
+    all_moves,
+    eta_by_hand,
+    poisson_pmf,
+    prune,
+    random_tree,
+    relabel,
+    stop_loss_brute,
+)
 
 
 def point_mass(k):
@@ -254,6 +264,101 @@ def test_shape_verdicts_imply_aggregate_convex_order(d):
                     assert cx.relation in (Relation.GE, Relation.EQ)
                 else:
                     assert cx.relation is Relation.EQ
+
+
+_MIRROR = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
+           Relation.EQ: Relation.EQ, Relation.INCOMPARABLE: Relation.INCOMPARABLE}
+
+
+class TestExponentCompare:
+    """The every-lambda convex order of the aggregates, read off their
+    severities; the single-move criterion and the poset closure, both
+    sufficient, are its oracles."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_keeps_every_decided_single_move_verdict(self, d):
+        exact = {}  # by the pair of shapes: the verdict does not read labels
+        decided = 0
+        for base in enumerate_shapes(d):
+            for moved, *_ in all_moves(base):
+                key = (canonical_code(base), canonical_code(moved))
+                for alpha in DEFAULT_ALPHA_GRID:
+                    verdict = shape_compare(base, moved, alpha).relation
+                    if verdict is not Relation.INCOMPARABLE:
+                        if (key, alpha) not in exact:
+                            exact[key, alpha] = exponent_compare(base, moved, alpha).relation
+                        assert exact[key, alpha] is verdict
+                        decided += 1
+        assert decided > 0
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9])
+    def test_every_strict_closure_pair_is_le(self, d):
+        ps = build_poset(d)
+        pairs = np.argwhere(ps.relation & ~np.eye(len(ps.shapes), dtype=bool))
+        assert len(pairs) > 0
+        for i, j in pairs:
+            for alpha in DEFAULT_ALPHA_GRID:
+                assert exponent_compare(ps.reps[i], ps.reps[j], alpha).relation is Relation.LE
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_d11_twins_are_eq(self, twins11, alpha):
+        t1, t2 = twins11
+        assert canonical_code(t1) != canonical_code(t2)
+        assert exponent_compare(t1, t2, alpha).relation is Relation.EQ
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.95])
+    def test_relabelled_large_tree_is_eq(self, alpha):
+        # the curves differ by rounding alone: 5.3e-13 at alpha = 0.5, where
+        # the tol is 1.8e-11
+        d = 10**4
+        rng = np.random.default_rng(3)
+        tree = Tree.of(d, [(int(rng.integers(1, v)), v) for v in range(2, d + 1)])
+        moved = relabel(tree, dict(zip(range(1, d + 1), (rng.permutation(d) + 1).tolist())))
+        assert moved.edges != tree.edges
+        assert exponent_compare(tree, moved, alpha).relation is Relation.EQ
+
+    def test_mirrors_exactly(self):
+        rng = np.random.default_rng(5)
+        pairs = [(star_tree(7), path_tree(7)), (path_tree(1000), star_tree(1000))]
+        pairs += [(random_tree(rng, d), random_tree(rng, d)) for d in (6, 9, 12, 40, 300)
+                  for _ in range(4)]
+        pairs += [(a, b) for a in enumerate_shapes(7) for b in enumerate_shapes(7)]
+        seen = set()
+        for a, b in pairs:
+            for alpha in (0.05, 0.5, 0.95):
+                ab, ba = exponent_compare(a, b, alpha), exponent_compare(b, a, alpha)
+                assert ba.relation is _MIRROR[ab.relation]
+                assert (ba.not_le_at, ba.not_ge_at) == (ab.not_ge_at, ab.not_le_at)
+                seen.add(ab.relation)
+        assert seen == set(Relation)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_le_orders_the_aggregates(self, d):
+        shapes = enumerate_shapes(d)
+        for alpha in (0.2, 0.5, 0.8):
+            for lam in (0.05, 1.0, 20.0):
+                aggs = [aggregate_dist(MpmrfModel.homogeneous(t, lam, alpha)) for t in shapes]
+                for i, a in enumerate(shapes):
+                    for j, b in enumerate(shapes):
+                        if i != j and exponent_compare(a, b, alpha).relation is Relation.LE:
+                            cx = cx_check_empirical(aggs[i], aggs[j], tol=1e-9)
+                            assert cx.relation in (Relation.LE, Relation.EQ)
+
+    def test_incomparable_aggregates_cross_at_small_lambda(self, incomparable12):
+        # the refutation: near lambda = 0 the aggregates' stop-loss curves
+        # cross where the severities' do
+        t1, t2 = incomparable12
+        verdict = exponent_compare(t1, t2, 0.9)
+        assert verdict.relation is Relation.INCOMPARABLE
+        aggs = [aggregate_dist(MpmrfModel.homogeneous(t, 0.001, 0.9)) for t in (t1, t2)]
+        assert cx_check_empirical(*aggs, tol=1e-12) == verdict
+
+    def test_vertex_counts_must_agree(self):
+        with pytest.raises(ValueError, match="not the same count"):
+            exponent_compare(path_tree(4), path_tree(5), 0.5)
+
+    def test_single_vertex(self):
+        assert exponent_compare(Tree.of(1, []), Tree.of(1, []), 0.5).relation is Relation.EQ
 
 
 class TestStopLoss:

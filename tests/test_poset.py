@@ -9,7 +9,6 @@ from treemrf.poset import (
     ShapePoset,
     _aggregate_exponent,
     _assert_distinct_aggregates,
-    _build_poset,
     _h_pmfs,
     _residual_moves,
     _transitive_closure,
@@ -146,7 +145,6 @@ class TestResidualMoves:
         assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in all_moves(t)}
 
     def test_d9_build_roots_one_tree_per_shape(self, root_calls):
-        _build_poset.cache_clear()  # a memo hit would root nothing
         ps = build_poset(9)
         # neither the moves nor the twin check root a tree: both read codes
         assert len(ps.shapes) == 47 and root_calls == []
@@ -175,14 +173,8 @@ class TestAggregateTwins:
     """The twin check compares M's exponent Q at alpha = 1/2, read off the
     code-keyed H laws; mpmrf's severity mixture is the reference."""
 
-    # ROADMAP item 3: non-isomorphic, and their aggregates agree at every alpha
-    TWINS11 = (
-        [(1, 2), (1, 3), (1, 8), (1, 9), (2, 4), (3, 5), (3, 7), (4, 6), (4, 11), (6, 10)],
-        [(1, 2), (1, 3), (1, 9), (2, 4), (3, 5), (3, 7), (3, 8), (4, 6), (4, 10), (5, 11)],
-    )
-
-    def test_d11_twin_pair_raises(self):
-        codes = [canonical_code(Tree.of(11, edges)) for edges in self.TWINS11]
+    def test_d11_twin_pair_raises(self, twins11):
+        codes = [canonical_code(t) for t in twins11]
         assert codes[0] != codes[1]
         with pytest.raises(AntisymmetryError, match="share an aggregate law"):
             _assert_distinct_aggregates(codes)
@@ -212,12 +204,6 @@ class TestAggregateTwins:
 
 
 class TestMemo:
-    def test_list_and_tuple_grids_share_one_poset(self):
-        ps = build_poset(5, list(GRID))
-        assert build_poset(5, GRID) is ps
-        assert build_poset(5, (0.2, 0.5, 0.9)) is not ps
-        assert build_poset(6, GRID) is not ps
-
     def test_relation_is_read_only(self):
         ps = build_poset(5, GRID)
         with pytest.raises(ValueError):
