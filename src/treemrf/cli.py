@@ -120,11 +120,11 @@ def cmd_compare(ns: argparse.Namespace) -> None:
         raise UsageError("a second tree file is required")
     obj2 = _load_json(ns.tree2)
     is_model = isinstance(obj2, dict) and "lambda" in obj2
-    t2 = _parse(obj2, ns.tree2).tree if is_model else _parse(obj2, ns.tree2, tree_core.Tree)
-    if not model.is_homogeneous():
-        raise InputError("shape comparison needs a homogeneous alpha")
-    alpha = next(iter(model.alpha.values()), 0.0)  # a 1-vertex tree has no edge
-    verdict = orders.exponent_compare(model.tree, t2, alpha)
+    second = _parse(obj2, ns.tree2, mpmrf.MpmrfModel if is_model else tree_core.Tree)
+    alpha, *others = {*model.alpha.values(), *(second.alpha.values() if is_model else ())} or {0.0}
+    if others:  # one alpha on every edge of both trees; the lambdas may differ
+        raise InputError("shape comparison needs one homogeneous alpha, the same in both models")
+    verdict = orders.exponent_compare(model.tree, second.tree if is_model else second, alpha)
     _write(json.dumps(verdict.to_json(), sort_keys=True) + "\n", ns.output)
 
 

@@ -12,12 +12,12 @@ Key derived objects:
     the coefficient of t^k (h_poly returns one), is t times the product over
     children of (1 - alpha + alpha * child pgf). Every vertex's H law comes
     from one down-and-up pass of O(d) convolutions.
-  * M = sum of all components: compound Poisson with rate
-    lambda * (d - sum(alpha_e)) and severity a mixture of the H_v laws,
-    evaluated by one rescaled Panjer pass at any rate into one array sized
-    by a Chernoff tail bound, cut at the first K whose tail mass is below
-    tol, in blocks of _PANJER_BLOCK entries: one matrix-vector product per
-    block, then forward substitution within it.
+  * M = sum of all components: pgf exp(lambda (Q(t) - Q(1))), Q a weighted
+    sum of the H_v laws (_exponent), by one rescaled Panjer pass on (lambda,
+    Q) from Q's exact float mass into one array sized by a Chernoff tail
+    bound, cut at the first K whose tail mass is below tol, in blocks of
+    _PANJER_BLOCK entries: one matrix-vector product per block, then
+    forward substitution within it.
   * Expected allocations E[N_v 1{M=k}] = lambda * (pmf_{H_v} conv pmf_M)(k),
     the basis of conditional mean risk sharing and Euler TVaR contributions.
   * Cov(N_v, M) = lambda * E[H_v] and the closeness indices: every vertex's
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -116,8 +118,7 @@ class MpmrfModel:
         return self.alpha[_norm_edge(a, b)]
 
     def is_homogeneous(self) -> bool:
-        vals = set(self.alpha.values())
-        return len(vals) <= 1
+        return len(set(self.alpha.values())) <= 1
 
     def to_json(self) -> dict:
         obj = self.tree.to_json()
@@ -180,26 +181,35 @@ def _pairs(row: list[np.ndarray]) -> list[np.ndarray]:
             for k in range(0, len(row), 2)]
 
 
-def _eta(rooted: RootedTree, alpha) -> dict[int, np.ndarray]:
-    """pgf coefficients of the events each vertex seeds in its own subtree.
+def _eta(rooted: RootedTree, alpha) -> Iterator[tuple[int, np.ndarray]]:
+    """(v, eta_v), children first, eta_v the pgf of the events v seeds in its subtree.
 
-    eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t)),
-    built leaves first; alpha is a scalar or an edge map. Products are trimmed
-    like the factors (_thin), so every convolution runs over the support. The
-    factor t and the children multiply level by level up the balanced product
-    tree of _all_but_one (_pairs): a star centre of degree n makes few long
+    eta_v(t) = t * prod over children c of (1 - alpha_vc + alpha_vc * eta_c(t));
+    alpha is a scalar or an edge map in [0, 1] (ValueError outside). eta_c is
+    dropped once its parent has used it. Products are trimmed like the factors
+    (_thin), so every convolution runs over the support. The factor t and the
+    children multiply level by level up the balanced product tree of
+    _all_but_one (_pairs): a star centre of degree n makes few long
     convolutions instead of n passes over a growing product. Up to two
     children this is the one-by-one product t * f1 * f2.
     """
-    eta: dict[int, np.ndarray] = {}
+    for a in alpha.values() if isinstance(alpha, dict) else (alpha,):
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha {a} outside [0, 1]")
+    held: dict[int, np.ndarray] = {}
     for v in reversed(rooted.order):
         row = [np.array([0.0, 1.0])]
         for c in rooted.children[v]:
-            row.append(_thin(_alpha_of(alpha, v, c), eta[c]))
+            row.append(_thin(_alpha_of(alpha, v, c), held.pop(c)))
         while len(row) > 1:
             row = _pairs(row)
-        eta[v] = row[0]
-    return eta
+        held[v] = row[0]
+        yield v, row[0]
+
+
+def _root_eta(rooted: RootedTree, alpha) -> np.ndarray:
+    """eta at the root of `rooted`: the last law of the pass, the only one kept."""
+    return deque(_eta(rooted, alpha), maxlen=1)[0][1]
 
 
 def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -235,7 +245,7 @@ def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
     O(d) convolutions in all.
     """
     rooted = root_at(tree, tree.vertices[0])
-    eta = _eta(rooted, alpha)
+    eta = dict(_eta(rooted, alpha))
     up, h = {}, {}  # up: child -> thinned pgf of its parent's side; read once, like eta
     for v in rooted.order:
         parent, ns = rooted.parent.get(v), tree.neighbors[v]
@@ -252,10 +262,7 @@ def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
 
 def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
     """pgf coefficients of H_root; alpha is a scalar or an edge map in [0, 1]."""
-    for a in alpha.values() if isinstance(alpha, dict) else (alpha,):
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha {a} outside [0, 1]")
-    return _eta(root_at(tree, root), alpha)[root]
+    return _root_eta(root_at(tree, root), alpha)
 
 
 def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
@@ -263,31 +270,22 @@ def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
-def _severity_mixture(model: MpmrfModel) -> tuple[float, np.ndarray]:
-    """Compound-Poisson rate and normalized severity pmf of M.
+def _exponent(tree: Tree, alpha) -> np.ndarray:
+    """The trimmed exponent Q of the aggregate's pgf exp(lambda * (Q(t) - Q(1))).
 
-    The aggregate pgf is exp(lambda * sum_v (1-alpha_pa(v)) * (eta_v(t)-1))
-    with alpha_pa(root)=0, i.e. compound Poisson with rate
-    lambda*(d - sum alpha_e) and severity the weight-(1-alpha_pa(v)) mixture
-    of the H_v laws under the rooting at the smallest label.
+    Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
+    the rooting at the smallest label (alpha_pa(root) = 0), so Q(1) = d - sum(alpha_e).
     """
-    tree = model.tree
     rooted = root_at(tree, tree.vertices[0])
-    eta = _eta(rooted, model.alpha)
-    weights = {v: 1.0 if v == rooted.order[0] else 1.0 - model.edge_alpha(rooted.parent[v], v)
-               for v in tree.vertices}
-    total = sum(weights.values())  # = d - sum(alpha_e)
-    rate = model.lam * total
-    sev = np.zeros(tree.d + 1)
-    for v in tree.vertices:
-        sev[: len(eta[v])] += (weights[v] / total) * eta[v]
-    # rounding can leave the mixture short of mass 1, and Panjer would lose
-    # rate times that shortfall at every K
-    return rate, _trim(sev) / sev.sum()
+    q = np.zeros(tree.d + 1)
+    for v, eta in _eta(rooted, alpha):
+        a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
+        q[: len(eta)] += (1.0 - a) * eta
+    return _trim(q)
 
 
 @lru_cache(maxsize=16)
-def _panjer_start(rate: float, shifts: int) -> float:
+def _panjer_start(rate: Decimal, shifts: int) -> float:
     """exp(-rate) * 2**(_SHIFT * shifts), rounded once to a float.
 
     Formed in decimal as one exponential of _SHIFT * shifts * ln 2 - rate, an
@@ -301,38 +299,39 @@ def _panjer_start(rate: float, shifts: int) -> float:
     return float(x)
 
 
-def _tail_bound(rate: float, sev: np.ndarray, tol: float) -> float:
-    """A K* with P(M >= K*) <= tol / 2 for M compound Poisson(rate) with severity sev; inf past floats.
+def _tail_bound(lam: float, q: np.ndarray, tol: float) -> float:
+    """A K* with P(M >= K*) <= tol / 2 for M with pgf exp(lam (Q(t) - Q(1))); inf past floats.
 
     Chernoff: P(M >= K) <= exp(g(theta) - theta K) at any theta > 0, with the
-    log-mgf g(theta) = rate * sum_j s_j expm1(theta j). It is tightest where
+    log-mgf g(theta) = lam * sum_j q_j expm1(theta j). It is tightest where
     h(theta) = theta g'(theta) - g(theta), rising from 0, meets ln(2 / tol);
     bisection on log theta over [2**-64, 1] * 700 / j_max comes within 0.1%
     of that theta (a nan or inf h counting as too far).
     """
-    js = np.arange(len(sev))
+    js = np.arange(len(q))
     need = math.log(2.0) - math.log(tol)  # tol / 2 underflows at the smallest tol
-    hi = 700.0 / (len(sev) - 1)
+    hi = 700.0 / (len(q) - 1)
     lo = hi * 2.0 ** -64
     for _ in range(16):
         theta = math.sqrt(lo * hi)
         e = np.expm1(theta * js)
-        if rate * float(sev @ (theta * js * (e + 1.0) - e)) < need:
+        if lam * float(q @ (theta * js * (e + 1.0) - e)) < need:
             lo = theta
         else:
             hi = theta
-    return float(np.ceil((rate * float(sev @ np.expm1(lo * js)) + need) / lo))
+    return float(np.ceil((lam * float(q @ np.expm1(lo * js)) + need) / lo))
 
 
 def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     """Law of M = sum of all components, cut at the first K with tail below tol.
 
     The rooting only affects intermediate quantities: a relabelled model has
-    the same law (tested to 1e-10 pointwise). One Panjer pass
-    p_k = rate/k * sum_j w_j p_{k-j}, w_j = j s_j, runs on q = p / c from
+    the same law (tested to 1e-10 pointwise). One Panjer pass on M's exponent
+    Q, p_k = lambda/k * sum_j w_j p_{k-j}, w_j = j Q_j, runs on q = p / c from
     q_0 = 1; each time an entry passes 1e250, all of q so far is scaled by
-    2**-664, an exact step, and c = exp(-rate) 2**(664 * shifts)
-    (_panjer_start; every H_v >= 1, so s_0 = 0), so no rate underflows.
+    2**-664, an exact step, so no rate underflows. c = exp(-lambda sigma)
+    2**(664 * shifts) (_panjer_start; every H_v >= 1, so Q_0 = 0), sigma the
+    exact sum of Q's floats: the mass Panjer conserves, up to its own rounding.
     q is allocated once, up to the K* of _tail_bound (P(M >= K*) <= tol / 2);
     ValueError comes first when K* passes MAX_K.
 
@@ -340,7 +339,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     one product of the B x (j_max + B) Toeplitz matrix of the w_j (row a
     holds w_{j_max}..w_1 from column a) with q[k0 - j_max:k0 + B] gives each
     entry's sum over the entries before k0, as q[k0:] is still 0. Its own
-    entries follow in Python floats, x_a = rate/(k0 + a) * (past_a +
+    entries follow in Python floats, x_a = lambda/(k0 + a) * (past_a +
     sum_{l<a} w_{a-l} x_l); a rescaling inside a block also scales them and
     the pending sums. Every term is nonnegative, so each entry keeps its
     relative accuracy. Then the block's p_k join a running sum, which stops
@@ -349,15 +348,18 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
-    rate, sev = _severity_mixture(model)
-    if not math.isfinite(rate):
-        raise ValueError(f"compound-Poisson rate {rate!r} is not finite")
-    k_end = _tail_bound(rate, sev, tol)
+    lam, expo = model.lam, _exponent(model.tree, model.alpha)
+    terms = expo.tolist()
+    hi = math.fsum(terms)
+    rate = Decimal(lam) * (Decimal(hi) + Decimal(math.fsum([*terms, -hi])))  # lambda sigma
+    if not math.isfinite(float(rate)):
+        raise ValueError(f"compound-Poisson rate {float(rate)!r} is not finite")
+    k_end = _tail_bound(lam, expo, tol)
     if not k_end <= MAX_K:
         raise ValueError(f"aggregate support K = {k_end:.4g} passes MAX_K = {MAX_K:,} "
-                         f"(compound-Poisson rate {rate!r})")
-    j_max = len(sev) - 1
-    w = np.arange(j_max + 1) * sev  # w_j = j * s_j; w_0 = 0
+                         f"(compound-Poisson rate {float(rate)!r})")
+    j_max = len(expo) - 1
+    w = np.arange(j_max + 1) * expo  # w_j = j * Q_j; w_0 = 0
     n_b = _PANJER_BLOCK
     past_w = np.zeros((n_b, j_max + n_b))  # row a: w_{j_max}..w_1 against q[k0 + a - j_max:k0 + a]
     for a in range(n_b):
@@ -376,7 +378,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
             x = past[a]
             for wj, xl in zip(own_w[a], xs):
                 x += wj * xl
-            x *= rate / (k0 + a)
+            x *= lam / (k0 + a)
             xs.append(x)
             if x > 1e250:
                 q[:k0] *= 2.0 ** -_SHIFT
@@ -394,7 +396,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
             k += 1
     raise ToleranceError(f"aggregate tail mass {1.0 - total!r} is not below tol {tol!r} by "
                          f"K = {k - 1}, where the true tail is at most tol / 2: the rest is "
-                         f"float rounding (compound-Poisson rate {rate!r})")
+                         f"float rounding (compound-Poisson rate {float(rate)!r})")
 
 
 def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:

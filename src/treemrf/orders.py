@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpmrf import DiscreteDist, MpmrfModel, _eta, _severity_mixture, h_dist
+from .mpmrf import DiscreteDist, MpmrfModel, _exponent, _root_eta, h_dist
 from .tree_core import RootedTree, Tree, root_at
 
 CDF_TOL = 1e-12
@@ -137,7 +137,7 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
 def _h_cdf(rooted: RootedTree, alpha: float) -> np.ndarray:
     """cdf of H at the root of `rooted` over {0..d}."""
     pmf = np.zeros(len(rooted.order) + 1)  # H lives on {1..d}
-    p = _eta(rooted, alpha)[rooted.order[0]]
+    p = _root_eta(rooted, alpha)
     pmf[: len(p)] = p
     return pmf.cumsum()
 
@@ -151,8 +151,6 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     cut: H_v <=_st H_w there gives LE. (w is always on that side: were it
     on u's, t2 would not be connected, and so not a Tree.)
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
     u, v, w = _single_move(t1, t2)
     # the residual, rooted at v and at w
     fv, fw = (_h_cdf(root_at(t1, x, away=u), alpha) for x in (v, w))
@@ -164,8 +162,8 @@ def exponent_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     common edge parameter alpha: LE means M(t1) <=_cx M(t2) for all lambda > 0.
 
     At one d and alpha every d-vertex tree gives M the compound-Poisson rate
-    lambda (d - (d - 1) alpha) and the severity X = Q / Q(1)
-    (mpmrf._severity_mixture). The convex order is closed under compounding
+    lambda (d - (d - 1) alpha) and the severity X = Q / Q(1), Q its exponent
+    (mpmrf._exponent). The convex order is closed under compounding
     (Shaked & Shanthikumar 2007, Stochastic Orders, section 3.A), so
     X1 <=_cx X2 gives M(t1) <=_cx M(t2) at every lambda; and
     lambda^-1 E[(M - c)+] -> Q(1) E[(X - c)+] as lambda -> 0, so the converse
@@ -180,8 +178,7 @@ def exponent_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     """
     if t1.d != t2.d:
         raise ValueError(f"trees have {t1.d} and {t2.d} vertices, not the same count")
-    s1, s2 = (DiscreteDist(_severity_mixture(MpmrfModel.homogeneous(t, 1.0, alpha))[1])
-              for t in (t1, t2))
+    s1, s2 = (DiscreteDist(q / q.sum()) for q in (_exponent(t, alpha) for t in (t1, t2)))
     tol = 4 * (t1.d + 1) * np.finfo(float).eps * max(s1.mean(), s2.mean())
     return cx_check_empirical(s1, s2, tol)
 

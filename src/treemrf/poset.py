@@ -238,7 +238,7 @@ def _assert_distinct_aggregates(codes) -> None:
 def _aggregate_exponent(code: bytes, memo: dict[bytes, np.ndarray]) -> np.ndarray:
     """Q(t) = H_root + (1 - alpha) * the H laws of every proper subtree, at
     alpha = 1/2, for the rooted shape with AHU code `code`. M's pgf is
-    exp(lambda (Q(t) - Q(1))) (mpmrf._severity_mixture) and Q(1) = (d + 1) / 2
+    exp(lambda (Q(t) - Q(1))) (mpmrf._exponent) and Q(1) = (d + 1) / 2
     for every d-vertex shape, so d-vertex shapes share M's law iff they share Q."""
     half = np.array([[0.5]])
     q = _h_pmfs(code, half, memo)[0].copy()

@@ -16,6 +16,7 @@ and np.std.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -186,20 +187,22 @@ def reachable_by_bfs(arcs: np.ndarray) -> np.ndarray:
 
 
 def pruefer_tree(seq: list[int], d: int) -> Tree:
-    """Decode a Pruefer sequence over {1..d} (length d-2) into a tree."""
-    degree = {v: 1 for v in range(1, d + 1)}
+    """Decode a Pruefer sequence over {1..d} (length d-2) into a tree.
+
+    Each step joins the smallest current leaf, taken from a heap, to the
+    sequence's next vertex, which becomes a leaf once it appears no more.
+    """
+    degree = [1] * (d + 1)  # degree[0] is unused
     for v in seq:
         degree[v] += 1
+    leaves = [u for u in range(1, d + 1) if degree[u] == 1]  # sorted, so a heap
     edges = []
-    seq = list(seq)
     for v in seq:
-        leaf = min(u for u in degree if degree[u] == 1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
-        del degree[leaf]
-    a, b = sorted(u for u in degree if degree[u] == 1)
-    edges.append((a, b))
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append(tuple(sorted(leaves)))
     return Tree.of(d, edges)
 
 
@@ -292,19 +295,21 @@ def agg_pmf_series_exp(tree: Tree, lam: float, alpha: float, k_max: int) -> np.n
     return math.exp(-rate) * acc
 
 
-def panjer_exp_start(rate: float, sev: np.ndarray, k_max: int) -> np.ndarray:
-    """pmf of a compound Poisson on {0..k_max} by the textbook Panjer recursion.
+def panjer_exp_start(lam: float, q: np.ndarray, k_max: int) -> np.ndarray:
+    """pmf on {0..k_max} of the compound Poisson with pgf exp(lam (Q(t) - Q(1))),
+    Q's coefficients q, by the textbook Panjer recursion.
 
-    It starts from p_0 = exp(-rate (1 - s_0)) in floats and carries no scale,
-    so it is only usable below rate 700, where that start does not underflow.
+    It starts from p_0 = exp(-lam (Q(1) - q_0)) in floats and carries no
+    scale, so it is only usable below rate 700, where that start does not
+    underflow.
     """
-    j_max = len(sev) - 1
+    j_max = len(q) - 1
     p = np.zeros(k_max + 1)
-    p[0] = math.exp(-rate * (1.0 - sev[0]))
-    jq = np.arange(1, j_max + 1) * sev[1:]
+    p[0] = math.exp(-lam * (math.fsum(q) - q[0]))
+    jq = np.arange(1, j_max + 1) * q[1:]
     for k in range(1, k_max + 1):
         lo = max(0, k - j_max)
-        p[k] = rate / k * float(jq[: k - lo] @ p[lo:k][::-1])
+        p[k] = lam / k * float(jq[: k - lo] @ p[lo:k][::-1])
     return p
 
 

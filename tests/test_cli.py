@@ -260,6 +260,26 @@ class TestCompare:
             tmp_path / "m.json", 9, SPIDER9, lam=lam), tree2]) for lam in (0.01, 200.0)]
         assert verdicts[0] == verdicts[1] and verdicts[0]["relation"] == "LE"
 
+    def test_second_model_may_differ_in_lambda(self, tmp_path):
+        model = write_model(tmp_path / "m.json", 9, SPIDER9, lam=0.5)
+        model2 = write_model(tmp_path / "m2.json", 9, CATERPILLAR9, lam=3.0)
+        assert self._verdict(tmp_path, ["--model", model, model2])["relation"] == "LE"
+
+    @pytest.mark.parametrize("alpha1, alpha2", [
+        (0.5, 0.9),
+        (0.5, {f"{a}-{b}": 0.2 if a == 3 else 0.5 for a, b in CATERPILLAR9}),
+        ({f"{a}-{b}": 0.2 if a == 5 else 0.5 for a, b in SPIDER9}, None),
+    ], ids=["other", "second-per-edge", "first-per-edge"])
+    def test_one_homogeneous_alpha(self, tmp_path, capsys, alpha1, alpha2):
+        # the verdict holds at one alpha: a second model must carry the first's
+        model = write_model(tmp_path / "m.json", 9, SPIDER9, alpha=alpha1)
+        if alpha2 is None:
+            tree2 = write_tree(tmp_path / "t2.json", 9, CATERPILLAR9)
+        else:
+            tree2 = write_model(tmp_path / "m2.json", 9, CATERPILLAR9, alpha=alpha2)
+        assert main(["compare", "--model", model, tree2]) == EXIT_INPUT
+        assert "one homogeneous alpha, the same in both models" in capsys.readouterr().err
+
     def test_any_d(self, tmp_path):
         # far outside the poset's d range: path below star at every lambda
         d = 1000
@@ -473,13 +493,14 @@ class TestMcReport:
     def test_other_fields_are_pinned(self, tmp_path):
         # values of the np.cov report: only cov_with_sum and cov_band may
         # differ from it, in their last bits; tv_distance reads the blocked
-        # Panjer pass's law of M, whose summation order moves its last bit
+        # Panjer pass's law of M, whose summation order moves its last bits,
+        # as does running it on the exponent Q instead of a rate and severity
         model = write_model(tmp_path / "m.json", 4, PER_EDGE4[0], lam=1.3, alpha=PER_EDGE4[1])
         out = tmp_path / "mc.json"
         assert main(["mc", "--model", model, "--n", "70000", "--seed", "5",
                      "-o", str(out)]) == EXIT_OK
         obj = json.loads(out.read_text())
-        assert (obj["tv_distance"], obj["tv_limit"]) == (0.004703607990490325,
+        assert (obj["tv_distance"], obj["tv_limit"]) == (0.004703607990490368,
                                                          0.013406848020661775)
         band = 0.015448000513003182
         assert {v: (r["mean"], r["mean_band"], r["cov_expected"])

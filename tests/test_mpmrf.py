@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import time
 import tracemalloc
 
@@ -242,6 +243,24 @@ class TestHArray:
         assert len(h) == len(hand) and np.max(np.abs(h - hand)) < 1e-14
 
 
+class TestEtaMemory:
+    """The eta pass holds each law only until its parent has used it: a path
+    rooted at an end holds one law at a time, where keeping every eta_v of a
+    3000-path at alpha = 0.9 peaked at 35.5 MB traced."""
+
+    @pytest.mark.parametrize("run", [lambda t: mpmrf._exponent(t, 0.9), lambda t: h_poly(t, 1, 0.9)],
+                             ids=["exponent", "h_poly"])
+    def test_path_peak_is_a_frontier(self, run):
+        t = path_tree(3000)
+        tracemalloc.start()
+        try:
+            run(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestHAll:
     """Every vertex's H pgf from one rerooting pass, against h_poly per vertex."""
 
@@ -413,9 +432,9 @@ class TestAggregateDist:
     @pytest.mark.parametrize("tol", [1e-12, 1e-3, 1e-300])
     @pytest.mark.parametrize("d,lam", [(4, 1.0), (800, 1.0), (5000, 1.0), (3, 1e12)])
     def test_tail_bound_on_poisson(self, d, lam, tol):
-        # at alpha = 0 every H_v is t, so M is Poisson(lambda * d)
-        rate, sev = mpmrf._severity_mixture(MpmrfModel.homogeneous(path_tree(d), lam, 0.0))
-        k = mpmrf._tail_bound(rate, sev, tol)
+        # at alpha = 0 every H_v is t, so Q = d t and M is Poisson(lambda * d)
+        rate = lam * d
+        k = mpmrf._tail_bound(lam, mpmrf._exponent(path_tree(d), 0.0), tol)
         assert scipy.stats.poisson.sf(k - 1, rate) <= tol / 2  # P(M >= K*)
         # not far out: half the way from the mean falls short
         assert scipy.stats.poisson.sf(math.ceil((rate + k) / 2) - 1, rate) > tol / 2
@@ -423,10 +442,11 @@ class TestAggregateDist:
     def test_tail_bound_covers_the_textbook_tail(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
-            rate, sev = mpmrf._severity_mixture(random_model(rng, d_max=40))
+            m = random_model(rng, d_max=40)
+            q = mpmrf._exponent(m.tree, m.alpha)
             for tol in (1e-3, 1e-9, 1e-12):
-                k = int(mpmrf._tail_bound(rate, sev, tol))
-                assert 1.0 - panjer_exp_start(rate, sev, k - 1).sum() <= tol / 2
+                k = int(mpmrf._tail_bound(m.lam, q, tol))
+                assert 1.0 - panjer_exp_start(m.lam, q, k - 1).sum() <= tol / 2
 
     def test_max_k_checked_on_the_whole_support(self, monkeypatch):
         # mean + 8 sd of this M is 39.4, and its K is 71: a check on a first
@@ -478,16 +498,16 @@ class TestAggregateDist:
         models += [MpmrfModel.homogeneous(Tree.of(1, []), 1e-3, 0.5),
                    MpmrfModel.homogeneous(star_tree(300), 1.0, 1.0)]
         for m in models:
-            rate, sev = mpmrf._severity_mixture(m)
-            assert rate < 700
+            q = mpmrf._exponent(m.tree, m.alpha)
+            assert m.lam * math.fsum(q) < 700
             agg = aggregate_dist(m)
-            want = panjer_exp_start(rate, sev, agg.k_max)
+            want = panjer_exp_start(m.lam, q, agg.k_max)
             assert np.max(np.abs(agg.pmf - want)) < 1e-12
             big = want > 1e-250
             assert np.all(np.abs(agg.pmf[big] - want[big]) <= 1e-13 * want[big])
 
-    # rounding leaves these severity mixtures about 1.25e-14 short of mass 1;
-    # unnormalised, Panjer loses rate times that at every K, above tol
+    # on these models a severity Q / Q(1) rounds about 1.25e-14 short of mass
+    # 1; a start blind to that would lose rate times it at every K, above tol
     @pytest.mark.parametrize("shape,d,lam,alpha", [
         ("path", 1000, 0.5, 0.5),
         ("star", 1000, 1.0, 0.5),
@@ -499,6 +519,18 @@ class TestAggregateDist:
         mean, var = path_star_moments(shape, d, lam, alpha)
         assert agg.mean() == pytest.approx(mean, rel=1e-9)
         assert variance(agg.pmf) == pytest.approx(var, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_high_rate_random_trees_return(self, seed):
+        # rate 15,000.5, where a start off Q's exact mass by rate * 1e-16
+        # would leave the pmf short of the default tol: ToleranceError at K*
+        d, rng = 30000, random.Random(seed)
+        tree = Tree.of(d, [(rng.randint(1, i - 1), i) for i in range(2, d + 1)])
+        m = MpmrfModel.homogeneous(tree, 1.0, 0.5)
+        agg = aggregate_dist(m)
+        assert agg.tail_mass < 1e-12
+        assert agg.mean() == pytest.approx(d * m.lam, rel=1e-9)
+        assert variance(agg.pmf) == pytest.approx(math.fsum(cov_with_sum(m).values()), rel=1e-9)
 
     def test_tail_mass_below_tolerance(self):
         m = MpmrfModel.homogeneous(path_tree(4), 2.0, 0.6)

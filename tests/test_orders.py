@@ -308,11 +308,12 @@ class TestExponentCompare:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.95])
     def test_relabelled_large_tree_is_eq(self, alpha):
-        # the curves differ by rounding alone: 5.3e-13 at alpha = 0.5, where
-        # the tol is 1.8e-11
+        # the exponents differ by rounding alone (by at most 2.8e-16 at
+        # alpha = 0.5 and 6.0e-14 at 0.95), which leaves the stop-loss curves
+        # within the tol, 1.8e-11 at alpha = 0.5
         d = 10**4
         rng = np.random.default_rng(3)
-        tree = Tree.of(d, [(int(rng.integers(1, v)), v) for v in range(2, d + 1)])
+        tree = random_tree(rng, d)
         moved = relabel(tree, dict(zip(range(1, d + 1), (rng.permutation(d) + 1).tolist())))
         assert moved.edges != tree.edges
         assert exponent_compare(tree, moved, alpha).relation is Relation.EQ
@@ -356,6 +357,11 @@ class TestExponentCompare:
     def test_vertex_counts_must_agree(self):
         with pytest.raises(ValueError, match="not the same count"):
             exponent_compare(path_tree(4), path_tree(5), 0.5)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="outside"):
+            exponent_compare(path_tree(4), star_tree(4), alpha)
 
     def test_single_vertex(self):
         assert exponent_compare(Tree.of(1, []), Tree.of(1, []), 0.5).relation is Relation.EQ
