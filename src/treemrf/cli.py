@@ -57,8 +57,11 @@ def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:

@@ -32,7 +32,6 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
@@ -284,7 +283,6 @@ def _exponent(tree: Tree, alpha) -> np.ndarray:
     return _trim(q)
 
 
-@lru_cache(maxsize=16)
 def _panjer_start(rate: Decimal, shifts: int) -> float:
     """exp(-rate) * 2**(_SHIFT * shifts), rounded once to a float.
 
@@ -368,6 +366,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     own_w = [past_w[a, j_max : j_max + a].tolist() for a in range(n_b)]
     q = np.zeros(int(k_end) + 1)
     q[0], shifts = 1.0, 0
+    c = _panjer_start(rate, shifts)
     k, total = 0, 0.0  # p_0..p_{k-1} add up to total
     for k0 in range(1, len(q), n_b):
         n = min(n_b, len(q) - k0)
@@ -385,8 +384,8 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
                 xs = [xl * 2.0 ** -_SHIFT for xl in xs]
                 past[a + 1 :] = [pa * 2.0 ** -_SHIFT for pa in past[a + 1 :]]
                 shifts += 1
+                c = _panjer_start(rate, shifts)
         q[k0 : k0 + n] = xs
-        c = _panjer_start(rate, shifts)
         for x in q[k : k0 + n].tolist():
             total += c * x
             if 1.0 - total < tol:
@@ -430,11 +429,14 @@ def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
 
 
 def _poisson_cdf(mu: float) -> np.ndarray:
-    """The Poisson(mu > 0) cdf at k = 0 .. mu + 12 sqrt(mu) + 30; ValueError past MAX_K entries.
+    """The Poisson(mu) cdf at k = 0 .. mu + 12 sqrt(mu) + 30, or [1.0] at mu = 0;
+    ValueError past MAX_K entries.
 
     The log-pmf k log(mu) - mu - lgamma(k + 1) rises up to the mode; exp gives 0.0
     below the first k where it reaches -746, so lgamma is called from that k on.
     """
+    if mu == 0.0:  # the point mass at 0
+        return np.ones(1)
     k_hi = mu + 12.0 * math.sqrt(mu) + 30.0
     if not k_hi <= MAX_K:
         raise ValueError(f"Poisson sampler table of {k_hi:.4g} entries passes "
@@ -459,11 +461,6 @@ def _poisson_inverse(rng: np.random.Generator, mu: float, out: np.ndarray) -> No
     draw equals searchsorted(cdf, u, "right").
     """
     n = len(out)
-    if mu == 0.0:
-        for lo in range(0, n, _BLOCK):  # keep the stream layout independent of mu
-            rng.random(min(_BLOCK, n - lo))
-        out[:] = 0
-        return
     cdf = _poisson_cdf(mu)
     edges = np.arange(_GUIDE + 1) / _GUIDE
     guide = np.searchsorted(cdf, edges[:-1], side="right")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpmrf import DiscreteDist, MpmrfModel, _exponent, _root_eta, h_dist
-from .tree_core import RootedTree, Tree, root_at
+from .tree_core import Tree, root_at
 
 CDF_TOL = 1e-12
 MEAN_TOL = 1e-8
@@ -81,22 +81,20 @@ def _dominance(fa: np.ndarray, fb: np.ndarray, tol: float = CDF_TOL) -> tuple[np
     return fa < fb - tol, fb < fa - tol
 
 
-def st_compare_rows(fa: np.ndarray, fb: np.ndarray) -> list[OrderVerdict]:
-    """Usual stochastic order, one verdict per row of two stacked cdf arrays.
-
-    fa and fb have the same shape (rows, k); row r of the result compares
-    the laws with cdfs fa[r] and fb[r]. LE means F_a >= F_b pointwise up
-    to CDF_TOL.
-    """
-    return _verdicts(*_dominance(fa, fb))  # a <=_st b needs F_a(k) >= F_b(k)
+def _st_verdict(pa: np.ndarray, pb: np.ndarray) -> OrderVerdict:
+    """Usual stochastic order between the laws with pmf arrays pa and pb: LE
+    means a <=_st b, i.e. F_a >= F_b pointwise up to CDF_TOL. Both pmfs are
+    zero-padded into one (2, n) array whose rows are summed into cdfs in place."""
+    f = np.zeros((2, max(len(pa), len(pb))))
+    f[0, : len(pa)] = pa
+    f[1, : len(pb)] = pb
+    np.cumsum(f, axis=1, out=f)
+    return _verdicts(*_dominance(f[:1], f[1:]))[0]
 
 
 def st_compare(a: DiscreteDist, b: DiscreteDist) -> OrderVerdict:
     """Usual stochastic order: LE means a <=_st b, i.e. F_a >= F_b pointwise."""
-    n = max(len(a.pmf), len(b.pmf))
-    fa = np.cumsum(np.pad(a.pmf, (0, n - len(a.pmf))))
-    fb = np.cumsum(np.pad(b.pmf, (0, n - len(b.pmf))))
-    return st_compare_rows(fa[None], fb[None])[0]
+    return _st_verdict(a.pmf, b.pmf)
 
 
 def synecdochic_compare(model: MpmrfModel, v: int, w: int) -> OrderVerdict:
@@ -134,14 +132,6 @@ def _single_move(t1: Tree, t2: Tree) -> tuple[int, int, int]:
     return u, v, w
 
 
-def _h_cdf(rooted: RootedTree, alpha: float) -> np.ndarray:
-    """cdf of H at the root of `rooted` over {0..d}."""
-    pmf = np.zeros(len(rooted.order) + 1)  # H lives on {1..d}
-    p = _root_eta(rooted, alpha)
-    pmf[: len(p)] = p
-    return pmf.cumsum()
-
-
 def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     """Convex-order criterion between two trees one re-anchoring move apart.
 
@@ -153,8 +143,7 @@ def shape_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:
     """
     u, v, w = _single_move(t1, t2)
     # the residual, rooted at v and at w
-    fv, fw = (_h_cdf(root_at(t1, x, away=u), alpha) for x in (v, w))
-    return st_compare_rows(fv[None], fw[None])[0]
+    return _st_verdict(*(_root_eta(root_at(t1, x, away=u), alpha) for x in (v, w)))
 
 
 def exponent_compare(t1: Tree, t2: Tree, alpha: float) -> OrderVerdict:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mpmrf import MAX_K
 from .tree_core import Tree, degree_vector
 
 SPECTRUM_TOL = 1e-9
@@ -36,8 +37,12 @@ class SpectrumReport:
 
 
 def adjacency_matrix(tree: Tree) -> np.ndarray:
+    """The dense d x d adjacency matrix; ValueError, before allocating, when d * d passes MAX_K."""
+    d = tree.d
+    if d * d > MAX_K:
+        raise ValueError(f"d = {d}: a d x d matrix of {d * d:,} entries passes MAX_K = {MAX_K:,}")
     idx = {v: i for i, v in enumerate(tree.vertices)}
-    a = np.zeros((tree.d, tree.d))
+    a = np.zeros((d, d))
     for (u, w) in tree.edges:
         a[idx[u], idx[w]] = a[idx[w], idx[u]] = 1.0
     return a
@@ -70,13 +75,7 @@ def majorizes(a, b) -> bool:
         raise ValueError("degree sequences must have equal length")
     if sorted(a, reverse=True) != a or sorted(b, reverse=True) != b:
         raise ValueError("degree sequences must be decreasing")
-    pa = pb = 0
-    for x, y in zip(a, b):
-        pa += x
-        pb += y
-        if pb < pa:
-            return False
-    return True
+    return bool(np.all(np.cumsum(b) >= np.cumsum(a)))
 
 
 def cospectral_pair_check(t1: Tree, t2: Tree) -> bool:

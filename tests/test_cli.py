@@ -563,6 +563,13 @@ class TestSpectral:
         assert abs(obj["algebraic_connectivity"] - 1.0) < 1e-9
         assert obj["degrees"] == [2, 1, 1]
 
+    def test_past_max_k_exits_3(self, tmp_path, capsys):
+        # the 10,001-vertex star's 10,001 x 10,001 matrix would pass MAX_K
+        tree = write_tree(tmp_path / "t.json", 10_001, [(1, i) for i in range(2, 10_002)])
+        assert main(["spectral", "--model", tree]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:") and "d = 10001" in err and "MAX_K" in err
+
     @pytest.mark.parametrize("argv", [
         ["spectral", "--model", "{t}"],
         ["compare", "--model", "{m}", "{t}"],
@@ -575,6 +582,26 @@ class TestSpectral:
         argv = [a.format(**paths) for a in argv]
         assert main(argv) == EXIT_OK
         assert main(argv + ["--tol", "1e-6"]) == EXIT_USAGE
+
+
+class TestUnwritableOutput:
+    def test_missing_directory_exits_3(self, tmp_path, capsys):
+        model = write_model(tmp_path / "m.json", 3, [(1, 2), (2, 3)])
+        out = tmp_path / "nonexistent" / "x.csv"
+        assert main(["pmf", "--model", model, "-o", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: cannot write") and str(out) in err
+        assert not out.parent.exists()
+
+    def test_directory_as_the_file_exits_3(self, tmp_path, capsys):
+        tree = write_tree(tmp_path / "t.json", 3, [(1, 2), (2, 3)])
+        assert main(["spectral", "--model", tree, "-o", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: cannot write") and str(tmp_path) in err
+
+    def test_poset_files_go_through_the_same_check(self, tmp_path):
+        out = tmp_path / "nonexistent" / "shapes4"
+        assert main(["poset", "--d", "4", "-o", str(out)]) == EXIT_INPUT
 
 
 class TestAllocationTableExport:

@@ -688,6 +688,10 @@ class TestBlockedSampler:
         assert len(cdf) == int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1
         assert hashlib.sha256(cdf.tobytes()).hexdigest() == digest
 
+    def test_poisson_cdf_at_rate_zero_is_the_point_mass(self):
+        # one table path at every mu: each uniform falls in guide bin 0, a draw of 0
+        assert mpmrf._poisson_cdf(0.0).tolist() == [1.0]
+
     def test_past_max_k_draws_raise_before_allocating(self):
         m = MpmrfModel.homogeneous(Tree.of(2, [(1, 2)]), 1.0, 0.5)
         with pytest.raises(ValueError, match="MAX_K"):

@@ -3,13 +3,13 @@ import pytest
 
 from treemrf.mpmrf import DiscreteDist, MpmrfModel, aggregate_dist
 from treemrf.orders import (
+    CDF_TOL,
     Relation,
     _stop_loss_curve,
     cx_check_empirical,
     exponent_compare,
     shape_compare,
     st_compare,
-    st_compare_rows,
     synecdochic_compare,
 )
 from treemrf.poset import DEFAULT_ALPHA_GRID, build_poset
@@ -74,23 +74,30 @@ class TestStCompare:
         assert obj["relation"] == "LE" and obj["witness"] is None
 
     def test_rows_agree_with_pairwise_verdicts(self, incomparable12):
+        # each verdict against the first k where each direction fails, read
+        # entry by entry off the two cdfs zero-padded to a common length
         t, _tp = incomparable12
         residual, _ = prune(t, 4, 2)
         pairs = [(point_mass(1), point_mass(2)), (point_mass(2), point_mass(1)),
                  (point_mass(2), point_mass(2))]
         pairs += [(DiscreteDist(eta_by_hand(residual, 2, a)),
                    DiscreteDist(eta_by_hand(residual, 3, a))) for a in (0.1, 0.5, 0.9)]
-        n = max(len(x.pmf) for pair in pairs for x in pair)
-        fa, fb = (np.array([np.cumsum(np.pad(x.pmf, (0, n - len(x.pmf)))) for x in col])
-                  for col in zip(*pairs))
-        rows = st_compare_rows(fa, fb)
-        assert rows == [st_compare(a, b) for a, b in pairs]
-        assert [v.relation for v in rows[:3]] == [Relation.LE, Relation.GE, Relation.EQ]
+        verdicts = [st_compare(a, b) for a, b in pairs]
+        for (a, b), v in zip(pairs, verdicts):
+            n = max(len(a.pmf), len(b.pmf))
+            fa, fb = (np.cumsum(np.pad(x.pmf, (0, n - len(x.pmf)))).tolist() for x in (a, b))
+            not_le = next((k for k in range(n) if fa[k] < fb[k] - CDF_TOL), None)
+            not_ge = next((k for k in range(n) if fb[k] < fa[k] - CDF_TOL), None)
+            assert (v.not_le_at, v.not_ge_at) == (not_le, not_ge)
+        assert [v.relation for v in verdicts[:3]] == [Relation.LE, Relation.GE, Relation.EQ]
+        assert verdicts[5].relation is Relation.INCOMPARABLE
 
     def test_rows_tolerance(self):
-        fa = np.array([[0.5, 1.0], [0.5, 1.0]])
-        fb = np.array([[0.5 + 5e-13, 1.0], [0.5 + 5e-12, 1.0]])
-        assert [v.relation for v in st_compare_rows(fa, fb)] == [Relation.EQ, Relation.GE]
+        # cdfs (0.5, 1) against (0.5 + gap, 1): within CDF_TOL the laws are equal
+        a = DiscreteDist(np.array([0.5, 0.5]))
+        rel = [st_compare(a, DiscreteDist(np.array([0.5 + gap, 0.5 - gap]))).relation
+               for gap in (5e-13, 5e-12)]
+        assert rel == [Relation.EQ, Relation.GE]
 
 
 class TestSynecdochicCompare:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from treemrf.mpmrf import _exponent
-from treemrf.orders import Relation, _h_cdf, shape_compare
+from treemrf.mpmrf import _exponent, _root_eta
+from treemrf.orders import Relation, shape_compare
 from treemrf.poset import (
     DEFAULT_ALPHA_GRID,
     AntisymmetryError,
@@ -162,7 +162,11 @@ class TestCodeKeyedLaws:
                 for x, code in at.items():  # the residual rooted at each of its vertices
                     got = _h_pmfs(code, alphas, memo).cumsum(axis=1)
                     rooted = root_at(reps[i], x, away=u)
-                    want = np.array([_h_cdf(rooted, a) for a in grid])
+                    want = np.zeros((len(grid), len(rooted.order) + 1))  # H lives on {1..d}
+                    for row, a in zip(want, grid):
+                        p = _root_eta(rooted, a)
+                        row[: len(p)] = p
+                    want = want.cumsum(axis=1)
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-15
                     checked += 1

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from treemrf import spectral
 from treemrf.poset import build_poset, corollary_chain
 from treemrf.spectral import cospectral_pair_check, majorizes, spectrum
 from treemrf.orders import Relation, shape_compare
@@ -84,6 +86,13 @@ class TestMajorizes:
         assert majorizes(degree_vector(hi), degree_vector(lo))
         assert shape_compare(lo, hi, 0.5).relation is Relation.LE
 
+    def test_prefix_sums_cross_at_the_last_entry(self):
+        # prefix sums 3, 5, 5 against 2, 4, 6: b leads until the last entry
+        a, b = (2, 2, 2), (3, 2, 0)
+        assert not majorizes(a, b)
+        assert not majorizes(b, a)
+        assert majorizes((2, 2, 1), b)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             majorizes((2, 1, 1), (1, 1))
@@ -91,6 +100,29 @@ class TestMajorizes:
     def test_not_decreasing(self):
         with pytest.raises(ValueError):
             majorizes((1, 2, 1), (2, 1, 1))
+
+
+class TestMatrixSize:
+    def test_past_max_k_raises_before_allocating(self):
+        # a 10,001-vertex star's dense matrix would hold 100,020,001 > MAX_K entries
+        tree = star_tree(10_001)
+        tracemalloc.start()
+        try:
+            for check in (spectral.adjacency_matrix, spectral.laplacian_matrix, spectrum):
+                with pytest.raises(ValueError, match=r"d = 10001: .* passes MAX_K = 100,000,000"):
+                    check(tree)
+            with pytest.raises(ValueError, match="MAX_K"):
+                cospectral_pair_check(tree, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_d_squared_up_to_max_k_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_K", 100)
+        assert spectrum(star_tree(10)).degrees[0] == 9
+        with pytest.raises(ValueError, match="MAX_K = 100"):
+            spectrum(star_tree(11))
 
 
 class TestCospectral:
