@@ -175,9 +175,21 @@ def _thin(a: float, p: np.ndarray) -> np.ndarray:
 
 
 def _pairs(row: list[np.ndarray]) -> list[np.ndarray]:
-    """One level of a balanced product tree: neighbours multiplied pairwise, an odd last one kept."""
-    return [_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
-            for k in range(0, len(row), 2)]
+    """One level of a balanced product tree: neighbours multiplied pairwise, an odd last one kept.
+
+    A pair of the same two arrays as the pair before reuses its product, so n
+    copies of one factor (a star centre's leaves) take O(log n) convolutions.
+    """
+    out = []
+    for k in range(0, len(row) - 1, 2):
+        if not (k and row[k] is row[k - 2] and row[k + 1] is row[k - 1]):
+            prod = _trim(np.convolve(row[k], row[k + 1]))
+        out.append(prod)
+    return out + row[-1:] if len(row) % 2 else out
+
+
+_T = np.array([0.0, 1.0])  # t, every leaf's eta: one shared array, never written
+_T.flags.writeable = False
 
 
 def _eta(rooted: RootedTree, alpha) -> Iterator[tuple[int, np.ndarray]]:
@@ -189,21 +201,36 @@ def _eta(rooted: RootedTree, alpha) -> Iterator[tuple[int, np.ndarray]]:
     (_thin), so every convolution runs over the support. The factor t and the
     children multiply level by level up the balanced product tree of
     _all_but_one (_pairs): a star centre of degree n makes few long
-    convolutions instead of n passes over a growing product. Up to two
-    children this is the one-by-one product t * f1 * f2.
+    convolutions instead of n passes over a growing product. The first pair,
+    t times the first child's factor, is an exact shift; every leaf's eta is
+    the one array _T, and the pass thins it once per alpha, so a star
+    centre's equal leaf factors multiply in O(log n) convolutions (_pairs).
+    Each float is the one the plain product tree gives.
     """
-    for a in alpha.values() if isinstance(alpha, dict) else (alpha,):
+    per_edge = isinstance(alpha, dict)
+    for a in alpha.values() if per_edge else (alpha,):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
+    a = None if per_edge else float(alpha)
     held: dict[int, np.ndarray] = {}
+    leaf_factor: dict[float, np.ndarray] = {}  # alpha -> 1 - alpha + alpha * t, this pass only
     for v in reversed(rooted.order):
-        row = [np.array([0.0, 1.0])]
+        row = []
         for c in rooted.children[v]:
-            row.append(_thin(_alpha_of(alpha, v, c), held.pop(c)))
-        while len(row) > 1:
-            row = _pairs(row)
-        held[v] = row[0]
-        yield v, row[0]
+            if per_edge:
+                a = alpha[_norm_edge(v, c)]
+            eta = held.pop(c)
+            if eta is _T and a not in leaf_factor:
+                leaf_factor[a] = _thin(a, _T)
+            row.append(leaf_factor[a] if eta is _T else _thin(a, eta))
+        eta = np.concatenate(([0.0], row[0])) if row else _T  # t * f1, an exact shift
+        if len(row) > 1:
+            row = [eta, *_pairs(row[1:])]  # f2 * f3, ...: the rest of the first level
+            while len(row) > 1:
+                row = _pairs(row)
+            eta = row[0]
+        held[v] = eta
+        yield v, eta
 
 
 def _root_eta(rooted: RootedTree, alpha) -> np.ndarray:
@@ -241,27 +268,37 @@ def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
     H_v is t times the thinned pgfs of its neighbours' sides. Going down,
     each child gets the thinned pgf of its parent's side: t times the
     parent's other factors, handed out by _all_but_one (no division).
-    O(d) convolutions in all.
+    O(d) convolutions in all. A running count of the entries held, in h and
+    in the parent-side laws not yet used, raises ValueError before a
+    vertex's laws could take it past MAX_K: deg(v) laws, none longer than
+    one more than v's product.
     """
     rooted = root_at(tree, tree.vertices[0])
     eta = dict(_eta(rooted, alpha))
-    up, h = {}, {}  # up: child -> thinned pgf of its parent's side; read once, like eta
+    up, h, held = {}, {}, 0  # up: child -> thinned pgf of its parent's side; read once, like eta
     for v in rooted.order:
         parent, ns = rooted.parent.get(v), tree.neighbors[v]
-        factors = [up.pop(v) if u == parent else _thin(_alpha_of(alpha, v, u), eta.pop(u)) for u in ns]
+        mine = up.pop(v, ())  # the root has no parent's side
+        held -= len(mine)
+        factors = [mine if u == parent else _thin(_alpha_of(alpha, v, u), eta.pop(u)) for u in ns]
+        if held + len(ns) * (2 + sum(len(f) - 1 for f in factors)) > MAX_K:
+            raise ValueError(f"the H laws of a {tree.d}-vertex tree pass MAX_K = {MAX_K:,} entries")
         total, others = _all_but_one(factors)
         h[v] = np.concatenate(([0.0], total))  # times t
+        held += len(h[v])
         others.reverse()  # popped in neighbour order: each share is freed once used
         for u in ns:
             rest = others.pop()
             if u != parent:
                 up[u] = _thin(_alpha_of(alpha, v, u), np.concatenate(([0.0], rest)))
+                held += len(up[u])
     return h
 
 
 def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
     """pgf coefficients of H_root; alpha is a scalar or an edge map in [0, 1]."""
-    return _root_eta(root_at(tree, root), alpha)
+    h = _root_eta(root_at(tree, root), alpha)
+    return h.copy() if h is _T else h
 
 
 def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
@@ -279,7 +316,10 @@ def _exponent(tree: Tree, alpha) -> np.ndarray:
     q = np.zeros(tree.d + 1)
     for v, eta in _eta(rooted, alpha):
         a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
-        q[: len(eta)] += (1.0 - a) * eta
+        if eta is _T:  # a leaf: q[0] += 0.0 would change no bit
+            q[1] += 1.0 - a
+        else:
+            q[: len(eta)] += (1.0 - a) * eta
     return _trim(q)
 
 
@@ -346,7 +386,11 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     """
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
-    lam, expo = model.lam, _exponent(model.tree, model.alpha)
+    return _panjer(model.lam, _exponent(model.tree, model.alpha), tol)
+
+
+def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
+    """The pass of aggregate_dist on the exponent Q = expo, sized by _tail_bound."""
     terms = expo.tolist()
     hi = math.fsum(terms)
     rate = Decimal(lam) * (Decimal(hi) + Decimal(math.fsum([*terms, -hi])))  # lambda sigma
@@ -362,8 +406,9 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     past_w = np.zeros((n_b, j_max + n_b))  # row a: w_{j_max}..w_1 against q[k0 + a - j_max:k0 + a]
     for a in range(n_b):
         past_w[a, a : a + j_max] = w[:0:-1]
-    # the block's own columns: w_a..w_1 (0 past j_max), against its x_0..x_{a-1}
-    own_w = [past_w[a, j_max : j_max + a].tolist() for a in range(n_b)]
+    # the block's own columns: the nonzero w_{a-l} (0 past j_max), against its x_l, l < a
+    own_w = [[(wj, l) for l, wj in enumerate(past_w[a, j_max : j_max + a].tolist()) if wj]
+             for a in range(n_b)]
     q = np.zeros(int(k_end) + 1)
     q[0], shifts = 1.0, 0
     c = _panjer_start(rate, shifts)
@@ -375,8 +420,8 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
         xs = []
         for a in range(n):
             x = past[a]
-            for wj, xl in zip(own_w[a], xs):
-                x += wj * xl
+            for wj, l in own_w[a]:  # a zero weight would add 0.0 and change no bit
+                x += wj * xs[l]
             x *= lam / (k0 + a)
             xs.append(x)
             if x > 1e250:

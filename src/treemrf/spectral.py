@@ -48,16 +48,19 @@ def adjacency_matrix(tree: Tree) -> np.ndarray:
     return a
 
 
-def laplacian_matrix(tree: Tree) -> np.ndarray:
-    a = adjacency_matrix(tree)
-    return np.diag(a.sum(axis=1)) - a
-
-
 def spectrum(tree: Tree) -> SpectrumReport:
-    """Adjacency eigenvalues plus the Fiedler value."""
-    mu = np.linalg.eigvalsh(adjacency_matrix(tree))
-    lmu = np.linalg.eigvalsh(laplacian_matrix(tree))
-    fiedler = float(lmu[1]) if tree.d > 1 else 0.0
+    """Adjacency eigenvalues plus the Fiedler value, from one d x d matrix.
+
+    Once its eigenvalues are taken, the adjacency matrix a becomes the
+    Laplacian diag(degrees) - a in place: 0 - a off the diagonal (+0.0 where
+    a is 0), the degrees on it.
+    """
+    a = adjacency_matrix(tree)
+    mu = np.linalg.eigvalsh(a)
+    degrees = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, degrees)
+    fiedler = float(np.linalg.eigvalsh(a)[1]) if tree.d > 1 else 0.0
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in mu),
         rho=float(mu[-1]),

@@ -11,7 +11,10 @@ rerooting recurrences on the tree's own adjacency, the compound pgf
 exponentiated as a truncated Taylor series, the compound Poisson by the
 unscaled Panjer recursion, the sampler's stream drawn whole, one array
 per vertex, and the Monte Carlo report's covariance statistics by np.cov
-and np.std.
+and np.std. The eta pass, the aggregate's exponent and its blocked Panjer
+pass are also kept as they were before their shortcuts (one convolution
+per pair, every weight added), and the Laplacian as diag(degrees) - a, so
+the shortcuts can be held to the same bytes.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
-from treemrf.mpmrf import MpmrfModel
-from treemrf.tree_core import RootedTree, Tree, root_at
+from treemrf import mpmrf
+from treemrf.mpmrf import DiscreteDist, MpmrfModel
+from treemrf.spectral import adjacency_matrix
+from treemrf.tree_core import RootedTree, Tree, _norm_edge, root_at
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -389,3 +395,100 @@ def mc_cov_stats(x: np.ndarray, total: np.ndarray, lam: float) -> tuple[float, f
     of (x - lam) * (total - mean total), the spread behind the report's band."""
     centred = total - float(total.mean())
     return float(np.cov(x, total)[0, 1]), float(((x - lam) * centred).std())
+
+
+def _reference_trim(c: np.ndarray) -> np.ndarray:
+    return c if c[-1] else c[: np.flatnonzero(c)[-1] + 1]
+
+
+def _reference_thin(a: float, p: np.ndarray) -> np.ndarray:
+    f = a * p
+    f[0] += 1.0 - a
+    return _reference_trim(f)
+
+
+def _reference_alpha(alpha, a: int, b: int) -> float:
+    return alpha[_norm_edge(a, b)] if isinstance(alpha, dict) else float(alpha)
+
+
+def reference_eta(rooted: RootedTree, alpha):
+    """(v, eta_v), children first, by the plain balanced product: each row
+    starts with the factor t = [0, 1], every vertex has its own arrays, and
+    each pair of a level is one convolution, trimmed of trailing zeros."""
+    held: dict[int, np.ndarray] = {}
+    for v in reversed(rooted.order):
+        row = [np.array([0.0, 1.0])]
+        for c in rooted.children[v]:
+            row.append(_reference_thin(_reference_alpha(alpha, v, c), held.pop(c)))
+        while len(row) > 1:
+            row = [_reference_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
+                   for k in range(0, len(row), 2)]
+        held[v] = row[0]
+        yield v, row[0]
+
+
+def reference_exponent(tree: Tree, alpha) -> np.ndarray:
+    """The aggregate's exponent Q = sum_v (1 - alpha_pa(v)) * eta_v off
+    reference_eta, each law added whole, rooted at the smallest label."""
+    rooted = root_at(tree, tree.vertices[0])
+    q = np.zeros(tree.d + 1)
+    for v, eta in reference_eta(rooted, alpha):
+        a = _reference_alpha(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
+        q[: len(eta)] += (1.0 - a) * eta
+    return _reference_trim(q)
+
+
+def reference_panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
+    """The blocked, rescaled Panjer pass of mpmrf.aggregate_dist on the exponent
+    expo, each entry's forward substitution adding every weight w_a..w_1,
+    zeros included."""
+    terms = expo.tolist()
+    hi = math.fsum(terms)
+    rate = Decimal(lam) * (Decimal(hi) + Decimal(math.fsum([*terms, -hi])))
+    k_end = mpmrf._tail_bound(lam, expo, tol)
+    j_max = len(expo) - 1
+    w = np.arange(j_max + 1) * expo
+    n_b = mpmrf._PANJER_BLOCK
+    past_w = np.zeros((n_b, j_max + n_b))
+    for a in range(n_b):
+        past_w[a, a : a + j_max] = w[:0:-1]
+    own_w = [past_w[a, j_max : j_max + a].tolist() for a in range(n_b)]
+    scale = 2.0 ** -mpmrf._SHIFT
+    q = np.zeros(int(k_end) + 1)
+    q[0], shifts = 1.0, 0
+    c = mpmrf._panjer_start(rate, shifts)
+    k, total = 0, 0.0
+    for k0 in range(1, len(q), n_b):
+        n = min(n_b, len(q) - k0)
+        lo = max(0, j_max - k0)
+        past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
+        xs = []
+        for a in range(n):
+            x = past[a]
+            for wj, xl in zip(own_w[a], xs):
+                x += wj * xl
+            x *= lam / (k0 + a)
+            xs.append(x)
+            if x > 1e250:
+                q[:k0] *= scale
+                xs = [xl * scale for xl in xs]
+                past[a + 1 :] = [pa * scale for pa in past[a + 1 :]]
+                shifts += 1
+                c = mpmrf._panjer_start(rate, shifts)
+        q[k0 : k0 + n] = xs
+        for x in q[k : k0 + n].tolist():
+            total += c * x
+            if 1.0 - total < tol:
+                pmf = q[: k + 1]
+                pmf *= c
+                return DiscreteDist(pmf, max(0.0, 1.0 - total))
+            k += 1
+    raise mpmrf.ToleranceError("reference pass ran out of support")
+
+
+def reference_algebraic_connectivity(tree: Tree) -> float:
+    """The second-smallest eigenvalue of diag(degrees) - a, both d x d
+    matrices formed whole (0.0 for a single vertex)."""
+    a = adjacency_matrix(tree)
+    lmu = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+    return float(lmu[1]) if tree.d > 1 else 0.0

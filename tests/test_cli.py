@@ -216,6 +216,16 @@ class TestAllocate:
         assert len(out.read_text().splitlines()) == 1 + 200 + 2
         assert len(root_calls) <= 3
 
+    def test_kappa_past_max_k_h_laws_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the aggregate fits; the 30 H laws of the star would pass MAX_K = 800
+        model = write_model(tmp_path / "m.json", 30, [(1, i) for i in range(2, 31)], lam=0.05)
+        monkeypatch.setattr(mpmrf, "MAX_K", 800)
+        out = tmp_path / "alloc.csv"
+        assert main(["allocate", "--model", model, "--kappa", "0.9", "-o", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:") and "30-vertex tree pass MAX_K = 800" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kappa", ["1.0", "-0.1", "nan"])
     def test_kappa_out_of_range_exits_3(self, tmp_path, capsys, kappa):
         model = write_model(tmp_path / "m.json", 3, [(1, 2), (2, 3)])

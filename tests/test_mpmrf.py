@@ -23,7 +23,7 @@ from treemrf.mpmrf import (
     tvar,
     tvar_contribution_table,
 )
-from treemrf.tree_core import Tree
+from treemrf.tree_core import Tree, enumerate_shapes, root_at
 
 from helpers import (
     agg_pmf_series_exp,
@@ -34,6 +34,9 @@ from helpers import (
     path_sums_by_hand,
     poisson_pmf,
     random_tree,
+    reference_eta,
+    reference_exponent,
+    reference_panjer,
     reference_sample,
     reference_thinning,
     relabel,
@@ -49,6 +52,12 @@ def path_tree(d):
 
 def star_tree(d):
     return Tree.of(d, [(1, i) for i in range(2, d + 1)])
+
+
+def broom_tree(d):
+    """A path 1..h, h = max(1, d // 3), with every later vertex a leaf of h."""
+    h = max(1, d // 3)
+    return Tree.of(d, [(i, i + 1) for i in range(1, h)] + [(h, i) for i in range(h + 1, d + 1)])
 
 
 def random_model(rng, d_max=8) -> MpmrfModel:
@@ -296,6 +305,123 @@ class TestHAll:
             for alpha in self.alphas(rng, t):
                 for p in mpmrf._h_all(t, alpha).values():
                     assert abs(p.sum() - 1.0) < 1e-12 and p[-1] != 0.0
+
+
+class TestShortcutsAreBitIdentical:
+    """The eta pass (one shared leaf law, the factor t as a shift, a pair equal
+    to the one before reusing its product), the exponent's leaf adds and
+    Panjer's skipped zero weights give the bytes of the plain passes in
+    helpers: np.array_equal, no tolerance."""
+
+    @staticmethod
+    def alphas(rng, t):
+        yield from (0.0, 1.0, 0.3)
+        yield {e: float(rng.uniform()) for e in t.edges}
+        yield {e: float([0.0, 1.0, rng.uniform()][rng.integers(3)]) for e in t.edges}
+
+    @staticmethod
+    def check_pass(t, alpha, roots):
+        for r in roots:
+            rooted = root_at(t, r)
+            got, want = list(mpmrf._eta(rooted, alpha)), list(reference_eta(rooted, alpha))
+            assert [v for v, _ in got] == [v for v, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.array_equal(h_poly(t, r, alpha), want[-1][1])
+
+    @staticmethod
+    def check_laws(t, alpha, lam, monkeypatch):
+        q = reference_exponent(t, alpha)
+        assert np.array_equal(mpmrf._exponent(t, alpha), q)
+        h = mpmrf._h_all(t, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(mpmrf, "_eta", reference_eta)
+            want = mpmrf._h_all(t, alpha)
+        assert sorted(h) == sorted(want) and all(np.array_equal(h[v], want[v]) for v in h)
+        m = MpmrfModel(t, lam, alpha) if isinstance(alpha, dict) else MpmrfModel.homogeneous(t, lam, alpha)
+        agg, ref = aggregate_dist(m), reference_panjer(lam, q, mpmrf.DEFAULT_TOL)
+        assert agg.pmf.tobytes() == ref.pmf.tobytes() and repr(agg.tail_mass) == repr(ref.tail_mass)
+
+    def test_every_shape_to_d9_at_every_root(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        for d in range(1, 10):
+            for t in enumerate_shapes(d):
+                for alpha in self.alphas(rng, t):
+                    self.check_pass(t, alpha, t.vertices)
+                    self.check_laws(t, alpha, 1.3, monkeypatch)
+
+    def test_stars_and_brooms(self, monkeypatch):
+        # stars of odd and even degree, so the reused pairs end with and
+        # without an odd factor carried up; the centre's leaf factors are one array
+        rng = np.random.default_rng(41)
+        for d in range(1, 71):
+            for t in (star_tree(d), broom_tree(d)):
+                for alpha in self.alphas(rng, t):
+                    self.check_pass(t, alpha, sorted({1, d, max(1, d // 3)}))
+                    self.check_laws(t, alpha, 0.7, monkeypatch)
+
+    def test_random_trees(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            t = random_tree(rng, int(rng.integers(2, 401)))
+            alphas = [{e: float([0.0, 1.0, rng.uniform()][rng.integers(3)]) for e in t.edges},
+                      {e: float(rng.uniform()) for e in t.edges}, 0.5]
+            for alpha in alphas:
+                self.check_pass(t, alpha, [1, *(int(x) for x in rng.integers(1, t.d + 1, size=2))])
+                self.check_laws(t, alpha, 0.2, monkeypatch)
+
+    def test_zero_weights_in_a_block(self, monkeypatch):
+        # at alpha = .5 the centre's law of a 2000-star underflows below
+        # t^100 or so, so w_2..w_15 are exact zeros; at alpha = 1 the path's
+        # Q is t^d, and a block's own weights are all zero
+        for t, alpha, lam in ((star_tree(2000), 0.5, 0.05), (path_tree(40), 1.0, 3.0),
+                              (path_tree(300), 0.0, 2.0)):
+            q = mpmrf._exponent(t, alpha)
+            assert not q[2:16].any() or alpha == 1.0
+            self.check_laws(t, alpha, lam, monkeypatch)
+
+    def test_single_vertex_law_is_a_fresh_writeable_array(self):
+        t = Tree.of(1, [])
+        h = h_poly(t, 1, 0.5)
+        assert h.flags.writeable and h.tolist() == [0.0, 1.0]
+        h[1] = 7.0
+        assert h_poly(t, 1, 0.5).tolist() == [0.0, 1.0]
+        assert h_dist(MpmrfModel.homogeneous(t, 1.0, 0.5), 1).pmf.tolist() == [0.0, 1.0]
+
+
+class TestHAllSize:
+    """_h_all counts the entries of the laws it holds and raises ValueError
+    before a vertex's laws could take the count past MAX_K."""
+
+    def test_star_past_max_k_raises_at_the_centre(self, monkeypatch):
+        # the centre hands out 29 laws of up to 31 entries: 899 > 500
+        monkeypatch.setattr(mpmrf, "MAX_K", 500)
+        with pytest.raises(ValueError, match=r"a 30-vertex tree pass MAX_K = 500 entries"):
+            mpmrf._h_all(star_tree(30), 0.5)
+
+    def test_path_raises_once_the_laws_held_pass_max_k(self, monkeypatch):
+        # every vertex of a 40-path passes the check alone; the count of the
+        # H laws already formed is what crosses 600
+        t = path_tree(40)
+        assert sum(len(h) for h in mpmrf._h_all(t, 0.9).values()) > 600
+        monkeypatch.setattr(mpmrf, "MAX_K", 600)
+        with pytest.raises(ValueError, match=r"a 40-vertex tree pass MAX_K = 600 entries"):
+            mpmrf._h_all(t, 0.9)
+        monkeypatch.setattr(mpmrf, "MAX_K", 10**8)
+        assert len(mpmrf._h_all(t, 0.9)) == 40
+
+    def test_past_max_k_raises_before_allocating(self):
+        # the 10,001-star's centre would hand out 10,000 laws of up to 10,002
+        # entries: 100,020,000 > MAX_K; the 10^4-star's 99,999,999 pass
+        t = star_tree(10_001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"a 10001-vertex tree pass MAX_K = 100,000,000"):
+                mpmrf._h_all(t, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 def _eta_at(tree, v, parent, alpha, x):

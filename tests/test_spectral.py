@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,9 +9,9 @@ from treemrf import spectral
 from treemrf.poset import build_poset, corollary_chain
 from treemrf.spectral import cospectral_pair_check, majorizes, spectrum
 from treemrf.orders import Relation, shape_compare
-from treemrf.tree_core import Tree, canonical_code, degree_vector
+from treemrf.tree_core import Tree, canonical_code, degree_vector, enumerate_shapes
 
-from helpers import random_tree
+from helpers import random_tree, reference_algebraic_connectivity
 
 
 def path_tree(d):
@@ -66,6 +67,36 @@ class TestSpectrum:
         assert rep.eigenvalues == (0.0,) and rep.rho == 0.0
 
 
+class TestSpectrumInPlace:
+    """spectrum turns its one adjacency matrix into the Laplacian in place."""
+
+    @staticmethod
+    def trees():
+        for d in range(1, 10):
+            yield from enumerate_shapes(d)
+        rng = np.random.default_rng(25)
+        for d in (25, 50, 100):
+            yield from (path_tree(d), star_tree(d), random_tree(rng, d))
+
+    def test_report_bytes_match_the_whole_matrix_laplacian(self):
+        for t in self.trees():
+            rep = spectrum(t)
+            want = dict(rep.to_json(), algebraic_connectivity=reference_algebraic_connectivity(t))
+            assert json.dumps(rep.to_json()) == json.dumps(want)
+
+    def test_peak_is_one_matrix(self):
+        # a 2,000-star's matrix is 32 MB; an adjacency matrix and a Laplacian
+        # formed whole held two at once, a 64 MB peak
+        t = star_tree(2000)
+        tracemalloc.start()
+        try:
+            spectrum(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2000 * 2000 * 8
+
+
 class TestMajorizes:
     def test_star_dominates_path(self):
         a = degree_vector(path_tree(6))
@@ -108,7 +139,7 @@ class TestMatrixSize:
         tree = star_tree(10_001)
         tracemalloc.start()
         try:
-            for check in (spectral.adjacency_matrix, spectral.laplacian_matrix, spectrum):
+            for check in (spectral.adjacency_matrix, spectrum):
                 with pytest.raises(ValueError, match=r"d = 10001: .* passes MAX_K = 100,000,000"):
                     check(tree)
             with pytest.raises(ValueError, match="MAX_K"):

@@ -1,0 +1,131 @@
+"""Layer timings of the aggregate on a size ladder of trees.
+
+Usage, from the root of a checkout:
+
+    python tools/ladder.py [--quick] [-o FILE]
+
+For each cell (shape, d), shape in {path, star, random} and d in
+{10, 100, 1000, 10^4} (--quick: d <= 1000), it times the layers of
+`treemrf.mpmrf.aggregate_dist` and of writing its pmf:
+
+    root_s        root_at at the smallest label
+    eta_s         the eta pass on that rooting, every law formed and dropped
+    q_s           _exponent: the rooting, the eta pass and the sums into Q
+    tail_bound_s  _tail_bound, the Chernoff size of the Panjer pass
+    panjer_s      _panjer on Q, its own _tail_bound call included
+    csv_s         dist_to_csv of the aggregate
+
+A round times every layer of every cell once, cells and layers in a fixed
+order, so the rounds interleave; each value is the median over the rounds
+(default 7, --quick 3). The trees are a path and a star hung from vertex 1
+and a random recursive tree (vertex i joins a uniform earlier vertex, from a
+fixed seed), all at lambda = 0.5, alpha = 0.5 and the default tol. It
+imports treemrf from src/ and uses the standard library and numpy only, with
+one BLAS thread. The JSON report (default BENCH_layers.json) names the
+machine it ran on.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import random  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import deque  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from treemrf import mpmrf  # noqa: E402
+from treemrf.tree_core import Tree, root_at  # noqa: E402
+
+SHAPES = ("path", "star", "random")
+SIZES = (10, 100, 1000, 10_000)
+QUICK_MAX_D = 1000
+LAM, ALPHA, SEED = 0.5, 0.5, 0
+LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s")
+
+
+def tree_of(shape: str, d: int) -> Tree:
+    if shape == "path":
+        return Tree.of(d, [(i, i + 1) for i in range(1, d)])
+    if shape == "star":
+        return Tree.of(d, [(1, i) for i in range(2, d + 1)])
+    rng = random.Random(SEED)
+    return Tree.of(d, [(rng.randint(1, i - 1), i) for i in range(2, d + 1)])
+
+
+def clock(fn, *args):
+    """(seconds, result) of one call."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+def time_cell(tree: Tree) -> dict:
+    """One timing of every layer of one cell, each on the previous layer's result."""
+    tol = mpmrf.DEFAULT_TOL
+    times = {}
+    times["root_s"], rooted = clock(root_at, tree, tree.vertices[0])
+    times["eta_s"], _ = clock(deque, mpmrf._eta(rooted, ALPHA), 0)
+    times["q_s"], q = clock(mpmrf._exponent, tree, ALPHA)
+    times["tail_bound_s"], _ = clock(mpmrf._tail_bound, LAM, q, tol)
+    times["panjer_s"], dist = clock(mpmrf._panjer, LAM, q, tol)
+    times["csv_s"], _ = clock(mpmrf.dist_to_csv, dist)
+    return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
+
+
+def run(sizes, rounds: int) -> list[dict]:
+    cells = [(shape, d, tree_of(shape, d)) for d in sizes for shape in SHAPES]
+    samples = {(shape, d): [] for shape, d, _ in cells}
+    for _ in range(rounds):
+        for shape, d, tree in cells:
+            samples[shape, d].append(time_cell(tree))
+    rows = []
+    for shape, d, _ in cells:
+        runs = samples[shape, d]
+        row = {"shape": shape, "d": d, "j_max": runs[0]["j_max"], "k_max": runs[0]["k_max"]}
+        row.update({k: statistics.median(r["times"][k] for r in runs) for k in LAYERS})
+        rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true", help=f"only d <= {QUICK_MAX_D}, in 3 rounds")
+    ap.add_argument("-o", "--output", default=str(ROOT / "BENCH_layers.json"))
+    args = ap.parse_args(argv)
+    rounds = 3 if args.quick else 7
+    sizes = [d for d in SIZES if d <= QUICK_MAX_D] if args.quick else list(SIZES)
+    rows = run(sizes, rounds)
+    report = {
+        "tool": "tools/ladder.py",
+        "rounds": rounds,
+        "statistic": "median over interleaved rounds, seconds",
+        "lambda": LAM, "alpha": ALPHA, "tol": mpmrf.DEFAULT_TOL, "random_tree_seed": SEED,
+        "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                    "system": platform.system(), "arch": platform.machine(),
+                    "cpus": os.cpu_count(), "blas_threads": 1},
+        "layers": list(LAYERS),
+        "cells": rows,
+    }
+    Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+    for row in rows:
+        print(f"{row['shape']:>6} d={row['d']:<6} K={row['k_max']:<6} "
+              + " ".join(f"{k[:-2]}={row[k] * 1e3:.3f}ms" for k in LAYERS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
