@@ -101,8 +101,7 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         table = mpmrf.expected_allocation(model, ns.table, ns.tol)
         _write(mpmrf.allocation_to_csv(table), ns.output)
         return
-    agg = mpmrf.aggregate_dist(model, ns.tol)
-    contrib = mpmrf.tvar_contribution_table(model, agg, [ns.kappa])
+    agg, contrib = mpmrf.tvar_contribution_table(model, [ns.kappa], ns.tol)
     covs = mpmrf.cov_with_sum(model)
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0

@@ -190,6 +190,18 @@ def _pairs(row: list[np.ndarray]) -> list[np.ndarray]:
 
 _T = np.array([0.0, 1.0])  # t, every leaf's eta: one shared array, never written
 _T.flags.writeable = False
+_ONE = np.ones(1)  # the empty product, shared like _T
+_ONE.flags.writeable = False
+
+
+def _thin_once(a: float, p: np.ndarray, leaf: dict[float, np.ndarray]) -> np.ndarray:
+    """_thin(a, p), formed once per alpha when p is the leaf law _T: leaf maps alpha
+    to that factor for one pass, so equal leaf factors are one array."""
+    if p is not _T:
+        return _thin(a, p)
+    if a not in leaf:
+        leaf[a] = _thin(a, _T)
+    return leaf[a]
 
 
 def _eta(rooted: RootedTree, alpha) -> Iterator[tuple[int, np.ndarray]]:
@@ -213,16 +225,13 @@ def _eta(rooted: RootedTree, alpha) -> Iterator[tuple[int, np.ndarray]]:
             raise ValueError(f"alpha {a} outside [0, 1]")
     a = None if per_edge else float(alpha)
     held: dict[int, np.ndarray] = {}
-    leaf_factor: dict[float, np.ndarray] = {}  # alpha -> 1 - alpha + alpha * t, this pass only
+    leaf: dict[float, np.ndarray] = {}  # alpha -> 1 - alpha + alpha * t, this pass only
     for v in reversed(rooted.order):
         row = []
         for c in rooted.children[v]:
             if per_edge:
                 a = alpha[_norm_edge(v, c)]
-            eta = held.pop(c)
-            if eta is _T and a not in leaf_factor:
-                leaf_factor[a] = _thin(a, _T)
-            row.append(leaf_factor[a] if eta is _T else _thin(a, eta))
+            row.append(_thin_once(a, held.pop(c), leaf))
         eta = np.concatenate(([0.0], row[0])) if row else _T  # t * f1, an exact shift
         if len(row) > 1:
             row = [eta, *_pairs(row[1:])]  # f2 * f3, ...: the rest of the first level
@@ -246,51 +255,78 @@ def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
     the child's sibling. That is fewer than 3n convolutions for n factors, none
     longer than the whole product, so a star centre of degree n costs
     O(n^2 log n) arithmetic where prefix times suffix products cost O(n^3).
+    A share whose (own share, sibling) pair is the two arrays of the pair
+    before is handed down as the same array, as _pairs does going up, so n
+    copies of one factor take O(log n) convolutions; no share is written.
     """
     if not factors:
-        return np.ones(1), []
+        return _ONE, []
     levels = [factors]
     while len(levels[-1]) > 1:
         levels.append(_pairs(levels[-1]))
     others = [None]  # None: the empty product, which takes no convolution
     for row in reversed(levels[:-1]):
-        shares = []
+        shares, last = [], (None, None)
         for k in range(len(row)):
             mine, sib = others[k >> 1], row[k ^ 1] if k ^ 1 < len(row) else None
-            shares.append(mine if sib is None else sib if mine is None else _trim(np.convolve(mine, sib)))
+            if mine is None or sib is None:
+                shares.append(sib if mine is None else mine)
+                continue
+            if mine is not last[0] or sib is not last[1]:
+                last, share = (mine, sib), _trim(np.convolve(mine, sib))
+            shares.append(share)
         others = shares
-    return levels[-1][0], [np.ones(1) if o is None else o for o in others]
+    return levels[-1][0], [_ONE if o is None else o for o in others]
 
 
 def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
-    """pgf coefficients of every H_v: one rooted _eta pass, then one pass down.
+    """pgf coefficients of every H_v, read-only: one rooted _eta pass, then _h_down."""
+    rooted = root_at(tree, tree.vertices[0])
+    return _h_down(tree, rooted, dict(_eta(rooted, alpha)), alpha)
+
+
+def _h_down(tree: Tree, rooted: RootedTree, eta: dict[int, np.ndarray], alpha) -> dict[int, np.ndarray]:
+    """Every H_v from the eta laws of one _eta pass on `rooted`, each popped once read.
 
     H_v is t times the thinned pgfs of its neighbours' sides. Going down,
     each child gets the thinned pgf of its parent's side: t times the
     parent's other factors, handed out by _all_but_one (no division).
-    O(d) convolutions in all. A running count of the entries held, in h and
-    in the parent-side laws not yet used, raises ValueError before a
+    O(d) convolutions in all. As in _eta, a leaf child's factor is one
+    thinned _T per alpha, and a parent-side law whose share and alpha, or an
+    H law whose product, are those of the law before is that law again: a
+    star's leaves share O(log d) arrays, read-only, with the plain pass's
+    floats. A
+    running count of the entries held, in h and in the parent-side laws not
+    yet used (a shared law once per holder), raises ValueError before a
     vertex's laws could take it past MAX_K: deg(v) laws, none longer than
     one more than v's product.
     """
-    rooted = root_at(tree, tree.vertices[0])
-    eta = dict(_eta(rooted, alpha))
     up, h, held = {}, {}, 0  # up: child -> thinned pgf of its parent's side; read once, like eta
+    leaf: dict[float, np.ndarray] = {}
+    last_h, last_up = (None, None), (None, None, None)  # (operand[, alpha], law) of the law before
     for v in rooted.order:
         parent, ns = rooted.parent.get(v), tree.neighbors[v]
         mine = up.pop(v, ())  # the root has no parent's side
         held -= len(mine)
-        factors = [mine if u == parent else _thin(_alpha_of(alpha, v, u), eta.pop(u)) for u in ns]
+        factors = [mine if u == parent else _thin_once(_alpha_of(alpha, v, u), eta.pop(u), leaf)
+                   for u in ns]
         if held + len(ns) * (2 + sum(len(f) - 1 for f in factors)) > MAX_K:
             raise ValueError(f"the H laws of a {tree.d}-vertex tree pass MAX_K = {MAX_K:,} entries")
         total, others = _all_but_one(factors)
-        h[v] = np.concatenate(([0.0], total))  # times t
+        if total is not last_h[0]:
+            law = np.concatenate(([0.0], total))  # times t
+            law.flags.writeable = False
+            last_h = total, law
+        h[v] = last_h[1]
         held += len(h[v])
         others.reverse()  # popped in neighbour order: each share is freed once used
         for u in ns:
             rest = others.pop()
             if u != parent:
-                up[u] = _thin(_alpha_of(alpha, v, u), np.concatenate(([0.0], rest)))
+                a = _alpha_of(alpha, v, u)
+                if rest is not last_up[0] or a != last_up[1]:
+                    last_up = rest, a, _thin(a, np.concatenate(([0.0], rest)))
+                up[u] = last_up[2]
                 held += len(up[u])
     return h
 
@@ -312,15 +348,27 @@ def _exponent(tree: Tree, alpha) -> np.ndarray:
     Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
     the rooting at the smallest label (alpha_pa(root) = 0), so Q(1) = d - sum(alpha_e).
     """
-    rooted = root_at(tree, tree.vertices[0])
-    q = np.zeros(tree.d + 1)
+    return _exponent_pass(root_at(tree, tree.vertices[0]), alpha)
+
+
+def _exponent_pass(rooted: RootedTree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """_exponent's Q on `rooted`, a rooting at the smallest label; laws, when given,
+    keeps every eta_v of the pass, which is otherwise dropped once its parent has used it."""
+    q = np.zeros(len(rooted.order) + 1)
     for v, eta in _eta(rooted, alpha):
+        if laws is not None:
+            laws[v] = eta
         a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
         if eta is _T:  # a leaf: q[0] += 0.0 would change no bit
             q[1] += 1.0 - a
         else:
             q[: len(eta)] += (1.0 - a) * eta
     return _trim(q)
+
+
+with localcontext() as _ctx:
+    _ctx.prec = 40
+    _LN2 = Decimal(2).ln()  # ln 2 to the 40 digits _panjer_start works in
 
 
 def _panjer_start(rate: Decimal, shifts: int) -> float:
@@ -333,7 +381,7 @@ def _panjer_start(rate: Decimal, shifts: int) -> float:
     """
     with localcontext() as ctx:
         ctx.prec = 40
-        x = (Decimal(_SHIFT * shifts) * Decimal(2).ln() - Decimal(rate)).exp()
+        x = (Decimal(_SHIFT * shifts) * _LN2 - Decimal(rate)).exp()
     return float(x)
 
 
@@ -346,14 +394,19 @@ def _tail_bound(lam: float, q: np.ndarray, tol: float) -> float:
     bisection on log theta over [2**-64, 1] * 700 / j_max comes within 0.1%
     of that theta (a nan or inf h counting as too far).
     """
-    js = np.arange(len(q))
+    js = np.arange(len(q), dtype=float)
+    tj, e, f = (np.empty_like(js) for _ in range(3))  # theta * j, its expm1, h's terms: one step's
     need = math.log(2.0) - math.log(tol)  # tol / 2 underflows at the smallest tol
     hi = 700.0 / (len(q) - 1)
     lo = hi * 2.0 ** -64
     for _ in range(16):
         theta = math.sqrt(lo * hi)
-        e = np.expm1(theta * js)
-        if lam * float(q @ (theta * js * (e + 1.0) - e)) < need:
+        np.multiply(js, theta, out=tj)
+        np.expm1(tj, out=e)
+        np.add(e, 1.0, out=f)
+        f *= tj
+        f -= e
+        if lam * float(q @ f) < need:
             lo = theta
         else:
             hi = theta
@@ -384,9 +437,13 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     at the first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised
     only at K*, where the true tail is at most tol / 2: the rest is rounding.
     """
+    _check_tol(tol)
+    return _panjer(model.lam, _exponent(model.tree, model.alpha), tol)
+
+
+def _check_tol(tol: float) -> None:
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
-    return _panjer(model.lam, _exponent(model.tree, model.alpha), tol)
 
 
 def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
@@ -609,26 +666,38 @@ def _euler_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
     return (above + atom) / (1.0 - kappa)
 
 
-def tvar_contribution_table(model: MpmrfModel, agg: DiscreteDist, kappas) -> dict[int, np.ndarray]:
-    """Euler TVaR contributions of every vertex over a grid of levels, on agg = aggregate_dist(model).
+def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
+                            ) -> tuple[DiscreteDist, dict[int, np.ndarray]]:
+    """(agg, table): agg = aggregate_dist(model, tol), and table[v] every vertex's
+    Euler TVaR contributions over the grid of levels kappas.
 
     With q = VaR_kappa(M), vertex v's contribution at level kappa is
       (E[N_v 1{M>q}] + (F_M(q)-kappa)/p_M(q) * E[N_v 1{M=q}]) / (1-kappa),
-    and the contributions over all vertices sum to TVaR_kappa(M). The
-    quantiles come first, so a kappa outside [0, 1) raises ValueError before
-    the one _h_all pass that gives every H law.
+    and the contributions over all vertices sum to TVaR_kappa(M). One
+    rooting and one _eta pass serve both: its laws are kept as they are
+    added into Q, Panjer runs on Q, and _h_down forms every H law from them.
+    The quantiles come before _h_down, so a kappa outside [0, 1) raises
+    ValueError before any H law is formed.
     """
+    _check_tol(tol)
+    tree, alpha = model.tree, model.alpha
+    rooted, eta = root_at(tree, tree.vertices[0]), {}
+    agg = _panjer(model.lam, _exponent_pass(rooted, alpha, eta), tol)
     levels = [(agg.quantile(k), k) for k in kappas]
-    h = _h_all(model.tree, model.alpha)
+    h = _h_down(tree, rooted, eta, alpha)
     cdf = agg.cdf()
-    return {v: np.array([_euler_contribution(agg.pmf, cdf, q, h[v], model.lam, k) for q, k in levels])
-            for v in model.tree.vertices}
+    table, last = {}, (None, None)  # (H law, its contributions) of the vertex before
+    for v in tree.vertices:
+        if h[v] is not last[0]:  # leaves sharing an H law share its row's values
+            last = h[v], [_euler_contribution(agg.pmf, cdf, q, h[v], model.lam, k) for q, k in levels]
+        table[v] = np.array(last[1])
+    return agg, table
 
 
 def dist_to_csv(dist: DiscreteDist) -> str:
     """CSV rows k,p with a trailer recording the truncated tail mass."""
     lines = ["k,p"]
-    lines += [f"{k},{repr(float(p))}" for k, p in enumerate(dist.pmf)]
+    lines += [f"{k},{p!r}" for k, p in enumerate(dist.pmf.tolist())]
     lines.append(f"# tail_mass,{repr(float(dist.tail_mass))}")
     return "\n".join(lines) + "\n"
 
@@ -636,7 +705,7 @@ def dist_to_csv(dist: DiscreteDist) -> str:
 def allocation_to_csv(table: np.ndarray) -> str:
     """CSV rows k,value for one vertex's expected allocations (expected_allocation)."""
     lines = ["k,value"]
-    lines += [f"{k},{repr(float(x))}" for k, x in enumerate(table)]
+    lines += [f"{k},{x!r}" for k, x in enumerate(table.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -427,6 +427,59 @@ def reference_eta(rooted: RootedTree, alpha):
         yield v, row[0]
 
 
+def _reference_pairs(row: list[np.ndarray]) -> list[np.ndarray]:
+    return [_reference_trim(np.convolve(row[k], row[k + 1])) if k + 1 < len(row) else row[k]
+            for k in range(0, len(row), 2)]
+
+
+def reference_h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
+    """Every H_v by the plain down pass on reference_eta's laws, rooted at the
+    smallest label: each neighbour's factor thinned on its own, one
+    convolution per pair going up the balanced product tree and one per
+    share going down, each law its own array."""
+    rooted = root_at(tree, tree.vertices[0])
+    eta = dict(reference_eta(rooted, alpha))
+    up, h = {}, {}
+    for v in rooted.order:
+        parent, ns = rooted.parent.get(v), tree.neighbors[v]
+        factors = [up.pop(v) if u == parent else _reference_thin(_reference_alpha(alpha, v, u), eta.pop(u))
+                   for u in ns]
+        levels = [factors]
+        while len(levels[-1]) > 1:
+            levels.append(_reference_pairs(levels[-1]))
+        others = [None]  # None: the empty product
+        for row in reversed(levels[:-1]):  # each node's share times its sibling
+            shares = []
+            for k in range(len(row)):
+                mine, sib = others[k >> 1], row[k ^ 1] if k ^ 1 < len(row) else None
+                shares.append(mine if sib is None else sib if mine is None
+                              else _reference_trim(np.convolve(mine, sib)))
+            others = shares
+        h[v] = np.concatenate(([0.0], levels[-1][0] if factors else np.ones(1)))
+        for u, rest in zip(ns, others):
+            if u != parent:
+                rest = np.ones(1) if rest is None else rest
+                up[u] = _reference_thin(_reference_alpha(alpha, v, u), np.concatenate(([0.0], rest)))
+    return h
+
+
+def reference_tail_bound(lam: float, q: np.ndarray, tol: float) -> float:
+    """mpmrf._tail_bound's K* by its plain formula: theta * j, its expm1 and
+    h's terms formed afresh at every bisection step, on an integer j."""
+    js = np.arange(len(q))
+    need = math.log(2.0) - math.log(tol)
+    hi = 700.0 / (len(q) - 1)
+    lo = hi * 2.0 ** -64
+    for _ in range(16):
+        theta = math.sqrt(lo * hi)
+        e = np.expm1(theta * js)
+        if lam * float(q @ (theta * js * (e + 1.0) - e)) < need:
+            lo = theta
+        else:
+            hi = theta
+    return float(np.ceil((lam * float(q @ np.expm1(lo * js)) + need) / lo))
+
+
 def reference_exponent(tree: Tree, alpha) -> np.ndarray:
     """The aggregate's exponent Q = sum_v (1 - alpha_pa(v)) * eta_v off
     reference_eta, each law added whole, rooted at the smallest label."""

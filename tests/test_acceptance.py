@@ -220,9 +220,8 @@ class TestCriterion7Properties:
 
     def test_contributions_sum_to_tvar_on_grid(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        agg = aggregate_dist(m)
         kappas = np.arange(0.01, 1.0, 0.01)
-        table = tvar_contribution_table(m, agg, kappas)
+        agg, table = tvar_contribution_table(m, kappas)
         totals = sum(table[v] for v in hub6.vertices)
         gaps = [abs(totals[i] - tvar(agg, k)) for i, k in enumerate(kappas)]
         assert max(gaps) < 1e-6
@@ -236,12 +235,11 @@ class TestCriterion7Properties:
             for tree in enumerate_shapes(d):
                 for alpha in (0.2, 0.5, 0.8):
                     m = MpmrfModel.homogeneous(tree, 1.0, alpha)
-                    agg = aggregate_dist(m)
+                    agg, contrib = tvar_contribution_table(m, kappas)
                     h = {v: h_dist(m, v) for v in tree.vertices}
                     cov = cov_with_sum(m)
                     cum = {v: np.cumsum(m.lam * np.convolve(h[v].pmf, agg.pmf))
                            for v in tree.vertices}
-                    contrib = tvar_contribution_table(m, agg, kappas)
                     for v in tree.vertices:
                         for w in tree.vertices:
                             if v == w:

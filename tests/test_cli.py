@@ -191,7 +191,7 @@ class TestAllocate:
         assert main(["allocate", "--model", model, "--kappa", "0.93", "-o", str(out)]) == EXIT_OK
         rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         m = mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 0.8, 0.6)
-        table = mpmrf.tvar_contribution_table(m, mpmrf.aggregate_dist(m), [0.93])
+        _, table = mpmrf.tvar_contribution_table(m, [0.93])
         assert {int(r[0]): r[3] for r in rows} == {v: repr(float(c[0])) for v, c in table.items()}
 
     def test_tvar_check_matches_the_sum(self, tmp_path):

@@ -36,8 +36,10 @@ from helpers import (
     random_tree,
     reference_eta,
     reference_exponent,
+    reference_h_all,
     reference_panjer,
     reference_sample,
+    reference_tail_bound,
     reference_thinning,
     relabel,
     relabel_model,
@@ -309,9 +311,12 @@ class TestHAll:
 
 class TestShortcutsAreBitIdentical:
     """The eta pass (one shared leaf law, the factor t as a shift, a pair equal
-    to the one before reusing its product), the exponent's leaf adds and
+    to the one before reusing its product), the H laws' down pass (one leaf
+    factor per alpha, a share, parent-side law or H law equal to the one
+    before handed on as the same array), the exponent's leaf adds and
     Panjer's skipped zero weights give the bytes of the plain passes in
-    helpers: np.array_equal, no tolerance."""
+    helpers: np.array_equal, no tolerance. The TVaR table's one pass gives
+    aggregate_dist's bytes."""
 
     @staticmethod
     def alphas(rng, t):
@@ -330,47 +335,61 @@ class TestShortcutsAreBitIdentical:
             assert np.array_equal(h_poly(t, r, alpha), want[-1][1])
 
     @staticmethod
-    def check_laws(t, alpha, lam, monkeypatch):
+    def check_down(t, alpha, roots):
+        # _h_all roots at the smallest label: swapping labels 1 and r roots it at r
+        for r in roots:
+            swap = {v: v for v in t.vertices} | {1: r, r: 1}
+            tr = relabel(t, swap)
+            ar = ({tuple(sorted((swap[a], swap[b]))): x for (a, b), x in alpha.items()}
+                  if isinstance(alpha, dict) else alpha)
+            h, want = mpmrf._h_all(tr, ar), reference_h_all(tr, ar)
+            assert sorted(h) == sorted(want) and all(np.array_equal(h[v], want[v]) for v in h)
+            assert not any(p.flags.writeable for p in h.values())  # some are shared
+
+    @staticmethod
+    def check_laws(t, alpha, lam):
         q = reference_exponent(t, alpha)
         assert np.array_equal(mpmrf._exponent(t, alpha), q)
-        h = mpmrf._h_all(t, alpha)
-        with monkeypatch.context() as m:
-            m.setattr(mpmrf, "_eta", reference_eta)
-            want = mpmrf._h_all(t, alpha)
-        assert sorted(h) == sorted(want) and all(np.array_equal(h[v], want[v]) for v in h)
         m = MpmrfModel(t, lam, alpha) if isinstance(alpha, dict) else MpmrfModel.homogeneous(t, lam, alpha)
         agg, ref = aggregate_dist(m), reference_panjer(lam, q, mpmrf.DEFAULT_TOL)
         assert agg.pmf.tobytes() == ref.pmf.tobytes() and repr(agg.tail_mass) == repr(ref.tail_mass)
+        one, _ = tvar_contribution_table(m, [0.5])
+        assert one.pmf.tobytes() == agg.pmf.tobytes() and repr(one.tail_mass) == repr(agg.tail_mass)
 
-    def test_every_shape_to_d9_at_every_root(self, monkeypatch):
+    def test_every_shape_to_d9_at_every_root(self):
         rng = np.random.default_rng(40)
         for d in range(1, 10):
             for t in enumerate_shapes(d):
                 for alpha in self.alphas(rng, t):
                     self.check_pass(t, alpha, t.vertices)
-                    self.check_laws(t, alpha, 1.3, monkeypatch)
+                    self.check_down(t, alpha, t.vertices)
+                    self.check_laws(t, alpha, 1.3)
 
-    def test_stars_and_brooms(self, monkeypatch):
+    def test_stars_and_brooms(self):
         # stars of odd and even degree, so the reused pairs end with and
         # without an odd factor carried up; the centre's leaf factors are one array
         rng = np.random.default_rng(41)
         for d in range(1, 71):
             for t in (star_tree(d), broom_tree(d)):
                 for alpha in self.alphas(rng, t):
-                    self.check_pass(t, alpha, sorted({1, d, max(1, d // 3)}))
-                    self.check_laws(t, alpha, 0.7, monkeypatch)
+                    roots = sorted({1, d, max(1, d // 3)})
+                    self.check_pass(t, alpha, roots)
+                    self.check_down(t, alpha, roots)
+                    self.check_laws(t, alpha, 0.7)
 
-    def test_random_trees(self, monkeypatch):
+    def test_random_trees(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             t = random_tree(rng, int(rng.integers(2, 401)))
             alphas = [{e: float([0.0, 1.0, rng.uniform()][rng.integers(3)]) for e in t.edges},
                       {e: float(rng.uniform()) for e in t.edges}, 0.5]
             for alpha in alphas:
-                self.check_pass(t, alpha, [1, *(int(x) for x in rng.integers(1, t.d + 1, size=2))])
-                self.check_laws(t, alpha, 0.2, monkeypatch)
+                roots = [1, *(int(x) for x in rng.integers(1, t.d + 1, size=2))]
+                self.check_pass(t, alpha, roots)
+                self.check_down(t, alpha, roots)
+                self.check_laws(t, alpha, 0.2)
 
-    def test_zero_weights_in_a_block(self, monkeypatch):
+    def test_zero_weights_in_a_block(self):
         # at alpha = .5 the centre's law of a 2000-star underflows below
         # t^100 or so, so w_2..w_15 are exact zeros; at alpha = 1 the path's
         # Q is t^d, and a block's own weights are all zero
@@ -378,7 +397,21 @@ class TestShortcutsAreBitIdentical:
                               (path_tree(300), 0.0, 2.0)):
             q = mpmrf._exponent(t, alpha)
             assert not q[2:16].any() or alpha == 1.0
-            self.check_laws(t, alpha, lam, monkeypatch)
+            self.check_laws(t, alpha, lam)
+
+    def test_star_leaves_share_their_laws(self):
+        # the centre's leaves share their shares, parent-side laws and H laws:
+        # a few arrays, from the odd factors _pairs carries up, not 2999
+        t = star_tree(3000)
+        h = mpmrf._h_all(t, 0.5)
+        assert len({id(h[v]) for v in t.vertices}) <= 1 + math.ceil(math.log2(t.d))
+        tracemalloc.start()
+        try:
+            mpmrf._h_all(t, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20  # the leaves' own laws took 88 MB
 
     def test_single_vertex_law_is_a_fresh_writeable_array(self):
         t = Tree.of(1, [])
@@ -564,6 +597,16 @@ class TestAggregateDist:
         assert scipy.stats.poisson.sf(k - 1, rate) <= tol / 2  # P(M >= K*)
         # not far out: half the way from the mean falls short
         assert scipy.stats.poisson.sf(math.ceil((rate + k) / 2) - 1, rate) > tol / 2
+
+    def test_tail_bound_is_the_plain_formula(self):
+        # the bisection's reused buffers give the K* of the plain formula exactly
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            m = random_model(rng, d_max=60)
+            q = mpmrf._exponent(m.tree, m.alpha)
+            for lam in (m.lam, 1e-3, 40.0):
+                for tol in (1e-3, 1e-9, 1e-12, 1e-300):
+                    assert mpmrf._tail_bound(lam, q, tol) == reference_tail_bound(lam, q, tol)
 
     def test_tail_bound_covers_the_textbook_tail(self):
         rng = np.random.default_rng(14)
@@ -913,30 +956,28 @@ class TestExpectedAllocation:
 class TestTvarContribution:
     def test_contributions_sum_to_tvar(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        agg = aggregate_dist(m)
         kappas = [0.1, 0.5, 0.9, 0.99]
-        table = tvar_contribution_table(m, agg, kappas)
+        agg, table = tvar_contribution_table(m, kappas)
         for i, kappa in enumerate(kappas):
             total = sum(table[v][i] for v in hub6.vertices)
             assert abs(total - tvar(agg, kappa)) < 1e-6
 
     def test_kappa_zero_gives_means(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        table = tvar_contribution_table(m, aggregate_dist(m), [0.0])
+        _, table = tvar_contribution_table(m, [0.0])
         assert abs(sum(c[0] for c in table.values()) - 6.0) < 1e-8
 
     def test_kappa_domain(self, hub6, monkeypatch):
         # the quantiles are formed first: a bad level raises before any H law
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        agg = aggregate_dist(m)
 
         def no_h_pass(*args):
             raise AssertionError("the H laws were computed before the levels were checked")
 
-        monkeypatch.setattr(mpmrf, "_h_all", no_h_pass)
+        monkeypatch.setattr(mpmrf, "_h_down", no_h_pass)
         for kappas in ([1.0], [0.5, -0.1], [math.nan]):
             with pytest.raises(ValueError, match=r"kappa must be in \[0, 1\)"):
-                tvar_contribution_table(m, agg, kappas)
+                tvar_contribution_table(m, kappas)
 
     def test_direct_sums_match_full_convolution(self):
         # the table reads two entries of each allocation table; build the
@@ -945,8 +986,7 @@ class TestTvarContribution:
         kappas = [0.0, 0.3, 0.9, 0.99]
         for _ in range(6):
             m = random_model(rng, d_max=30)
-            agg = aggregate_dist(m)
-            table = tvar_contribution_table(m, agg, kappas)
+            agg, table = tvar_contribution_table(m, kappas)
             for v in m.tree.vertices:
                 alloc = m.lam * np.convolve(h_poly(m.tree, v, m.alpha), agg.pmf)
                 for i, kappa in enumerate(kappas):
@@ -957,10 +997,10 @@ class TestTvarContribution:
                     assert abs(table[v][i] - want) < 1e-12
 
     def test_table_roots_the_tree_at_most_twice(self, root_calls):
-        # once for the aggregate, once for every H law; not once per vertex
+        # one rooting serves the aggregate and every H law; not one per vertex
         m = MpmrfModel.homogeneous(random_tree(np.random.default_rng(31), 100), 0.2, 0.5)
-        table = tvar_contribution_table(m, aggregate_dist(m), [0.9, 0.99])
-        assert len(table) == 100 and len(root_calls) <= 2
+        _, table = tvar_contribution_table(m, [0.9, 0.99])
+        assert len(table) == 100 and len(root_calls) == 1
 
 
 class TestCloseness:

@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
 
 For each cell (shape, d), shape in {path, star, random} and d in
 {10, 100, 1000, 10^4} (--quick: d <= 1000), it times the layers of
-`treemrf.mpmrf.aggregate_dist` and of writing its pmf:
+`treemrf.mpmrf.aggregate_dist`, of writing its pmf and of the H laws the
+allocation tables read:
 
     root_s        root_at at the smallest label
     eta_s         the eta pass on that rooting, every law formed and dropped
@@ -14,6 +15,7 @@ For each cell (shape, d), shape in {path, star, random} and d in
     tail_bound_s  _tail_bound, the Chernoff size of the Panjer pass
     panjer_s      _panjer on Q, its own _tail_bound call included
     csv_s         dist_to_csv of the aggregate
+    h_all_s       _h_all: the rooting, the eta pass and the down pass to every H law
 
 A round times every layer of every cell once, cells and layers in a fixed
 order, so the rounds interleave; each value is the median over the rounds
@@ -54,7 +56,7 @@ SHAPES = ("path", "star", "random")
 SIZES = (10, 100, 1000, 10_000)
 QUICK_MAX_D = 1000
 LAM, ALPHA, SEED = 0.5, 0.5, 0
-LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s")
+LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "h_all_s")
 
 
 def tree_of(shape: str, d: int) -> Tree:
@@ -83,6 +85,7 @@ def time_cell(tree: Tree) -> dict:
     times["tail_bound_s"], _ = clock(mpmrf._tail_bound, LAM, q, tol)
     times["panjer_s"], dist = clock(mpmrf._panjer, LAM, q, tol)
     times["csv_s"], _ = clock(mpmrf.dist_to_csv, dist)
+    times["h_all_s"], _ = clock(mpmrf._h_all, tree, ALPHA)
     return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
 
 
