@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -279,34 +279,28 @@ def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
     return levels[-1][0], [_ONE if o is None else o for o in others]
 
 
-def _h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
-    """pgf coefficients of every H_v, read-only: one rooted _eta pass, then _h_down."""
-    rooted = root_at(tree, tree.vertices[0])
-    return _h_down(tree, rooted, dict(_eta(rooted, alpha)), alpha)
+def _h_down(tree: Tree, eta: dict[int, np.ndarray], alpha) -> dict[int, np.ndarray]:
+    """Every H_v, read-only, from the eta laws _exponent keeps, each popped once read.
 
-
-def _h_down(tree: Tree, rooted: RootedTree, eta: dict[int, np.ndarray], alpha) -> dict[int, np.ndarray]:
-    """Every H_v from the eta laws of one _eta pass on `rooted`, each popped once read.
-
-    H_v is t times the thinned pgfs of its neighbours' sides. Going down,
-    each child gets the thinned pgf of its parent's side: t times the
-    parent's other factors, handed out by _all_but_one (no division).
-    O(d) convolutions in all. As in _eta, a leaf child's factor is one
-    thinned _T per alpha, and a parent-side law whose share and alpha, or an
-    H law whose product, are those of the law before is that law again: a
-    star's leaves share O(log d) arrays, read-only, with the plain pass's
-    floats. A
-    running count of the entries held, in h and in the parent-side laws not
-    yet used (a shared law once per holder), raises ValueError before a
-    vertex's laws could take it past MAX_K: deg(v) laws, none longer than
-    one more than v's product.
+    eta holds one pass's laws in its order, children first, so the down pass
+    visits them in reverse, the root first. H_v is t times the thinned pgfs
+    of its neighbours' sides. Going down, each child gets the thinned pgf of
+    its parent's side: t times the parent's other factors, handed out by
+    _all_but_one (no division). O(d) convolutions in all. As in _eta, a leaf
+    child's factor is one thinned _T per alpha, and a parent-side law whose
+    share and alpha, or an H law whose product, are those of the law before
+    is that law again: a star's leaves share O(log d) arrays, read-only,
+    with the plain pass's floats. A running count of the entries held, in h
+    and in the parent-side laws not yet used (a shared law once per holder),
+    raises ValueError before a vertex's laws could take it past MAX_K:
+    deg(v) laws, none longer than one more than v's product.
     """
-    up, h, held = {}, {}, 0  # up: child -> thinned pgf of its parent's side; read once, like eta
+    up, h, held = {}, {}, 0  # up: child -> (parent, thinned pgf of the parent's side); read once
     leaf: dict[float, np.ndarray] = {}
     last_h, last_up = (None, None), (None, None, None)  # (operand[, alpha], law) of the law before
-    for v in rooted.order:
-        parent, ns = rooted.parent.get(v), tree.neighbors[v]
-        mine = up.pop(v, ())  # the root has no parent's side
+    for v in reversed(list(eta)):
+        ns = tree.neighbors[v]
+        parent, mine = up.pop(v, (None, ()))  # the root has no parent's side
         held -= len(mine)
         factors = [mine if u == parent else _thin_once(_alpha_of(alpha, v, u), eta.pop(u), leaf)
                    for u in ns]
@@ -326,8 +320,8 @@ def _h_down(tree: Tree, rooted: RootedTree, eta: dict[int, np.ndarray], alpha) -
                 a = _alpha_of(alpha, v, u)
                 if rest is not last_up[0] or a != last_up[1]:
                     last_up = rest, a, _thin(a, np.concatenate(([0.0], rest)))
-                up[u] = last_up[2]
-                held += len(up[u])
+                up[u] = v, last_up[2]
+                held += len(last_up[2])
     return h
 
 
@@ -342,19 +336,16 @@ def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
-def _exponent(tree: Tree, alpha) -> np.ndarray:
+def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """The trimmed exponent Q of the aggregate's pgf exp(lambda * (Q(t) - Q(1))).
 
     Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
     the rooting at the smallest label (alpha_pa(root) = 0), so Q(1) = d - sum(alpha_e).
+    laws, when given, keeps every eta_v in pass order, children first (_h_down
+    reads them); otherwise each is dropped once its parent has used it.
     """
-    return _exponent_pass(root_at(tree, tree.vertices[0]), alpha)
-
-
-def _exponent_pass(rooted: RootedTree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """_exponent's Q on `rooted`, a rooting at the smallest label; laws, when given,
-    keeps every eta_v of the pass, which is otherwise dropped once its parent has used it."""
-    q = np.zeros(len(rooted.order) + 1)
+    rooted = root_at(tree, tree.vertices[0])
+    q = np.zeros(tree.d + 1)
     for v, eta in _eta(rooted, alpha):
         if laws is not None:
             laws[v] = eta
@@ -366,9 +357,7 @@ def _exponent_pass(rooted: RootedTree, alpha, laws: dict[int, np.ndarray] | None
     return _trim(q)
 
 
-with localcontext() as _ctx:
-    _ctx.prec = 40
-    _LN2 = Decimal(2).ln()  # ln 2 to the 40 digits _panjer_start works in
+_LN2 = Decimal(2).ln(Context(prec=40))  # ln 2 to the 40 digits _panjer_start works in
 
 
 def _panjer_start(rate: Decimal, shifts: int) -> float:
@@ -394,19 +383,14 @@ def _tail_bound(lam: float, q: np.ndarray, tol: float) -> float:
     bisection on log theta over [2**-64, 1] * 700 / j_max comes within 0.1%
     of that theta (a nan or inf h counting as too far).
     """
-    js = np.arange(len(q), dtype=float)
-    tj, e, f = (np.empty_like(js) for _ in range(3))  # theta * j, its expm1, h's terms: one step's
+    js = np.arange(len(q))
     need = math.log(2.0) - math.log(tol)  # tol / 2 underflows at the smallest tol
     hi = 700.0 / (len(q) - 1)
     lo = hi * 2.0 ** -64
     for _ in range(16):
         theta = math.sqrt(lo * hi)
-        np.multiply(js, theta, out=tj)
-        np.expm1(tj, out=e)
-        np.add(e, 1.0, out=f)
-        f *= tj
-        f -= e
-        if lam * float(q @ f) < need:
+        e = np.expm1(theta * js)
+        if lam * float(q @ (theta * js * (e + 1.0) - e)) < need:
             lo = theta
         else:
             hi = theta
@@ -437,17 +421,13 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     at the first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised
     only at K*, where the true tail is at most tol / 2: the rest is rounding.
     """
-    _check_tol(tol)
     return _panjer(model.lam, _exponent(model.tree, model.alpha), tol)
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol <= MAX_TOL:
-        raise ValueError(f"tol must be in (0, {MAX_TOL}]")
 
 
 def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
     """The pass of aggregate_dist on the exponent Q = expo, sized by _tail_bound."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise ValueError(f"tol must be in (0, {MAX_TOL}]")
     terms = expo.tolist()
     hi = math.fsum(terms)
     rate = Decimal(lam) * (Decimal(hi) + Decimal(math.fsum([*terms, -hi])))  # lambda sigma
@@ -679,12 +659,10 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
     The quantiles come before _h_down, so a kappa outside [0, 1) raises
     ValueError before any H law is formed.
     """
-    _check_tol(tol)
-    tree, alpha = model.tree, model.alpha
-    rooted, eta = root_at(tree, tree.vertices[0]), {}
-    agg = _panjer(model.lam, _exponent_pass(rooted, alpha, eta), tol)
+    tree, alpha, eta = model.tree, model.alpha, {}
+    agg = _panjer(model.lam, _exponent(tree, alpha, eta), tol)
     levels = [(agg.quantile(k), k) for k in kappas]
-    h = _h_down(tree, rooted, eta, alpha)
+    h = _h_down(tree, eta, alpha)
     cdf = agg.cdf()
     table, last = {}, (None, None)  # (H law, its contributions) of the vertex before
     for v in tree.vertices:

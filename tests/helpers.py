@@ -463,23 +463,6 @@ def reference_h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
     return h
 
 
-def reference_tail_bound(lam: float, q: np.ndarray, tol: float) -> float:
-    """mpmrf._tail_bound's K* by its plain formula: theta * j, its expm1 and
-    h's terms formed afresh at every bisection step, on an integer j."""
-    js = np.arange(len(q))
-    need = math.log(2.0) - math.log(tol)
-    hi = 700.0 / (len(q) - 1)
-    lo = hi * 2.0 ** -64
-    for _ in range(16):
-        theta = math.sqrt(lo * hi)
-        e = np.expm1(theta * js)
-        if lam * float(q @ (theta * js * (e + 1.0) - e)) < need:
-            lo = theta
-        else:
-            hi = theta
-    return float(np.ceil((lam * float(q @ np.expm1(lo * js)) + need) / lo))
-
-
 def reference_exponent(tree: Tree, alpha) -> np.ndarray:
     """The aggregate's exponent Q = sum_v (1 - alpha_pa(v)) * eta_v off
     reference_eta, each law added whole, rooted at the smallest label."""

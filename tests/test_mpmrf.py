@@ -39,7 +39,6 @@ from helpers import (
     reference_h_all,
     reference_panjer,
     reference_sample,
-    reference_tail_bound,
     reference_thinning,
     relabel,
     relabel_model,
@@ -60,6 +59,14 @@ def broom_tree(d):
     """A path 1..h, h = max(1, d // 3), with every later vertex a leaf of h."""
     h = max(1, d // 3)
     return Tree.of(d, [(i, i + 1) for i in range(1, h)] + [(h, i) for i in range(h + 1, d + 1)])
+
+
+def h_laws(t, alpha):
+    """Every H law as tvar_contribution_table forms it: _exponent keeps the eta
+    laws of its pass, _h_down reads them."""
+    eta = {}
+    mpmrf._exponent(t, alpha, eta)
+    return mpmrf._h_down(t, eta, alpha)
 
 
 def random_model(rng, d_max=8) -> MpmrfModel:
@@ -273,7 +280,7 @@ class TestEtaMemory:
 
 
 class TestHAll:
-    """Every vertex's H pgf from one rerooting pass, against h_poly per vertex."""
+    """Every vertex's H pgf from one rerooting pass (h_laws), against h_poly per vertex."""
 
     @staticmethod
     def trees(rng):
@@ -293,7 +300,7 @@ class TestHAll:
         rng = np.random.default_rng(28)
         for t in self.trees(rng):
             for alpha in self.alphas(rng, t):
-                h = mpmrf._h_all(t, alpha)
+                h = h_laws(t, alpha)
                 assert sorted(h) == list(t.vertices)
                 for v in t.vertices:
                     want = h_poly(t, v, alpha)
@@ -305,7 +312,7 @@ class TestHAll:
         rng = np.random.default_rng(29)
         for t in self.trees(rng):
             for alpha in self.alphas(rng, t):
-                for p in mpmrf._h_all(t, alpha).values():
+                for p in h_laws(t, alpha).values():
                     assert abs(p.sum() - 1.0) < 1e-12 and p[-1] != 0.0
 
 
@@ -336,13 +343,13 @@ class TestShortcutsAreBitIdentical:
 
     @staticmethod
     def check_down(t, alpha, roots):
-        # _h_all roots at the smallest label: swapping labels 1 and r roots it at r
+        # the pass roots at the smallest label: swapping labels 1 and r roots it at r
         for r in roots:
             swap = {v: v for v in t.vertices} | {1: r, r: 1}
             tr = relabel(t, swap)
             ar = ({tuple(sorted((swap[a], swap[b]))): x for (a, b), x in alpha.items()}
                   if isinstance(alpha, dict) else alpha)
-            h, want = mpmrf._h_all(tr, ar), reference_h_all(tr, ar)
+            h, want = h_laws(tr, ar), reference_h_all(tr, ar)
             assert sorted(h) == sorted(want) and all(np.array_equal(h[v], want[v]) for v in h)
             assert not any(p.flags.writeable for p in h.values())  # some are shared
 
@@ -350,11 +357,17 @@ class TestShortcutsAreBitIdentical:
     def check_laws(t, alpha, lam):
         q = reference_exponent(t, alpha)
         assert np.array_equal(mpmrf._exponent(t, alpha), q)
-        m = MpmrfModel(t, lam, alpha) if isinstance(alpha, dict) else MpmrfModel.homogeneous(t, lam, alpha)
+        m = _model(t, lam, alpha)
         agg, ref = aggregate_dist(m), reference_panjer(lam, q, mpmrf.DEFAULT_TOL)
         assert agg.pmf.tobytes() == ref.pmf.tobytes() and repr(agg.tail_mass) == repr(ref.tail_mass)
-        one, _ = tvar_contribution_table(m, [0.5])
+        # the table's one pass: aggregate_dist's bytes, and each row that of the plain H law
+        one, table = tvar_contribution_table(m, [0.0, 0.5, 0.99])
         assert one.pmf.tobytes() == agg.pmf.tobytes() and repr(one.tail_mass) == repr(agg.tail_mass)
+        cdf, want = agg.cdf(), reference_h_all(t, alpha)
+        levels = [(agg.quantile(k), k) for k in (0.0, 0.5, 0.99)]
+        for v in t.vertices:
+            row = [mpmrf._euler_contribution(agg.pmf, cdf, q, want[v], lam, k) for q, k in levels]
+            assert table[v].tobytes() == np.array(row).tobytes()
 
     def test_every_shape_to_d9_at_every_root(self):
         rng = np.random.default_rng(40)
@@ -397,17 +410,18 @@ class TestShortcutsAreBitIdentical:
                               (path_tree(300), 0.0, 2.0)):
             q = mpmrf._exponent(t, alpha)
             assert not q[2:16].any() or alpha == 1.0
+            self.check_down(t, alpha, [1])
             self.check_laws(t, alpha, lam)
 
     def test_star_leaves_share_their_laws(self):
         # the centre's leaves share their shares, parent-side laws and H laws:
         # a few arrays, from the odd factors _pairs carries up, not 2999
         t = star_tree(3000)
-        h = mpmrf._h_all(t, 0.5)
+        h = h_laws(t, 0.5)
         assert len({id(h[v]) for v in t.vertices}) <= 1 + math.ceil(math.log2(t.d))
         tracemalloc.start()
         try:
-            mpmrf._h_all(t, 0.5)
+            h_laws(t, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -423,25 +437,25 @@ class TestShortcutsAreBitIdentical:
 
 
 class TestHAllSize:
-    """_h_all counts the entries of the laws it holds and raises ValueError
+    """_h_down counts the entries of the laws it holds and raises ValueError
     before a vertex's laws could take the count past MAX_K."""
 
     def test_star_past_max_k_raises_at_the_centre(self, monkeypatch):
         # the centre hands out 29 laws of up to 31 entries: 899 > 500
         monkeypatch.setattr(mpmrf, "MAX_K", 500)
         with pytest.raises(ValueError, match=r"a 30-vertex tree pass MAX_K = 500 entries"):
-            mpmrf._h_all(star_tree(30), 0.5)
+            h_laws(star_tree(30), 0.5)
 
     def test_path_raises_once_the_laws_held_pass_max_k(self, monkeypatch):
         # every vertex of a 40-path passes the check alone; the count of the
         # H laws already formed is what crosses 600
         t = path_tree(40)
-        assert sum(len(h) for h in mpmrf._h_all(t, 0.9).values()) > 600
+        assert sum(len(h) for h in h_laws(t, 0.9).values()) > 600
         monkeypatch.setattr(mpmrf, "MAX_K", 600)
         with pytest.raises(ValueError, match=r"a 40-vertex tree pass MAX_K = 600 entries"):
-            mpmrf._h_all(t, 0.9)
+            h_laws(t, 0.9)
         monkeypatch.setattr(mpmrf, "MAX_K", 10**8)
-        assert len(mpmrf._h_all(t, 0.9)) == 40
+        assert len(h_laws(t, 0.9)) == 40
 
     def test_past_max_k_raises_before_allocating(self):
         # the 10,001-star's centre would hand out 10,000 laws of up to 10,002
@@ -450,7 +464,7 @@ class TestHAllSize:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"a 10001-vertex tree pass MAX_K = 100,000,000"):
-                mpmrf._h_all(t, 0.5)
+                h_laws(t, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -597,16 +611,6 @@ class TestAggregateDist:
         assert scipy.stats.poisson.sf(k - 1, rate) <= tol / 2  # P(M >= K*)
         # not far out: half the way from the mean falls short
         assert scipy.stats.poisson.sf(math.ceil((rate + k) / 2) - 1, rate) > tol / 2
-
-    def test_tail_bound_is_the_plain_formula(self):
-        # the bisection's reused buffers give the K* of the plain formula exactly
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            m = random_model(rng, d_max=60)
-            q = mpmrf._exponent(m.tree, m.alpha)
-            for lam in (m.lam, 1e-3, 40.0):
-                for tol in (1e-3, 1e-9, 1e-12, 1e-300):
-                    assert mpmrf._tail_bound(lam, q, tol) == reference_tail_bound(lam, q, tol)
 
     def test_tail_bound_covers_the_textbook_tail(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,8 @@ allocation tables read:
     tail_bound_s  _tail_bound, the Chernoff size of the Panjer pass
     panjer_s      _panjer on Q, its own _tail_bound call included
     csv_s         dist_to_csv of the aggregate
-    h_all_s       _h_all: the rooting, the eta pass and the down pass to every H law
+    h_all_s       every H law as tvar_contribution_table forms them: _exponent
+                  keeping the eta laws of its pass, then _h_down on them
 
 A round times every layer of every cell once, cells and layers in a fixed
 order, so the rounds interleave; each value is the median over the rounds
@@ -75,6 +76,12 @@ def clock(fn, *args):
     return time.perf_counter() - t0, out
 
 
+def h_all(tree: Tree) -> dict:
+    eta = {}
+    mpmrf._exponent(tree, ALPHA, eta)
+    return mpmrf._h_down(tree, eta, ALPHA)
+
+
 def time_cell(tree: Tree) -> dict:
     """One timing of every layer of one cell, each on the previous layer's result."""
     tol = mpmrf.DEFAULT_TOL
@@ -85,7 +92,7 @@ def time_cell(tree: Tree) -> dict:
     times["tail_bound_s"], _ = clock(mpmrf._tail_bound, LAM, q, tol)
     times["panjer_s"], dist = clock(mpmrf._panjer, LAM, q, tol)
     times["csv_s"], _ = clock(mpmrf.dist_to_csv, dist)
-    times["h_all_s"], _ = clock(mpmrf._h_all, tree, ALPHA)
+    times["h_all_s"], _ = clock(h_all, tree)
     return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
 
 
