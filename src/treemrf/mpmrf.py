@@ -16,8 +16,9 @@ Key derived objects:
     sum of the H_v laws (_exponent), by one rescaled Panjer pass on (lambda,
     Q) from Q's exact float mass into one array sized by a Chernoff tail
     bound, cut at the first K whose tail mass is below tol, in blocks of
-    _PANJER_BLOCK entries: one matrix-vector product per block, then
-    forward substitution within it.
+    _PANJER_BLOCK entries: one matrix product per _PANJER_SUPER entries for
+    the far past, one matrix-vector product per block for the near past,
+    then forward substitution within it.
   * Expected allocations E[N_v 1{M=k}] = lambda * (pmf_{H_v} conv pmf_M)(k),
     the basis of conditional mean risk sharing and Euler TVaR contributions.
   * Cov(N_v, M) = lambda * E[H_v] and the closeness indices: every vertex's
@@ -45,6 +46,7 @@ _SHIFT = 664  # a Panjer rescaling step, 2**-664 (about 1e-200)
 _BLOCK = 1 << 16  # uniforms per sampler rng.random call, at most (one long draw aside)
 _GUIDE = 1 << 12  # guide-table bins of the Poisson inversion, a power of 2
 _PANJER_BLOCK = 16  # Panjer entries per matrix-vector product
+_PANJER_SUPER = 256  # Panjer entries per matrix product of their far past, 16 blocks
 
 
 class ToleranceError(ArithmeticError):
@@ -336,15 +338,18 @@ def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
-def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
+def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None,
+              rooted: RootedTree | None = None) -> np.ndarray:
     """The trimmed exponent Q of the aggregate's pgf exp(lambda * (Q(t) - Q(1))).
 
     Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
-    the rooting at the smallest label (alpha_pa(root) = 0), so Q(1) = d - sum(alpha_e).
-    laws, when given, keeps every eta_v in pass order, children first (_h_down
-    reads them); otherwise each is dropped once its parent has used it.
+    the rooting at the smallest label (alpha_pa(root) = 0; rooted, when given,
+    is that rooting), so Q(1) = d - sum(alpha_e). laws, when given, keeps every
+    eta_v in pass order, children first (_h_down reads them); otherwise each is
+    dropped once its parent has used it.
     """
-    rooted = root_at(tree, tree.vertices[0])
+    if rooted is None:
+        rooted = root_at(tree, tree.vertices[0])
     q = np.zeros(tree.d + 1)
     for v, eta in _eta(rooted, alpha):
         if laws is not None:
@@ -411,12 +416,17 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     ValueError comes first when K* passes MAX_K.
 
     The entries come in blocks of B = _PANJER_BLOCK. For the block from k0,
-    one product of the B x (j_max + B) Toeplitz matrix of the w_j (row a
-    holds w_{j_max}..w_1 from column a) with q[k0 - j_max:k0 + B] gives each
-    entry's sum over the entries before k0, as q[k0:] is still 0. Its own
+    the B x (j_max + B) Toeplitz matrix of the w_j (row a holds
+    w_{j_max}..w_1 from column a) times q[k0 - j_max:k0 + B] gives each
+    entry's sum over the entries before k0, as q[k0:] is still 0: one gemv
+    over its last 16 B columns (the near past), and the far columns before
+    them from one gemm per super-block of S = _PANJER_SUPER = 16 B entries,
+    all before its start: a strided window of q times the weights, over
+    the span of the nonzero w_j. Weights below the smallest normal double
+    are 0: the terms dropped at p_k sum to < lambda j_max 2**-1022 / k. Own
     entries follow in Python floats, x_a = lambda/(k0 + a) * (past_a +
-    sum_{l<a} w_{a-l} x_l); a rescaling inside a block also scales them and
-    the pending sums. Every term is nonnegative, so each entry keeps its
+    sum_{l<a} w_{a-l} x_l); a rescaling also scales them and the pending
+    sums, near and far. Every term is nonnegative, so each entry keeps its
     relative accuracy. Then the block's p_k join a running sum, which stops
     at the first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised
     only at K*, where the true tail is at most tol / 2: the rest is rounding.
@@ -425,7 +435,8 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
 
 
 def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
-    """The pass of aggregate_dist on the exponent Q = expo, sized by _tail_bound."""
+    """The pass of aggregate_dist on the exponent Q = expo, sized by _tail_bound;
+    for j_max <= S - B the far past is empty, and the gemv covers it all."""
     if not 0.0 < tol <= MAX_TOL:
         raise ValueError(f"tol must be in (0, {MAX_TOL}]")
     terms = expo.tolist()
@@ -439,42 +450,61 @@ def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
                          f"(compound-Poisson rate {float(rate)!r})")
     j_max = len(expo) - 1
     w = np.arange(j_max + 1) * expo  # w_j = j * Q_j; w_0 = 0
-    n_b = _PANJER_BLOCK
+    w[w < 2.0 ** -1022] = 0.0  # subnormal weights: slow to multiply, and next to nothing
+    n_b, near = _PANJER_BLOCK, _PANJER_SUPER - _PANJER_BLOCK
     past_w = np.zeros((n_b, j_max + n_b))  # row a: w_{j_max}..w_1 against q[k0 + a - j_max:k0 + a]
     for a in range(n_b):
         past_w[a, a : a + j_max] = w[:0:-1]
     # the block's own columns: the nonzero w_{a-l} (0 past j_max), against its x_l, l < a
     own_w = [[(wj, l) for l, wj in enumerate(past_w[a, j_max : j_max + a].tolist()) if wj]
              for a in range(n_b)]
-    q = np.zeros(int(k_end) + 1)
-    q[0], shifts = 1.0, 0
+    # a far column (c < j_max - near) holds weights w_j, j > near: those not 0 lie in [c_lo, c_hi)
+    far_j = w[near + 1 :].nonzero()[0] + near + 1
+    c_lo, c_hi = ((j_max - int(far_j[-1]), min(j_max - near, j_max - int(far_j[0]) + n_b))
+                  if len(far_j) else (0, 0))
+    q = np.zeros(near + int(k_end) + 1)  # near zeros before q_0, read by the far windows
+    qv = q[near:]
+    qv[0], shifts = 1.0, 0
     c = _panjer_start(rate, shifts)
     k, total = 0, 0.0  # p_0..p_{k-1} add up to total
-    for k0 in range(1, len(q), n_b):
-        n = min(n_b, len(q) - k0)
-        lo = max(0, j_max - k0)  # the columns before q[0]
-        past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
-        xs = []
-        for a in range(n):
-            x = past[a]
-            for wj, l in own_w[a]:  # a zero weight would add 0.0 and change no bit
-                x += wj * xs[l]
-            x *= lam / (k0 + a)
-            xs.append(x)
-            if x > 1e250:
-                q[:k0] *= 2.0 ** -_SHIFT
-                xs = [xl * 2.0 ** -_SHIFT for xl in xs]
-                past[a + 1 :] = [pa * 2.0 ** -_SHIFT for pa in past[a + 1 :]]
-                shifts += 1
-                c = _panjer_start(rate, shifts)
-        q[k0 : k0 + n] = xs
-        for x in q[k : k0 + n].tolist():
-            total += c * x
-            if 1.0 - total < tol:
-                pmf = q[: k + 1]
-                pmf *= c
-                return DiscreteDist(pmf, max(0.0, 1.0 - total))
-            k += 1
+    for s0 in range(1, len(qv), _PANJER_SUPER):
+        starts = range(s0, min(s0 + _PANJER_SUPER, len(qv)), n_b)
+        # far[b]: block b's sums over its far columns, from q[0] on, all before s0
+        far = []
+        lo = max(c_lo, j_max - starts[-1])
+        if lo < c_hi:
+            f8 = q.itemsize  # q from row 0's column lo, rows n_b apart; bounds checked
+            win = np.ndarray((len(starts), c_hi - lo), buffer=q, offset=f8 * (near + s0 - j_max + lo),
+                             strides=(f8 * n_b, f8))
+            far = (win.copy() @ past_w[:, lo:c_hi].T).tolist()
+        for b, k0 in enumerate(starts):
+            n = min(n_b, len(qv) - k0)
+            span = min(j_max, near, k0)  # the near columns, from q[0] on
+            past = (past_w[:n, j_max - span : j_max + n] @ qv[k0 - span : k0 + n]).tolist()
+            if far:
+                past = [pa + fa for pa, fa in zip(past, far[b])]
+            xs = []
+            for a in range(n):
+                x = past[a]
+                for wj, l in own_w[a]:  # a zero weight would add 0.0 and change no bit
+                    x += wj * xs[l]
+                x *= lam / (k0 + a)
+                xs.append(x)
+                if x > 1e250:
+                    qv[:k0] *= 2.0 ** -_SHIFT
+                    xs = [xl * 2.0 ** -_SHIFT for xl in xs]
+                    past[a + 1 :] = [pa * 2.0 ** -_SHIFT for pa in past[a + 1 :]]
+                    far[b + 1 :] = [[fa * 2.0 ** -_SHIFT for fa in row] for row in far[b + 1 :]]
+                    shifts += 1
+                    c = _panjer_start(rate, shifts)
+            qv[k0 : k0 + n] = xs
+            for x in qv[k : k0 + n].tolist():
+                total += c * x
+                if 1.0 - total < tol:
+                    pmf = qv[: k + 1]
+                    pmf *= c
+                    return DiscreteDist(pmf, max(0.0, 1.0 - total))
+                k += 1
     raise ToleranceError(f"aggregate tail mass {1.0 - total!r} is not below tol {tol!r} by "
                          f"K = {k - 1}, where the true tail is at most tol / 2: the rest is "
                          f"float rounding (compound-Poisson rate {float(rate)!r})")
@@ -597,9 +627,15 @@ def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:
     return t
 
 
-def cov_with_sum(model: MpmrfModel) -> dict[int, float]:
-    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d)."""
-    sums = _path_sums(root_at(model.tree, model.tree.vertices[0]), model.alpha)
+def cov_with_sum(model: MpmrfModel, rooted: RootedTree | None = None) -> dict[int, float]:
+    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d).
+
+    rooted, when given, is any rooting of the tree, used in place of the one
+    at the smallest label (the same floats when it is that one).
+    """
+    if rooted is None:
+        rooted = root_at(model.tree, model.tree.vertices[0])
+    sums = _path_sums(rooted, model.alpha)
     return {v: model.lam * sums[v] for v in model.tree.vertices}
 
 
@@ -646,7 +682,8 @@ def _euler_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
     return (above + atom) / (1.0 - kappa)
 
 
-def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
+def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL,
+                            rooted: RootedTree | None = None
                             ) -> tuple[DiscreteDist, dict[int, np.ndarray]]:
     """(agg, table): agg = aggregate_dist(model, tol), and table[v] every vertex's
     Euler TVaR contributions over the grid of levels kappas.
@@ -657,10 +694,11 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
     rooting and one _eta pass serve both: its laws are kept as they are
     added into Q, Panjer runs on Q, and _h_down forms every H law from them.
     The quantiles come before _h_down, so a kappa outside [0, 1) raises
-    ValueError before any H law is formed.
+    ValueError before any H law is formed. rooted, when given, is the rooting
+    at the smallest label, which the pass then does not make again.
     """
     tree, alpha, eta = model.tree, model.alpha, {}
-    agg = _panjer(model.lam, _exponent(tree, alpha, eta), tol)
+    agg = _panjer(model.lam, _exponent(tree, alpha, eta, rooted), tol)
     levels = [(agg.quantile(k), k) for k in kappas]
     h = _h_down(tree, eta, alpha)
     cdf = agg.cdf()

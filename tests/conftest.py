@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from treemrf import mpmrf, orders
+from treemrf import mpmrf, orders, tree_core
 from treemrf.tree_core import Tree, root_at
 
 
@@ -80,14 +80,14 @@ def anchoring14() -> Tree:
 
 @pytest.fixture
 def root_calls(monkeypatch) -> list:
-    """The root of every root_at call the test makes through mpmrf or orders
-    (the modules that root trees), in call order."""
+    """The root of every root_at call the test makes through mpmrf, orders or
+    tree_core (the modules that root trees, and the CLI's way in), in call order."""
     calls = []
 
     def counting_root_at(tree, r, away=None):
         calls.append(r)
         return root_at(tree, r, away)
 
-    for module in (mpmrf, orders):
+    for module in (mpmrf, orders, tree_core):
         monkeypatch.setattr(module, "root_at", counting_root_at)
     return calls

@@ -477,48 +477,71 @@ def reference_exponent(tree: Tree, alpha) -> np.ndarray:
 def reference_panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
     """The blocked, rescaled Panjer pass of mpmrf.aggregate_dist on the exponent
     expo, each entry's forward substitution adding every weight w_a..w_1,
-    zeros included."""
+    zeros included.
+
+    The same far/near split: subnormal weights set to 0, and per super-block
+    of _PANJER_SUPER entries one matrix product of a window of q and the
+    block weights' columns before j_max - near, over the span of the nonzero
+    weights w_j, j > near, and from q[0] on."""
     terms = expo.tolist()
     hi = math.fsum(terms)
     rate = Decimal(lam) * (Decimal(hi) + Decimal(math.fsum([*terms, -hi])))
     k_end = mpmrf._tail_bound(lam, expo, tol)
     j_max = len(expo) - 1
     w = np.arange(j_max + 1) * expo
-    n_b = mpmrf._PANJER_BLOCK
+    w[w < np.finfo(float).tiny] = 0.0  # 2.0 ** -1022
+    n_b, n_s = mpmrf._PANJER_BLOCK, mpmrf._PANJER_SUPER
+    near = n_s - n_b
     past_w = np.zeros((n_b, j_max + n_b))
     for a in range(n_b):
         past_w[a, a : a + j_max] = w[:0:-1]
     own_w = [past_w[a, j_max : j_max + a].tolist() for a in range(n_b)]
+    far_j = [j for j in range(near + 1, j_max + 1) if w[j]]
     scale = 2.0 ** -mpmrf._SHIFT
     q = np.zeros(int(k_end) + 1)
     q[0], shifts = 1.0, 0
     c = mpmrf._panjer_start(rate, shifts)
     k, total = 0, 0.0
-    for k0 in range(1, len(q), n_b):
-        n = min(n_b, len(q) - k0)
-        lo = max(0, j_max - k0)
-        past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
-        xs = []
-        for a in range(n):
-            x = past[a]
-            for wj, xl in zip(own_w[a], xs):
-                x += wj * xl
-            x *= lam / (k0 + a)
-            xs.append(x)
-            if x > 1e250:
-                q[:k0] *= scale
-                xs = [xl * scale for xl in xs]
-                past[a + 1 :] = [pa * scale for pa in past[a + 1 :]]
-                shifts += 1
-                c = mpmrf._panjer_start(rate, shifts)
-        q[k0 : k0 + n] = xs
-        for x in q[k : k0 + n].tolist():
-            total += c * x
-            if 1.0 - total < tol:
-                pmf = q[: k + 1]
-                pmf *= c
-                return DiscreteDist(pmf, max(0.0, 1.0 - total))
-            k += 1
+    for s0 in range(1, len(q), n_s):
+        starts = list(range(s0, min(s0 + n_s, len(q)), n_b))
+        far = np.zeros((len(starts), n_b))
+        if far_j:
+            lo = max(0, j_max - far_j[-1], j_max - starts[-1])
+            hi = min(j_max - near, j_max - far_j[0] + n_b)
+            if lo < hi:
+                win = np.zeros((len(starts), hi - lo))
+                for b, k0 in enumerate(starts):
+                    first = k0 - j_max + lo  # q's index of column lo; below 0 reads 0
+                    skip = min(max(0, -first), hi - lo)
+                    win[b, skip:] = q[first + skip : first + hi - lo]
+                far = win @ past_w[:, lo:hi].T
+        for b, k0 in enumerate(starts):
+            n = min(n_b, len(q) - k0)
+            lo = j_max - min(j_max, near, k0)
+            past = (past_w[:n, lo : j_max + n] @ q[k0 + lo - j_max : k0 + n]).tolist()
+            past = [pa + fa for pa, fa in zip(past, far[b, :n].tolist())]  # + 0.0: no bit
+            xs = []
+            for a in range(n):
+                x = past[a]
+                for wj, xl in zip(own_w[a], xs):
+                    x += wj * xl
+                x *= lam / (k0 + a)
+                xs.append(x)
+                if x > 1e250:
+                    q[:k0] *= scale
+                    xs = [xl * scale for xl in xs]
+                    past[a + 1 :] = [pa * scale for pa in past[a + 1 :]]
+                    far[b + 1 :] *= scale
+                    shifts += 1
+                    c = mpmrf._panjer_start(rate, shifts)
+            q[k0 : k0 + n] = xs
+            for x in q[k : k0 + n].tolist():
+                total += c * x
+                if 1.0 - total < tol:
+                    pmf = q[: k + 1]
+                    pmf *= c
+                    return DiscreteDist(pmf, max(0.0, 1.0 - total))
+                k += 1
     raise mpmrf.ToleranceError("reference pass ran out of support")
 
 

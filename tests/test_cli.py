@@ -207,14 +207,14 @@ class TestAllocate:
                         for l in out.read_text().splitlines() if l.startswith("#")}
             assert abs(trailers["# tvar_check"] - trailers["# sum"]) < 1e-11
 
-    def test_kappa_roots_the_tree_at_most_three_times(self, tmp_path, root_calls):
-        # the aggregate, every H law and every covariance: one rooting each
+    def test_kappa_roots_the_tree_once(self, tmp_path, root_calls):
+        # the aggregate, every H law and every covariance: one rooting for all
         t = random_tree(np.random.default_rng(33), 200)
         model = write_model(tmp_path / "m.json", 200, t.edges, lam=0.2, alpha=0.5)
         out = tmp_path / "alloc.csv"
         assert main(["allocate", "--model", model, "--kappa", "0.9", "-o", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 1 + 200 + 2
-        assert len(root_calls) <= 3
+        assert root_calls == [1]
 
     def test_kappa_past_max_k_h_laws_exits_3(self, tmp_path, capsys, monkeypatch):
         # the aggregate fits; the 30 H laws of the star would pass MAX_K = 800

@@ -412,6 +412,13 @@ class TestShortcutsAreBitIdentical:
             assert not q[2:16].any() or alpha == 1.0
             self.check_down(t, alpha, [1])
             self.check_laws(t, alpha, lam)
+        # at alpha = .9 the centre's law of a 3000-star has subnormal weights
+        # at the edge of its band: the pass sets them to 0, as the reference does
+        q = mpmrf._exponent(star_tree(3000), 0.9)
+        w = np.arange(len(q)) * q
+        assert np.any((w > 0.0) & (w < np.finfo(float).tiny))
+        agg, ref = aggregate_dist(_model(star_tree(3000), 0.05, 0.9)), reference_panjer(0.05, q, 1e-12)
+        assert agg.pmf.tobytes() == ref.pmf.tobytes() and repr(agg.tail_mass) == repr(ref.tail_mass)
 
     def test_star_leaves_share_their_laws(self):
         # the centre's leaves share their shares, parent-side laws and H laws:
@@ -662,7 +669,11 @@ class TestAggregateDist:
         # 15-, 16- and 17-paths have severities one shorter than a block, as
         # long as one and one longer; the single vertex at lambda = 1e-3
         # stops inside its first block, and the 300-star at alpha = 1 has
-        # the severity t^300, so every weight of a block's own entries is 0
+        # the severity t^300, so every weight of a block's own entries is 0.
+        # Past j_max = 240 a super-block's far past is one matrix product:
+        # the 2000-star (j_max 1801) has subnormal weights at its band's
+        # edges, the random 1000-tree K < j_max, and the 241- and 257-paths
+        # one and 17 far columns, the 239- and 240-paths none
         rng = np.random.default_rng(11)
         models = [random_model(rng, d_max=40) for _ in range(10)]
         models += [MpmrfModel.homogeneous(random_tree(rng, 400), 2.0, 0.2),
@@ -670,7 +681,16 @@ class TestAggregateDist:
         models += [MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5) for d in (15, 16, 17)]
         models += [MpmrfModel.homogeneous(Tree.of(1, []), 1e-3, 0.5),
                    MpmrfModel.homogeneous(star_tree(300), 1.0, 1.0)]
-        for m in models:
+        models += [MpmrfModel.homogeneous(star_tree(2000), 0.05, 0.5),
+                   MpmrfModel.homogeneous(random_tree(rng, 1000), 0.3, 0.5)]
+        edges = [MpmrfModel.homogeneous(path_tree(d), 1.0, 0.5) for d in (239, 240, 241, 257)]
+        w = np.arange(1802) * mpmrf._exponent(star_tree(2000), 0.5)
+        assert np.any((w > 0.0) & (w < np.finfo(float).tiny))
+        assert [len(mpmrf._exponent(m.tree, 0.5)) - 1 for m in edges] == [239, 240, 241, 257]
+        for m in edges:
+            ref = reference_panjer(m.lam, mpmrf._exponent(m.tree, m.alpha), mpmrf.DEFAULT_TOL)
+            assert aggregate_dist(m).pmf.tobytes() == ref.pmf.tobytes()
+        for m in models + edges:
             q = mpmrf._exponent(m.tree, m.alpha)
             assert m.lam * math.fsum(q) < 700
             agg = aggregate_dist(m)
@@ -920,6 +940,17 @@ class TestCovWithSum:
     def test_roots_the_tree_once(self, root_calls):
         cov = cov_with_sum(MpmrfModel.homogeneous(random_tree(np.random.default_rng(15), 200), 0.2, 0.5))
         assert len(cov) == 200 and len(root_calls) == 1
+
+    def test_a_given_rooting_is_not_made_again(self, root_calls):
+        # the smallest label's rooting gives the same floats; another rooting the same values
+        t = random_tree(np.random.default_rng(16), 200)
+        m = MpmrfModel.homogeneous(t, 0.2, 0.5)
+        want = cov_with_sum(m)
+        root_calls.clear()
+        assert cov_with_sum(m, root_at(t, 1)) == want
+        other = cov_with_sum(m, root_at(t, 117))
+        assert all(abs(other[v] - want[v]) <= 1e-13 * want[v] for v in t.vertices)
+        assert root_calls == []
 
     def test_long_path_closed_form(self):
         # sum_j 0.5^|v-j| on a path: 2 - 0.5^(d-1) at an end, about 3 inside

@@ -26,6 +26,14 @@ fixed seed), all at lambda = 0.5, alpha = 0.5 and the default tol. It
 imports treemrf from src/ and uses the standard library and numpy only, with
 one BLAS thread. The JSON report (default BENCH_layers.json) names the
 machine it ran on.
+
+A shared host's speed swings from minute to minute, so every cell is timed
+between two readings of the benchmark's reference task
+(perfbench/reference.py, imported read-only, as perfbench/run.py does), each
+running for reference.SPAN_SHARE of the cell's time from the round before,
+at least once. Each layer is reported raw (`panjer_s`) and at the reference
+speed (`panjer_ref_s`): its time times reference.speed_scale of the two
+readings, per round, then the median.
 """
 
 from __future__ import annotations
@@ -53,11 +61,18 @@ import numpy as np  # noqa: E402
 from treemrf import mpmrf  # noqa: E402
 from treemrf.tree_core import Tree, root_at  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+_writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # read-only: no __pycache__ there
+import reference  # noqa: E402
+
+sys.dont_write_bytecode = _writes
+
 SHAPES = ("path", "star", "random")
 SIZES = (10, 100, 1000, 10_000)
 QUICK_MAX_D = 1000
 LAM, ALPHA, SEED = 0.5, 0.5, 0
 LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "h_all_s")
+REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in LAYERS)
 
 
 def tree_of(shape: str, d: int) -> Tree:
@@ -96,17 +111,33 @@ def time_cell(tree: Tree) -> dict:
     return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
 
 
+def time_cell_at_ref(tree: Tree, span: float) -> dict:
+    """time_cell between two readings of the reference task, each of
+    SPAN_SHARE of span (the cell's time the round before), with the factor
+    that turns the cell's times into times at the reference speed."""
+    before = reference.reading(reference.SPAN_SHARE * span)
+    cell = time_cell(tree)
+    after = reference.reading(reference.SPAN_SHARE * sum(cell["times"].values()))
+    cell["scale"] = reference.speed_scale(before, after)
+    return cell
+
+
 def run(sizes, rounds: int) -> list[dict]:
     cells = [(shape, d, tree_of(shape, d)) for d in sizes for shape in SHAPES]
     samples = {(shape, d): [] for shape, d, _ in cells}
     for _ in range(rounds):
         for shape, d, tree in cells:
-            samples[shape, d].append(time_cell(tree))
+            runs = samples[shape, d]
+            span = sum(runs[-1]["times"].values()) if runs else 0.0
+            runs.append(time_cell_at_ref(tree, span))
     rows = []
     for shape, d, _ in cells:
         runs = samples[shape, d]
         row = {"shape": shape, "d": d, "j_max": runs[0]["j_max"], "k_max": runs[0]["k_max"]}
         row.update({k: statistics.median(r["times"][k] for r in runs) for k in LAYERS})
+        row.update({ref: statistics.median(r["times"][k] * r["scale"] for r in runs)
+                    for k, ref in zip(LAYERS, REF_LAYERS)})
+        row["speed_scale"] = statistics.median(r["scale"] for r in runs)
         rows.append(row)
     return rows
 
@@ -127,13 +158,18 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "system": platform.system(), "arch": platform.machine(),
                     "cpus": os.cpu_count(), "blas_threads": 1},
+        "reference": {"task": "perfbench/reference.py", "ref_seconds": reference.REF_SECONDS,
+                      "span_share": reference.SPAN_SHARE,
+                      "speed_scale": "median per cell of REF_SECONDS over the task's mean run"},
         "layers": list(LAYERS),
+        "ref_layers": list(REF_LAYERS),
         "cells": rows,
     }
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for row in rows:
-        print(f"{row['shape']:>6} d={row['d']:<6} K={row['k_max']:<6} "
-              + " ".join(f"{k[:-2]}={row[k] * 1e3:.3f}ms" for k in LAYERS))
+        print(f"{row['shape']:>6} d={row['d']:<6} K={row['k_max']:<6} scale={row['speed_scale']:.2f} "
+              + " ".join(f"{k[:-2]}={row[k] * 1e3:.3f}/{row[ref] * 1e3:.3f}ms"
+                         for k, ref in zip(LAYERS, REF_LAYERS)))
     return 0
 
 
