@@ -101,9 +101,8 @@ def cmd_allocate(ns: argparse.Namespace) -> None:
         table = mpmrf.expected_allocation(model, ns.table, ns.tol)
         _write(mpmrf.allocation_to_csv(table), ns.output)
         return
-    rooted = tree_core.root_at(model.tree, model.tree.vertices[0])  # one rooting serves both
-    agg, contrib = mpmrf.tvar_contribution_table(model, [ns.kappa], ns.tol, rooted)
-    covs = mpmrf.cov_with_sum(model, rooted)
+    agg, contrib = mpmrf.tvar_contribution_table(model, [ns.kappa], ns.tol)
+    covs = mpmrf.cov_with_sum(model)  # the table's rooting: model.tree.rooted
     lines = ["vertex,mean,cov_with_sum,tvar_contribution"]
     total_cov = total_c = 0.0
     for v in model.tree.vertices:

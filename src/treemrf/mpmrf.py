@@ -10,8 +10,9 @@ Key derived objects:
   * H_v: total events, anywhere on the tree, originating from vertex v when
     the tree is rooted at v. Its pgf, a plain float array whose entry k is
     the coefficient of t^k (h_poly returns one), is t times the product over
-    children of (1 - alpha + alpha * child pgf). Every vertex's H law comes
-    from one down-and-up pass of O(d) convolutions.
+    children of (1 - alpha + alpha * child pgf). The TVaR table reads every
+    vertex's H law through dot products only, all of them from one reverse
+    pass over the eta laws of the aggregate's pass (_h_rows).
   * M = sum of all components: pgf exp(lambda (Q(t) - Q(1))), Q a weighted
     sum of the H_v laws (_exponent), by one rescaled Panjer pass on (lambda,
     Q) from Q's exact float mass into one array sized by a Chernoff tail
@@ -281,50 +282,49 @@ def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
     return levels[-1][0], [_ONE if o is None else o for o in others]
 
 
-def _h_down(tree: Tree, eta: dict[int, np.ndarray], alpha) -> dict[int, np.ndarray]:
-    """Every H_v, read-only, from the eta laws _exponent keeps, each popped once read.
+def _h_rows(rooted: RootedTree, alpha, eta: dict[int, np.ndarray], g: np.ndarray
+            ) -> dict[int, np.ndarray]:
+    """g @ H_v for every vertex v, g of shape (rows, d + 1), from the eta laws
+    _exponent keeps under rooted, each popped once read; no H law is formed.
 
-    eta holds one pass's laws in its order, children first, so the down pass
-    visits them in reverse, the root first. H_v is t times the thinned pgfs
-    of its neighbours' sides. Going down, each child gets the thinned pgf of
-    its parent's side: t times the parent's other factors, handed out by
-    _all_but_one (no division). O(d) convolutions in all. As in _eta, a leaf
-    child's factor is one thinned _T per alpha, and a parent-side law whose
-    share and alpha, or an H law whose product, are those of the law before
-    is that law again: a star's leaves share O(log d) arrays, read-only,
-    with the plain pass's floats. A running count of the entries held, in h
-    and in the parent-side laws not yet used (a shared law once per holder),
-    raises ValueError before a vertex's laws could take it past MAX_K:
-    deg(v) laws, none longer than one more than v's product.
+    With v's events marked by s_v, eta_v = t s_v prod_c (1 - alpha_vc +
+    alpha_vc eta_c) and H_v = dQ/ds_v at s = 1, so the rows are the gradient
+    of <g, Q>, taken in reverse mode (Griewank & Walther 2008), root first:
+    the adjoint of eta_v is A_v = (1 - alpha_pa(v)) g plus, for i < |eta_v|,
+    alpha_pa(v) sum_j A_pa(v)[:, i + 1 + j] r_v[j], r_v the product of its
+    siblings' factors (_all_but_one), and v's row is A_v @ eta_v. As in
+    _pairs, a child whose (parent's adjoint, share, alpha, |eta|) are the
+    child before's reuses its adjoint, and a vertex whose (adjoint, law) are
+    the vertex before's reuses its row: a star's leaves take O(log d) of
+    each. The adjoints held, of two levels of the rooting, have < 2 (d + 1)
+    entries per row.
     """
-    up, h, held = {}, {}, 0  # up: child -> (parent, thinned pgf of the parent's side); read once
-    leaf: dict[float, np.ndarray] = {}
-    last_h, last_up = (None, None), (None, None, None)  # (operand[, alpha], law) of the law before
-    for v in reversed(list(eta)):
-        ns = tree.neighbors[v]
-        parent, mine = up.pop(v, (None, ()))  # the root has no parent's side
-        held -= len(mine)
-        factors = [mine if u == parent else _thin_once(_alpha_of(alpha, v, u), eta.pop(u), leaf)
-                   for u in ns]
-        if held + len(ns) * (2 + sum(len(f) - 1 for f in factors)) > MAX_K:
-            raise ValueError(f"the H laws of a {tree.d}-vertex tree pass MAX_K = {MAX_K:,} entries")
-        total, others = _all_but_one(factors)
-        if total is not last_h[0]:
-            law = np.concatenate(([0.0], total))  # times t
-            law.flags.writeable = False
-            last_h = total, law
-        h[v] = last_h[1]
-        held += len(h[v])
-        others.reverse()  # popped in neighbour order: each share is freed once used
-        for u in ns:
-            rest = others.pop()
-            if u != parent:
-                a = _alpha_of(alpha, v, u)
-                if rest is not last_up[0] or a != last_up[1]:
-                    last_up = rest, a, _thin(a, np.concatenate(([0.0], rest)))
-                up[u] = v, last_up[2]
-                held += len(last_up[2])
-    return h
+    root = rooted.order[0]
+    adjoint = {root: g[:, : len(eta[root])]}
+    rows, leaf = {}, {}
+    last_row, last_adj = (None, None, None), (None, None, None, None)
+    for v in rooted.order:
+        a_v, law = adjoint.pop(v), eta.pop(v)
+        if a_v is not last_row[0] or law is not last_row[1]:
+            last_row = a_v, law, a_v @ law
+        rows[v] = last_row[2]
+        children = rooted.children[v]
+        if not children:
+            continue
+        alphas = [_alpha_of(alpha, v, c) for c in children]
+        shares = _all_but_one([_thin_once(a, eta[c], leaf) for a, c in zip(alphas, children)])[1]
+        down = a_v[:, 1:]
+        for c, a, r in zip(children, alphas, shares):
+            n = len(eta[c])
+            if a_v is not last_adj[0] or r is not last_adj[1] or (a, n) != last_adj[2]:
+                a_c, span = (1.0 - a) * g[:, :n], n + len(r) - 1
+                for a_row, row in zip(a_c, down):
+                    if len(row) < span:  # A_v reads 0 past its width, short where products underflow
+                        row = np.concatenate((row, np.zeros(span - len(row))))
+                    a_row += a * np.correlate(row[:span], r)  # the n windows
+                last_adj = a_v, r, (a, n), a_c
+            adjoint[c] = last_adj[3]
+    return rows
 
 
 def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
@@ -338,21 +338,24 @@ def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     return DiscreteDist(h_poly(model.tree, root, model.alpha))
 
 
-def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None,
-              rooted: RootedTree | None = None) -> np.ndarray:
+def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """The trimmed exponent Q of the aggregate's pgf exp(lambda * (Q(t) - Q(1))).
 
     Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
-    the rooting at the smallest label (alpha_pa(root) = 0; rooted, when given,
-    is that rooting), so Q(1) = d - sum(alpha_e). laws, when given, keeps every
-    eta_v in pass order, children first (_h_down reads them); otherwise each is
-    dropped once its parent has used it.
+    tree.rooted, the rooting at the smallest label (alpha_pa(root) = 0), so
+    Q(1) = d - sum(alpha_e). laws, when given, keeps every eta_v in pass order,
+    children first (_h_rows reads them), and ValueError comes as soon as the
+    entries kept pass MAX_K; otherwise each law is dropped once its parent has
+    used it.
     """
-    if rooted is None:
-        rooted = root_at(tree, tree.vertices[0])
-    q = np.zeros(tree.d + 1)
+    rooted = tree.rooted
+    q, kept = np.zeros(tree.d + 1), 0
     for v, eta in _eta(rooted, alpha):
         if laws is not None:
+            kept += len(eta)
+            if kept > MAX_K:
+                raise ValueError(f"the eta laws kept for a {tree.d}-vertex tree pass "
+                                 f"MAX_K = {MAX_K:,} entries")
             laws[v] = eta
         a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
         if eta is _T:  # a leaf: q[0] += 0.0 would change no bit
@@ -627,15 +630,9 @@ def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:
     return t
 
 
-def cov_with_sum(model: MpmrfModel, rooted: RootedTree | None = None) -> dict[int, float]:
-    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d).
-
-    rooted, when given, is any rooting of the tree, used in place of the one
-    at the smallest label (the same floats when it is that one).
-    """
-    if rooted is None:
-        rooted = root_at(model.tree, model.tree.vertices[0])
-    sums = _path_sums(rooted, model.alpha)
+def cov_with_sum(model: MpmrfModel) -> dict[int, float]:
+    """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d)."""
+    sums = _path_sums(model.tree.rooted, model.alpha)
     return {v: model.lam * sums[v] for v in model.tree.vertices}
 
 
@@ -667,47 +664,44 @@ def tvar(dist: DiscreteDist, kappa: float, mean: float | None = None) -> float:
     return (above + atom) / (1.0 - kappa)
 
 
-def _euler_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
-                        lam: float, kappa: float) -> float:
-    """The contribution at level kappa of the vertex with H law h, where q = VaR_kappa(M).
-
-    Only two entries of the allocation table are read, each as one O(|h|) sum:
-    E[N_v 1{M=q}] = lam * sum_j h_j p_M(q-j) and E[N_v 1{M<=q}] = lam * sum_j h_j F_M(q-j).
-    """
-    j = np.arange(min(len(h) - 1, q) + 1)
-    at_q = lam * float(h[j] @ pmf[q - j])
-    above = lam - lam * float(h[j] @ cdf[q - j])
-    pq = float(pmf[q])
-    atom = (float(cdf[q]) - kappa) / pq * at_q if pq > 0 else 0.0
-    return (above + atom) / (1.0 - kappa)
+def _tvar_g(agg: DiscreteDist, qs: list[int], d: int) -> np.ndarray:
+    """_h_rows' g: per q in qs, the rows p_M(q - j) and F_M(q - j) for j <= d, 0 past q."""
+    g, cdf = np.zeros((2 * len(qs), d + 1)), agg.cdf()
+    for i, q in enumerate(qs):
+        n = min(q, d) + 1
+        g[2 * i, :n] = agg.pmf[q::-1][:n]
+        g[2 * i + 1, :n] = cdf[q::-1][:n]
+    return g
 
 
-def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL,
-                            rooted: RootedTree | None = None
+def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
                             ) -> tuple[DiscreteDist, dict[int, np.ndarray]]:
     """(agg, table): agg = aggregate_dist(model, tol), and table[v] every vertex's
     Euler TVaR contributions over the grid of levels kappas.
 
     With q = VaR_kappa(M), vertex v's contribution at level kappa is
       (E[N_v 1{M>q}] + (F_M(q)-kappa)/p_M(q) * E[N_v 1{M=q}]) / (1-kappa),
-    and the contributions over all vertices sum to TVaR_kappa(M). One
-    rooting and one _eta pass serve both: its laws are kept as they are
-    added into Q, Panjer runs on Q, and _h_down forms every H law from them.
-    The quantiles come before _h_down, so a kappa outside [0, 1) raises
-    ValueError before any H law is formed. rooted, when given, is the rooting
-    at the smallest label, which the pass then does not make again.
+    and the contributions over all vertices sum to TVaR_kappa(M). Of v's
+    allocation table only E[N_v 1{M=q}] = lambda <H_v, p_M(q - .)> and
+    E[N_v 1{M<=q}] = lambda <H_v, F_M(q - .)> are read. One rooting and one
+    _eta pass serve all: its laws are kept as they are added into Q, Panjer
+    runs on Q, and one reverse pass over the laws (_h_rows) gives every
+    vertex's dots. A kappa outside [0, 1) raises ValueError before that
+    pass, as do the laws kept plus its adjoints and g (4 (d + 1) entries per
+    row of g at most) past MAX_K.
     """
-    tree, alpha, eta = model.tree, model.alpha, {}
-    agg = _panjer(model.lam, _exponent(tree, alpha, eta, rooted), tol)
+    tree, lam, eta = model.tree, model.lam, {}
+    agg = _panjer(lam, _exponent(tree, model.alpha, eta), tol)
     levels = [(agg.quantile(k), k) for k in kappas]
-    h = _h_down(tree, eta, alpha)
-    cdf = agg.cdf()
-    table, last = {}, (None, None)  # (H law, its contributions) of the vertex before
-    for v in tree.vertices:
-        if h[v] is not last[0]:  # leaves sharing an H law share its row's values
-            last = h[v], [_euler_contribution(agg.pmf, cdf, q, h[v], model.lam, k) for q, k in levels]
-        table[v] = np.array(last[1])
-    return agg, table
+    pmf, cdf = agg.pmf, agg.cdf()
+    if sum(map(len, eta.values())) + 8 * len(levels) * (tree.d + 1) > MAX_K:
+        raise ValueError(f"a {tree.d}-vertex tree's TVaR rows pass MAX_K = {MAX_K:,} entries")
+    rows = _h_rows(tree.rooted, model.alpha, eta, _tvar_g(agg, [q for q, _ in levels], tree.d))
+    dots = lam * np.array([rows[v] for v in tree.vertices])
+    atom = [(float(cdf[q]) - k) / float(pmf[q]) if pmf[q] > 0 else 0.0 for q, k in levels]
+    ks = np.array([k for _, k in levels])
+    table = (lam - dots[:, 1::2] + np.array(atom) * dots[:, 0::2]) / (1.0 - ks)
+    return agg, dict(zip(tree.vertices, table))
 
 
 def dist_to_csv(dist: DiscreteDist) -> str:
@@ -741,7 +735,7 @@ def closeness_indices(model: MpmrfModel) -> dict[int, Closeness]:
     if not model.is_homogeneous():
         raise ValueError("exponential-transform closeness needs homogeneous alpha")
     tree = model.tree
-    rooted = root_at(tree, tree.vertices[0])
+    rooted = tree.rooted
     size = {}
     for v in reversed(rooted.order):
         size[v] = 1 + sum(size[c] for c in rooted.children[v])

@@ -97,6 +97,11 @@ class Tree:
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
+    @cached_property
+    def rooted(self) -> "RootedTree":
+        """The rooting at the smallest label, made once: every pass over the whole tree reads it."""
+        return root_at(self, self.vertices[0])
+
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.d + 1)):
             raise ValueError("JSON export requires contiguous labels 1..d")

@@ -14,7 +14,8 @@ per vertex, and the Monte Carlo report's covariance statistics by np.cov
 and np.std. The eta pass, the aggregate's exponent and its blocked Panjer
 pass are also kept as they were before their shortcuts (one convolution
 per pair, every weight added), and the Laplacian as diag(degrees) - a, so
-the shortcuts can be held to the same bytes.
+the shortcuts can be held to the same bytes. The TVaR contributions have a
+truth in 60-digit decimal arithmetic, each H law by its own rooting.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -461,6 +462,86 @@ def reference_h_all(tree: Tree, alpha) -> dict[int, np.ndarray]:
                 rest = np.ones(1) if rest is None else rest
                 up[u] = _reference_thin(_reference_alpha(alpha, v, u), np.concatenate(([0.0], rest)))
     return h
+
+
+def reference_contribution(pmf: np.ndarray, cdf: np.ndarray, q: int, h: np.ndarray,
+                           lam: float, kappa: float) -> float:
+    """The TVaR contribution at level kappa of the vertex with H law h, q = VaR_kappa(M),
+    by the plain formula in floats: two O(|h|) sums, E[N_v 1{M=q}] = lam sum_j h_j p_M(q-j)
+    and E[N_v 1{M<=q}] = lam sum_j h_j F_M(q-j)."""
+    j = np.arange(min(len(h) - 1, q) + 1)
+    at_q = lam * float(h[j] @ pmf[q - j])
+    above = lam - lam * float(h[j] @ cdf[q - j])
+    pq = float(pmf[q])
+    atom = (float(cdf[q]) - kappa) / pq * at_q if pq > 0 else 0.0
+    return (above + atom) / (1.0 - kappa)
+
+
+def _decimal_eta(tree: Tree, root: int, alpha: dict) -> tuple[dict[int, list], dict[int, int]]:
+    """Every eta_v of the rooting at root, lists of Decimals, by one factor at a
+    time, and the parents of that rooting (root's is None)."""
+    parent, order = {root: None}, [root]
+    for x in order:
+        for y in tree.neighbors[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    eta = {}
+    for v in reversed(order):
+        law = [Decimal(0), Decimal(1)]
+        for c in tree.neighbors[v]:
+            if c != parent[v]:
+                a = alpha[_norm_edge(v, c)]
+                f = [a * x for x in eta[c]]
+                f[0] += 1 - a
+                law = [sum(law[i] * f[k - i] for i in range(max(0, k - len(f) + 1), min(k, len(law) - 1) + 1))
+                       for k in range(len(law) + len(f) - 1)]
+        eta[v] = law
+    return eta, parent
+
+
+def decimal_tvar_rows(model: MpmrfModel, kappas, prec: int = 60) -> tuple[list[int], dict[int, list]]:
+    """(qs, rows): the quantiles VaR_kappa(M) and every vertex's TVaR contributions
+    at each kappa, in prec-digit decimal arithmetic from the model's exact floats (d <= 60).
+
+    Q = sum_v (1 - alpha_pa(v)) eta_v under the rooting at the smallest label;
+    M's pmf by Panjer, p_0 = exp(-lambda Q(1)), p_k = lambda / k sum_j j Q_j p_{k-j},
+    on until F passes the largest kappa; each H_v by rooting at v; each
+    contribution (lambda - lambda <H_v, F(q - .)> + (F(q) - kappa) / p(q) *
+    lambda <H_v, p(q - .)>) / (1 - kappa).
+    """
+    tree = model.tree
+    if tree.d > 60:
+        raise ValueError("the decimal oracle is for d <= 60")
+    with localcontext() as ctx:
+        ctx.prec = prec
+        lam = Decimal(model.lam)
+        alpha = {e: Decimal(a) for e, a in model.alpha.items()}
+        eta, parent = _decimal_eta(tree, tree.vertices[0], alpha)
+        expo = [Decimal(0)] * (tree.d + 1)
+        for v, law in eta.items():
+            w = 1 - alpha[_norm_edge(parent[v], v)] if parent[v] is not None else Decimal(1)
+            for k, x in enumerate(law):
+                expo[k] += w * x
+        p0 = (-lam * sum(expo)).exp()
+        pmf, cdf = [p0], [p0]
+        top = Decimal(max(kappas))
+        while cdf[-1] < top:
+            k = len(pmf)
+            pmf.append(lam / k * sum(j * expo[j] * pmf[k - j] for j in range(1, min(k, tree.d) + 1)))
+            cdf.append(cdf[-1] + pmf[-1])
+        qs = [next(k for k, f in enumerate(cdf) if f >= Decimal(kappa)) for kappa in kappas]
+        rows = {}
+        for v in tree.vertices:
+            h = _decimal_eta(tree, v, alpha)[0][v]
+            row = []
+            for q, kappa in zip(qs, kappas):
+                js = range(min(len(h) - 1, q) + 1)
+                at_q = lam * sum(h[j] * pmf[q - j] for j in js)
+                below = lam * sum(h[j] * cdf[q - j] for j in js)
+                row.append((lam - below + (cdf[q] - Decimal(kappa)) / pmf[q] * at_q) / (1 - Decimal(kappa)))
+            rows[v] = row
+    return qs, rows
 
 
 def reference_exponent(tree: Tree, alpha) -> np.ndarray:

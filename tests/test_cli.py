@@ -208,7 +208,7 @@ class TestAllocate:
             assert abs(trailers["# tvar_check"] - trailers["# sum"]) < 1e-11
 
     def test_kappa_roots_the_tree_once(self, tmp_path, root_calls):
-        # the aggregate, every H law and every covariance: one rooting for all
+        # the aggregate, every TVaR row and every covariance: one rooting for all
         t = random_tree(np.random.default_rng(33), 200)
         model = write_model(tmp_path / "m.json", 200, t.edges, lam=0.2, alpha=0.5)
         out = tmp_path / "alloc.csv"
@@ -216,14 +216,14 @@ class TestAllocate:
         assert len(out.read_text().splitlines()) == 1 + 200 + 2
         assert root_calls == [1]
 
-    def test_kappa_past_max_k_h_laws_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the aggregate fits; the 30 H laws of the star would pass MAX_K = 800
+    def test_kappa_past_max_k_kept_laws_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the 30-star's kept eta laws, 89 entries, pass MAX_K = 80 at the centre's
         model = write_model(tmp_path / "m.json", 30, [(1, i) for i in range(2, 31)], lam=0.05)
-        monkeypatch.setattr(mpmrf, "MAX_K", 800)
+        monkeypatch.setattr(mpmrf, "MAX_K", 80)
         out = tmp_path / "alloc.csv"
         assert main(["allocate", "--model", model, "--kappa", "0.9", "-o", str(out)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: input:") and "30-vertex tree pass MAX_K = 800" in err
+        assert err.startswith("error: input:") and "30-vertex tree pass MAX_K = 80" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa", ["1.0", "-0.1", "nan"])

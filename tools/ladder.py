@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
 
 For each cell (shape, d), shape in {path, star, random} and d in
 {10, 100, 1000, 10^4} (--quick: d <= 1000), it times the layers of
-`treemrf.mpmrf.aggregate_dist`, of writing its pmf and of the H laws the
-allocation tables read:
+`treemrf.mpmrf.aggregate_dist`, of writing its pmf and of the TVaR rows
+of every vertex:
 
     root_s        root_at at the smallest label
     eta_s         the eta pass on that rooting, every law formed and dropped
@@ -15,8 +15,12 @@ allocation tables read:
     tail_bound_s  _tail_bound, the Chernoff size of the Panjer pass
     panjer_s      _panjer on Q, its own _tail_bound call included
     csv_s         dist_to_csv of the aggregate
-    h_all_s       every H law as tvar_contribution_table forms them: _exponent
-                  keeping the eta laws of its pass, then _h_down on them
+    rows_s        every vertex's TVaR row at kappa = .99 as tvar_contribution_table
+                  forms them: _exponent keeping the eta laws of its pass, then
+                  the reverse pass _h_rows on them (g from the cell's aggregate)
+
+The layers that call _exponent root the tree afresh each time, as every
+call did before a tree kept its rooting (Tree.rooted).
 
 A round times every layer of every cell once, cells and layers in a fixed
 order, so the rounds interleave; each value is the median over the rounds
@@ -70,8 +74,8 @@ sys.dont_write_bytecode = _writes
 SHAPES = ("path", "star", "random")
 SIZES = (10, 100, 1000, 10_000)
 QUICK_MAX_D = 1000
-LAM, ALPHA, SEED = 0.5, 0.5, 0
-LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "h_all_s")
+LAM, ALPHA, SEED, KAPPA = 0.5, 0.5, 0, 0.99
+LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "rows_s")
 REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in LAYERS)
 
 
@@ -91,10 +95,16 @@ def clock(fn, *args):
     return time.perf_counter() - t0, out
 
 
-def h_all(tree: Tree) -> dict:
+def unrooted(tree: Tree) -> Tree:
+    """tree without the rooting it keeps, so the next _exponent call makes it."""
+    tree.__dict__.pop("rooted", None)
+    return tree
+
+
+def tvar_rows(tree: Tree, g: np.ndarray) -> dict:
     eta = {}
     mpmrf._exponent(tree, ALPHA, eta)
-    return mpmrf._h_down(tree, eta, ALPHA)
+    return mpmrf._h_rows(tree.rooted, ALPHA, eta, g)
 
 
 def time_cell(tree: Tree) -> dict:
@@ -103,11 +113,12 @@ def time_cell(tree: Tree) -> dict:
     times = {}
     times["root_s"], rooted = clock(root_at, tree, tree.vertices[0])
     times["eta_s"], _ = clock(deque, mpmrf._eta(rooted, ALPHA), 0)
-    times["q_s"], q = clock(mpmrf._exponent, tree, ALPHA)
+    times["q_s"], q = clock(mpmrf._exponent, unrooted(tree), ALPHA)
     times["tail_bound_s"], _ = clock(mpmrf._tail_bound, LAM, q, tol)
     times["panjer_s"], dist = clock(mpmrf._panjer, LAM, q, tol)
     times["csv_s"], _ = clock(mpmrf.dist_to_csv, dist)
-    times["h_all_s"], _ = clock(h_all, tree)
+    g = mpmrf._tvar_g(dist, [dist.quantile(KAPPA)], tree.d)
+    times["rows_s"], _ = clock(tvar_rows, unrooted(tree), g)
     return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
 
 
