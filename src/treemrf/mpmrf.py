@@ -34,6 +34,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
+from itertools import accumulate
 
 import numpy as np
 
@@ -250,36 +251,35 @@ def _root_eta(rooted: RootedTree, alpha) -> np.ndarray:
     return deque(_eta(rooted, alpha), maxlen=1)[0][1]
 
 
-def _all_but_one(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The product of all factors, and for each factor the product of the others.
+def _all_but_one(factors: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each factor's share, the product of the other factors, in order.
 
-    The factors multiply pairwise, level by level (_pairs), up a balanced
-    product tree; going down, each node hands each child its own share times
-    the child's sibling. That is fewer than 3n convolutions for n factors, none
-    longer than the whole product, so a star centre of degree n costs
-    O(n^2 log n) arithmetic where prefix times suffix products cost O(n^3).
-    A share whose (own share, sibling) pair is the two arrays of the pair
-    before is handed down as the same array, as _pairs does going up, so n
-    copies of one factor take O(log n) convolutions; no share is written.
+    The factors multiply pairwise up a balanced product tree (_pairs); going
+    down, a node's share is its parent's share times its sibling: fewer than
+    3n convolutions for n factors, none longer than the product, where prefix
+    times suffix products cost O(n^3) at a star centre. Shares are formed
+    depth first, as they are read, so only the current one of each level is
+    held. A share whose (parent's share, sibling) are the arrays the node
+    before on its level was formed from is that node's array, as in _pairs:
+    n copies of one factor take O(log n) convolutions. No share is written.
     """
-    if not factors:
-        return _ONE, []
     levels = [factors]
     while len(levels[-1]) > 1:
         levels.append(_pairs(levels[-1]))
-    others = [None]  # None: the empty product, which takes no convolution
-    for row in reversed(levels[:-1]):
-        shares, last = [], (None, None)
-        for k in range(len(row)):
-            mine, sib = others[k >> 1], row[k ^ 1] if k ^ 1 < len(row) else None
+    share = [None] * len(levels)  # of the current node per level; None: the empty product
+    made = [(None, None, None)] * len(levels)  # (parent's share, sibling, product) last formed
+    for k in range(len(factors)):
+        # the nodes above factor k that are new since factor k - 1, top down
+        for lv in range(len(levels) - 2 if k == 0 else (k & -k).bit_length() - 1, -1, -1):
+            row, j = levels[lv], k >> lv
+            mine, sib = share[lv + 1], row[j ^ 1] if j ^ 1 < len(row) else None
             if mine is None or sib is None:
-                shares.append(sib if mine is None else mine)
+                share[lv] = sib if mine is None else mine
                 continue
-            if mine is not last[0] or sib is not last[1]:
-                last, share = (mine, sib), _trim(np.convolve(mine, sib))
-            shares.append(share)
-        others = shares
-    return levels[-1][0], [_ONE if o is None else o for o in others]
+            if mine is not made[lv][0] or sib is not made[lv][1]:
+                made[lv] = mine, sib, _trim(np.convolve(mine, sib))
+            share[lv] = made[lv][2]
+        yield _ONE if share[0] is None else share[0]
 
 
 def _h_rows(rooted: RootedTree, alpha, eta: dict[int, np.ndarray], g: np.ndarray
@@ -292,38 +292,32 @@ def _h_rows(rooted: RootedTree, alpha, eta: dict[int, np.ndarray], g: np.ndarray
     of <g, Q>, taken in reverse mode (Griewank & Walther 2008), root first:
     the adjoint of eta_v is A_v = (1 - alpha_pa(v)) g plus, for i < |eta_v|,
     alpha_pa(v) sum_j A_pa(v)[:, i + 1 + j] r_v[j], r_v the product of its
-    siblings' factors (_all_but_one), and v's row is A_v @ eta_v. As in
-    _pairs, a child whose (parent's adjoint, share, alpha, |eta|) are the
-    child before's reuses its adjoint, and a vertex whose (adjoint, law) are
-    the vertex before's reuses its row: a star's leaves take O(log d) of
-    each. The adjoints held, of two levels of the rooting, have < 2 (d + 1)
-    entries per row.
+    siblings' factors (_all_but_one), and v's row is A_v @ eta_v. A child
+    whose factor and share are the arrays of the child before reuses its
+    adjoint and row: one factor array means one alpha and eta_c (_thin_once's
+    leaves), so a star's leaves take O(log d) of each. The adjoints held, of
+    two levels of the rooting, have < 2 (d + 1) entries per row.
     """
     root = rooted.order[0]
     adjoint = {root: g[:, : len(eta[root])]}
-    rows, leaf = {}, {}
-    last_row, last_adj = (None, None, None), (None, None, None, None)
+    rows, leaf = {root: adjoint[root] @ eta.pop(root)}, {}
     for v in rooted.order:
-        a_v, law = adjoint.pop(v), eta.pop(v)
-        if a_v is not last_row[0] or law is not last_row[1]:
-            last_row = a_v, law, a_v @ law
-        rows[v] = last_row[2]
-        children = rooted.children[v]
+        a_v, children = adjoint.pop(v), rooted.children[v]
         if not children:
             continue
         alphas = [_alpha_of(alpha, v, c) for c in children]
-        shares = _all_but_one([_thin_once(a, eta[c], leaf) for a, c in zip(alphas, children)])[1]
-        down = a_v[:, 1:]
-        for c, a, r in zip(children, alphas, shares):
-            n = len(eta[c])
-            if a_v is not last_adj[0] or r is not last_adj[1] or (a, n) != last_adj[2]:
-                a_c, span = (1.0 - a) * g[:, :n], n + len(r) - 1
+        factors = [_thin_once(a, eta[c], leaf) for a, c in zip(alphas, children)]
+        down, last = a_v[:, 1:], (None, None, None, None)
+        for c, a, f, r in zip(children, alphas, factors, _all_but_one(factors)):
+            law = eta.pop(c)
+            if f is not last[0] or r is not last[1]:
+                a_c, span = (1.0 - a) * g[:, : len(law)], len(law) + len(r) - 1
                 for a_row, row in zip(a_c, down):
                     if len(row) < span:  # A_v reads 0 past its width, short where products underflow
                         row = np.concatenate((row, np.zeros(span - len(row))))
-                    a_row += a * np.correlate(row[:span], r)  # the n windows
-                last_adj = a_v, r, (a, n), a_c
-            adjoint[c] = last_adj[3]
+                    a_row += a * np.correlate(row[:span], r)  # the |eta_c| windows
+                last = f, r, a_c, a_c @ law
+            adjoint[c], rows[c] = last[2:]
     return rows
 
 
@@ -343,19 +337,13 @@ def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> n
 
     Q = sum_v (1 - alpha_pa(v)) * eta_v, each added as the pass forms it, under
     tree.rooted, the rooting at the smallest label (alpha_pa(root) = 0), so
-    Q(1) = d - sum(alpha_e). laws, when given, keeps every eta_v in pass order,
-    children first (_h_rows reads them), and ValueError comes as soon as the
-    entries kept pass MAX_K; otherwise each law is dropped once its parent has
-    used it.
+    Q(1) = d - sum(alpha_e). laws, when given, keeps every eta_v (for _h_rows;
+    the caller bounds them); otherwise each law is dropped once its parent has used it.
     """
     rooted = tree.rooted
-    q, kept = np.zeros(tree.d + 1), 0
+    q = np.zeros(tree.d + 1)
     for v, eta in _eta(rooted, alpha):
         if laws is not None:
-            kept += len(eta)
-            if kept > MAX_K:
-                raise ValueError(f"the eta laws kept for a {tree.d}-vertex tree pass "
-                                 f"MAX_K = {MAX_K:,} entries")
             laws[v] = eta
         a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
         if eta is _T:  # a leaf: q[0] += 0.0 would change no bit
@@ -686,17 +674,30 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
     E[N_v 1{M<=q}] = lambda <H_v, F_M(q - .)> are read. One rooting and one
     _eta pass serve all: its laws are kept as they are added into Q, Panjer
     runs on Q, and one reverse pass over the laws (_h_rows) gives every
-    vertex's dots. A kappa outside [0, 1) raises ValueError before that
-    pass, as do the laws kept plus its adjoints and g (4 (d + 1) entries per
-    row of g at most) past MAX_K.
+    vertex's dots. ValueError comes before that pass when a kappa is outside
+    [0, 1), and first when the rows would hold more than MAX_K entries: with
+    n = d + 1, the kept laws (|subtree| + 1 entries each at most), 4 n per row
+    of g (g, the adjoints, the rows) and one vertex's products (< 2 n per level
+    of its product tree, as many for its shares, 2 n for one child's windows).
+    Past MAX_K, a pass that keeps no law counts their entries, so a long path
+    is refused before its laws are kept.
     """
-    tree, lam, eta = model.tree, model.lam, {}
-    agg = _panjer(lam, _exponent(tree, model.alpha, eta), tol)
+    tree, lam, alpha, kappas, eta = model.tree, model.lam, model.alpha, list(kappas), {}
+    rooted, n = tree.rooted, tree.d + 1
+    budget = MAX_K - (8 * len(kappas) + 4 * (tree.d - 1).bit_length() + 4) * n
+    size = dict.fromkeys(rooted.order, 1)
+    for v in reversed(rooted.order[1:]):
+        size[rooted.parent[v]] += size[v]
+    kept = sum(size.values()) + tree.d
+    if kept > budget:  # the laws' own entries, from a pass that keeps none
+        laws = accumulate(len(e) for _, e in _eta(rooted, alpha))
+        kept = next((k for k in laws if k > budget), 0)
+    if kept > budget:
+        raise ValueError(f"a {tree.d}-vertex tree's TVaR rows would pass MAX_K = {MAX_K:,} entries")
+    agg = _panjer(lam, _exponent(tree, alpha, eta), tol)
     levels = [(agg.quantile(k), k) for k in kappas]
     pmf, cdf = agg.pmf, agg.cdf()
-    if sum(map(len, eta.values())) + 8 * len(levels) * (tree.d + 1) > MAX_K:
-        raise ValueError(f"a {tree.d}-vertex tree's TVaR rows pass MAX_K = {MAX_K:,} entries")
-    rows = _h_rows(tree.rooted, model.alpha, eta, _tvar_g(agg, [q for q, _ in levels], tree.d))
+    rows = _h_rows(rooted, alpha, eta, _tvar_g(agg, [q for q, _ in levels], tree.d))
     dots = lam * np.array([rows[v] for v in tree.vertices])
     atom = [(float(cdf[q]) - k) / float(pmf[q]) if pmf[q] > 0 else 0.0 for q, k in levels]
     ks = np.array([k for _, k in levels])

@@ -217,13 +217,14 @@ class TestAllocate:
         assert root_calls == [1]
 
     def test_kappa_past_max_k_kept_laws_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the 30-star's kept eta laws, 89 entries, pass MAX_K = 80 at the centre's
+        # the 30-star's kept eta laws, 89 entries, plus its reserve of 992 for
+        # g, the adjoints and the centre's products pass MAX_K = 1,080
         model = write_model(tmp_path / "m.json", 30, [(1, i) for i in range(2, 31)], lam=0.05)
-        monkeypatch.setattr(mpmrf, "MAX_K", 80)
+        monkeypatch.setattr(mpmrf, "MAX_K", 1080)
         out = tmp_path / "alloc.csv"
         assert main(["allocate", "--model", model, "--kappa", "0.9", "-o", str(out)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: input:") and "30-vertex tree pass MAX_K = 80" in err
+        assert err.startswith("error: input:") and "30-vertex tree's TVaR rows would pass MAX_K = 1,080" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa", ["1.0", "-0.1", "nan"])

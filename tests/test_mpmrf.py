@@ -304,10 +304,17 @@ class TestShortcutsAreBitIdentical:
         m = _model(t, lam, alpha)
         agg, ref = aggregate_dist(m), reference_panjer(lam, q, mpmrf.DEFAULT_TOL)
         assert agg.pmf.tobytes() == ref.pmf.tobytes() and repr(agg.tail_mass) == repr(ref.tail_mass)
-        # the table's one pass: aggregate_dist's bytes
-        one, table = tvar_contribution_table(m, [0.0, 0.5, 0.99])
+        # the table's one pass: aggregate_dist's bytes, and rows within 1e-12 / (1 - kappa)
+        # relative of those the plain formula forms from reference_h_all's laws
+        kappas = [0.0, 0.5, 0.99]
+        one, table = tvar_contribution_table(m, kappas)
         assert one.pmf.tobytes() == agg.pmf.tobytes() and repr(one.tail_mass) == repr(agg.tail_mass)
         assert sorted(table) == list(t.vertices)
+        h, cdf, qs = reference_h_all(t, alpha), agg.cdf(), [agg.quantile(k) for k in kappas]
+        for v in t.vertices:
+            for i, (q, k) in enumerate(zip(qs, kappas)):
+                want = reference_contribution(agg.pmf, cdf, q, h[v], lam, k)
+                assert abs(table[v][i] - want) <= 1e-12 / (1.0 - k) * abs(want)
 
     def test_every_shape_to_d9_at_every_root(self):
         rng = np.random.default_rng(40)
@@ -366,43 +373,66 @@ class TestShortcutsAreBitIdentical:
 
 
 class TestHAllSize:
-    """The memory of every vertex's TVaR row: _exponent counts the entries of
-    the eta laws it keeps and raises ValueError as soon as they pass MAX_K;
-    tvar_contribution_table adds 4 (d + 1) entries per row of the reverse
-    pass's g (its adjoints and g) and raises before that pass when the sum does."""
+    """The memory of every vertex's TVaR row: tvar_contribution_table raises
+    ValueError before any step when the eta laws it keeps, plus the reserve
+    for g, the adjoints and one vertex's products and shares, would pass
+    MAX_K. The laws' bound is |subtree| + 1 entries each; past the budget, a
+    pass that keeps no law counts their entries."""
 
     @staticmethod
     def kept(t, alpha):
         laws = {}
         mpmrf._exponent(t, alpha, laws)
-        return laws
+        return sum(map(len, laws.values()))
+
+    @staticmethod
+    def reserve(t, levels):
+        return (8 * levels + 4 * (t.d - 1).bit_length() + 4) * (t.d + 1)
 
     def test_star_past_max_k_raises_at_the_centre(self, monkeypatch):
-        # 29 leaves keep 2 entries each, the centre its 31: 89 > 80, at the last law
-        assert sum(map(len, self.kept(star_tree(30), 0.5).values())) == 89
-        monkeypatch.setattr(mpmrf, "MAX_K", 80)
-        with pytest.raises(ValueError, match=r"eta laws kept for a 30-vertex tree pass MAX_K = 80 entries"):
-            self.kept(star_tree(30), 0.5)
+        # 29 leaves keep 2 entries each, the centre its 31: the count passes 88 at the last law
+        t = star_tree(30)
+        m, reserve = _model(t, 0.05, 0.5), self.reserve(t, 1)
+        assert self.kept(t, 0.5) == 89 and reserve == 992
+        monkeypatch.setattr(mpmrf, "MAX_K", 89 + reserve - 1)
+        with pytest.raises(ValueError, match=r"a 30-vertex tree's TVaR rows would pass MAX_K = 1,080 entries"):
+            tvar_contribution_table(m, [0.9])
+        monkeypatch.setattr(mpmrf, "MAX_K", 89 + reserve)
+        assert len(tvar_contribution_table(m, [0.9])[1]) == 30
 
     def test_path_raises_once_the_laws_held_pass_max_k(self, monkeypatch):
         # no law of a 40-path passes 600 alone; the 860 entries kept do
         t = path_tree(40)
-        assert sum(map(len, self.kept(t, 0.9).values())) == 860
-        monkeypatch.setattr(mpmrf, "MAX_K", 600)
-        with pytest.raises(ValueError, match=r"a 40-vertex tree pass MAX_K = 600 entries"):
-            self.kept(t, 0.9)
-        with pytest.raises(ValueError, match=r"a 40-vertex tree pass MAX_K = 600 entries"):
-            tvar_contribution_table(_model(t, 0.05, 0.9), [0.9])
-        monkeypatch.setattr(mpmrf, "MAX_K", 10**8)
-        assert len(self.kept(t, 0.9)) == 40
+        m, reserve = _model(t, 0.05, 0.9), self.reserve(t, 1)
+        assert self.kept(t, 0.9) == 860
+        monkeypatch.setattr(mpmrf, "MAX_K", 600 + reserve)
+        with pytest.raises(ValueError, match=r"a 40-vertex tree's TVaR rows would pass MAX_K = 2,076 entries"):
+            tvar_contribution_table(m, [0.9])
+        monkeypatch.setattr(mpmrf, "MAX_K", 860 + reserve)
+        assert len(tvar_contribution_table(m, [0.9])[1]) == 40
+
+    def test_counted_laws_below_their_bound_run(self, monkeypatch):
+        # at alpha = .5 a 1500-path's laws stop at 1076 entries, where they
+        # underflow: 1,036,300 in all, below their bound sum of |subtree| + 1,
+        # 1,127,250, so at MAX_K = kept + reserve the counting pass lets it run
+        t = path_tree(1500)
+        m, reserve, kept = _model(t, 0.05, 0.5), self.reserve(t, 1), self.kept(t, 0.5)
+        assert kept == 1_036_300 and 1500 * 1503 // 2 == 1_127_250
+        want = tvar_contribution_table(m, [0.99])[1]
+        monkeypatch.setattr(mpmrf, "MAX_K", kept + reserve)
+        got = tvar_contribution_table(m, [0.99])[1]
+        assert all(got[v].tobytes() == want[v].tobytes() for v in t.vertices)
+        monkeypatch.setattr(mpmrf, "MAX_K", kept + reserve - 1)
+        with pytest.raises(ValueError, match=r"a 1500-vertex tree's TVaR rows would pass"):
+            tvar_contribution_table(m, [0.99])
 
     def test_past_max_k_raises_before_allocating(self, monkeypatch):
         # a 3000-path at alpha = .9 keeps 4.5 million entries (36 MB); the
-        # count stops it at 200,000 entries and one law, as it stops a 10^5-path at MAX_K
+        # counting pass stops it at 200,000 entries holding one law, as it stops a 10^5-path at MAX_K
         monkeypatch.setattr(mpmrf, "MAX_K", 200_000)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"a 3000-vertex tree pass MAX_K = 200,000 entries"):
+            with pytest.raises(ValueError, match=r"a 3000-vertex tree's TVaR rows would pass MAX_K = 200,000"):
                 tvar_contribution_table(_model(path_tree(3000), 0.05, 0.9), [0.99])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -410,13 +440,13 @@ class TestHAllSize:
         assert peak < 4 * 2**20
 
     def test_table_counts_the_adjoints(self, monkeypatch):
-        # the star's 89 law entries plus 4 * 31 per row of g, two rows per level
+        # 8 (d + 1) entries per level: g, the adjoints and the rows, two rows of g each
         m = _model(star_tree(30), 0.05, 0.5)
-        monkeypatch.setattr(mpmrf, "MAX_K", 89 + 8 * 31 * 2 - 1)
-        with pytest.raises(ValueError, match=r"TVaR rows pass MAX_K = 584 entries"):
+        monkeypatch.setattr(mpmrf, "MAX_K", 89 + self.reserve(m.tree, 2) - 1)
+        with pytest.raises(ValueError, match=r"TVaR rows would pass MAX_K = 1,328 entries"):
             tvar_contribution_table(m, [0.5, 0.9])
-        assert len(tvar_contribution_table(m, [0.9])[1]) == 30  # one level: 337 entries
-        monkeypatch.setattr(mpmrf, "MAX_K", 89 + 8 * 31 * 2)
+        assert len(tvar_contribution_table(m, [0.9])[1]) == 30  # one level: 8 * 31 entries fewer
+        monkeypatch.setattr(mpmrf, "MAX_K", 89 + self.reserve(m.tree, 2))
         assert len(tvar_contribution_table(m, [0.5, 0.9])[1]) == 30
 
     def test_shared_leaf_laws_count_once_each(self):
@@ -424,6 +454,29 @@ class TestHAllSize:
         # charged the centre's shared share once per leaf refused it
         m = _model(star_tree(10_000), 0.05, 0.99)
         agg, table = tvar_contribution_table(m, [0.99])
+        total = math.fsum(float(r[0]) for r in table.values())
+        assert abs(total - tvar(agg, 0.99, m.tree.d * m.lam)) < 1e-9 * total
+
+    def test_spider_holds_one_share_per_level(self, monkeypatch):
+        # a centre with 2000 legs of two vertices: its 2000 shares are distinct
+        # and about 4000 entries each, 64 MB if held at once; depth first, the
+        # pass holds one per level of the product tree, within the reserve
+        legs = 2000
+        t = Tree.of(2 * legs + 1, [(1, i) for i in range(2, legs + 2)]
+                    + [(i, i + legs) for i in range(2, legs + 2)])
+        m, reserve, kept = _model(t, 0.05, 0.99), self.reserve(t, 1), self.kept(t, 0.99)
+        assert kept == (legs * 3 + legs * 2 + t.d + 1)
+        monkeypatch.setattr(mpmrf, "MAX_K", kept + reserve - 1)
+        with pytest.raises(ValueError, match=r"a 4001-vertex tree's TVaR rows would pass"):
+            tvar_contribution_table(m, [0.99])
+        monkeypatch.setattr(mpmrf, "MAX_K", kept + reserve)
+        tracemalloc.start()
+        try:
+            agg, table = tvar_contribution_table(m, [0.99])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (kept + reserve) + 2 * 2**20  # the entries, and 4001 rows' array objects
         total = math.fsum(float(r[0]) for r in table.values())
         assert abs(total - tvar(agg, 0.99, m.tree.d * m.lam)) < 1e-9 * total
 
