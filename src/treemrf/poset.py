@@ -9,15 +9,15 @@ of the resulting relation is a conjecture, asserted loudly at build time.
 
 The move criterion is `orders.shape_compare`'s at every grid alpha: H_v
 against H_w on the move's residual tree (`orders._dominance`). An H law
-depends only on the rooted shape. So one all-roots AHU pass
-(`tree_core._ahu_codes`) per residual keys every move off it: the codes of
-the residual at v and at every w key their H laws, and w's residual sides
-plus the detached subtree's code give the moved tree rooted at w, whose
-shape index is a lookup among the rooted codes of all representatives. No
-move builds, roots or canonicalises a tree. Each rooted code's H law is
-computed once per build for the whole grid, as t times the product of its
-subtrees' thinned laws (`_h_pmfs`, the subtrees read off the code's bytes),
-and H_v is compared with every w's stacked cdfs in one array operation.
+depends only on the rooted shape, so moves are keyed by AHU codes. The
+residual's code at v and the detached subtree's are sides of the shape's
+all-roots pass (`tree_core._ahu_codes`); each distinct residual code takes
+one pass over its parsed tree for its codes at w, and H_v meets each
+distinct H_w once per build, their stacked cdfs in one array operation. A
+move's target is a lookup among the rooted codes of all representatives,
+and only a residual that writes a record is walked with its labels, to name
+its w's. Each rooted code's H law is computed once per build for the whole
+grid, as t times the product of its subtrees' thinned laws (`_h_pmfs`).
 
 The twin check reads the aggregate M off the same laws: at one d and one
 homogeneous alpha all shapes give M the same compound-Poisson rate, so its
@@ -37,6 +37,7 @@ from .tree_core import (
     _ahu_children,
     _ahu_codes,
     _ahu_node,
+    _ahu_tree,
     canonical_code,
     enumerate_shapes,
 )
@@ -101,14 +102,15 @@ class ShapePoset:
 def _residual_moves(reps):
     """Every residual of every shape representative, with the moves off it.
 
-    Yields (i, u, v, at, moves) per directed edge (u, v) of reps[i]: the
-    residual is v's side once edge u-v is cut, `at` maps each of its
-    vertices to the residual's AHU code rooted there, and `moves` lists
-    (w, j) for every other residual vertex w in ascending order, j being the
-    shape index of the tree with u's subtree re-anchored at w. That tree
-    rooted at w has w's residual sides and u's subtree as its root's
-    subtrees, so j is a lookup among the rooted codes of all
-    representatives. One _ahu_codes pass per residual; no tree is built.
+    Yields (i, u, v, residual, moves) per directed edge (u, v) of reps[i]
+    whose residual, v's side once edge u-v is cut, is more than v: residual
+    is its AHU code rooted at v, and moves lists (code, j) per distinct code
+    of it rooted at a w other than v, j being the shape index of the tree
+    with u's subtree re-anchored at such a w. That tree rooted at w has the
+    code's subtrees and u's subtree as its root's subtrees, so j is a lookup
+    among the rooted codes of all representatives. Both sides of u-v are in
+    the shape's all-roots AHU pass; a residual code's codes at w come from
+    one pass over its parsed tree (_ahu_tree) per build. No tree is built.
     """
     shape_of: dict[bytes, int] = {}
     sides = []
@@ -116,16 +118,17 @@ def _residual_moves(reps):
         at, side = _ahu_codes(tree.neighbors, tree.vertices[0])
         shape_of.update(dict.fromkeys(at.values(), i))
         sides.append(side)
+    at_w: dict[bytes, list[bytes]] = {}  # per residual code, its distinct codes at w
     for i, tree in enumerate(reps):
-        adj = tree.neighbors
         for (a, b) in tree.edges:
             for u, v in ((a, b), (b, a)):
-                at, side = _ahu_codes(adj, v, away=u)
-                detached = sides[i][v, u]
-                moves = [(w, shape_of[_ahu_node([detached, *(side[w, y] for y in adj[w])])])
-                         for w in sorted(at) if w != v]
-                if moves:
-                    yield i, u, v, at, moves
+                residual, detached = sides[i][u, v], sides[i][v, u]
+                if residual not in at_w:
+                    at = _ahu_codes(_ahu_tree(residual), 0)[0]
+                    at_w[residual] = list(dict.fromkeys(at[w] for w in range(1, len(at))))
+                if at_w[residual]:
+                    yield i, u, v, residual, [(c, shape_of[_ahu_node([detached, *_ahu_children(c)])])
+                                              for c in at_w[residual]]
 
 
 def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
@@ -151,27 +154,28 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
 
     alphas = np.array(grid)[:, None]
     pmfs: dict[bytes, np.ndarray] = {}  # H pmfs over the grid, by rooted code
-    cdfs: dict[bytes, np.ndarray] = {}  # and the cdfs of the residuals' ones
     arcs = np.eye(n, dtype=bool)
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
-    for i, u, v, at, moves in _residual_moves(reps):
-        for x in (v, *(w for w, _j in moves)):
-            if at[x] not in cdfs:
-                cdfs[at[x]] = _h_pmfs(at[x], alphas, pmfs).cumsum(axis=1)
-        # (W, G, k): H_v against each w's H, at every grid alpha
-        not_le, not_ge = _dominance(cdfs[at[v]], np.stack([cdfs[at[w]] for w, _j in moves]))
-        le_ok, ge_ok = ~not_le.any(axis=(1, 2)), ~not_ge.any(axis=(1, 2))
-        for k, (w, j) in enumerate(moves):
-            arcs[i, j] |= le_ok[k]
-            arcs[j, i] |= ge_ok[k]
-            if not le_ok[k] and not ge_ok[k]:
-                rels = tuple(vd.relation.value for vd in _verdicts(not_le[k], not_ge[k]))
+    verdicts: dict[bytes, list] = {}  # per residual code, (le, ge, relations) per code at w
+    for i, u, v, residual, moves in _residual_moves(reps):
+        if residual not in verdicts:  # (W, G, k): H_v against each distinct H_w, at every grid alpha
+            fw = np.stack([_h_pmfs(c, alphas, pmfs) for c, _j in moves]).cumsum(axis=2)
+            not_le, not_ge = _dominance(_h_pmfs(residual, alphas, pmfs).cumsum(axis=1), fw)
+            verdicts[residual] = [
+                (le, ge, None if le or ge else tuple(vd.relation.value for vd in _verdicts(nl, ng)))
+                for le, ge, nl, ng in zip((~not_le.any(axis=(1, 2))).tolist(),
+                                          (~not_ge.any(axis=(1, 2))).tolist(), not_le, not_ge)]
+        for (_c, j), (le, ge, _rels) in zip(moves, verdicts[residual]):
+            arcs[i, j] |= le
+            arcs[j, i] |= ge
+        records = {c: (j, rels) for (c, j), (*_, rels) in zip(moves, verdicts[residual]) if rels}
+        if records:  # the labelled residual names the w's of the recorded moves
+            at = _ahu_codes(reps[i].neighbors, v, away=u)[0]
+            for w in sorted(w for w in at if w != v and at[w] in records):
+                j, rels = records[at[w]]
                 rec = MoveRecord(i, j, u, v, w, rels)
-                if all(r == "INCOMPARABLE" for r in rels):
-                    undecided.append(rec)
-                else:
-                    flags.append(rec)
+                (undecided if all(r == "INCOMPARABLE" for r in rels) else flags).append(rec)
 
     relation = _transitive_closure(arcs)
     bad = relation & relation.T & ~np.eye(n, dtype=bool)

@@ -172,6 +172,21 @@ def _ahu_children(code: bytes) -> list[bytes]:
     return parts
 
 
+def _ahu_tree(code: bytes) -> dict[int, list[int]]:
+    """The tree with AHU code `code` as adjacency lists over 0..n-1 in the code's order, root 0."""
+    adj: dict[int, list[int]] = {0: []}
+    path = [0]  # the open vertices, root first
+    for c in code[1:-1]:  # inside the root's brackets
+        if c == 40:  # b"(" opens a child of the innermost open vertex
+            x = len(adj)
+            adj[x] = [path[-1]]
+            adj[path[-1]].append(x)
+            path.append(x)
+        else:
+            path.pop()
+    return adj
+
+
 def _ahu_up(adj, root: int, away: int | None = None):
     """_walk's order and parents of root's side of a tree, seen from its
     neighbour `away` (the whole tree when away is None), and the AHU code of
@@ -244,8 +259,9 @@ def _enumerate_shapes_cached(d: int) -> tuple[Tree, ...]:
         return (Tree.of(1, []),)
     reps: dict[ShapeCode, Tree] = {}
     for smaller in _enumerate_shapes_cached(d - 1):
-        # every d-vertex tree arises by attaching a leaf to some (d-1)-vertex tree
-        for v in smaller.vertices:
+        # a leaf at the first vertex of each orbit (equal rooted codes) of every (d-1)-tree
+        at = _ahu_codes(smaller.neighbors, smaller.vertices[0])[0]
+        for v in sorted({at[v]: v for v in reversed(smaller.vertices)}.values()):
             cand = Tree.of(d, list(smaller.edges) + [(v, d)])
             reps.setdefault(canonical_code(cand), cand)
     return tuple(reps[c] for c in sorted(reps))

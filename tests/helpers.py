@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without reaching into the package's
 computational paths: brute-force isomorphism by permutation search, AHU
-codes one rooting at a time, paths by breadth-first search, re-anchoring
+codes one rooting at a time, free-tree shapes by attaching a leaf at every
+vertex (centres found by peeling leaves), paths by breadth-first search, re-anchoring
 moves and tree centers from path lengths, the reachability relation of a
 digraph by breadth-first search, the two parts of a cut edge by
 growing one side over the edge list, trees from random Pruefer
@@ -53,6 +54,28 @@ def ahu_encoding(rooted: RootedTree) -> bytes:
         parts = sorted(enc[c] for c in rooted.children[v])
         enc[v] = b"(" + b"".join(parts) + b")"
     return enc[rooted.order[0]]
+
+
+def reference_shapes(d: int) -> list[Tree]:
+    """One representative per free-tree shape on vertices 1..d, ordered by the
+    centre-rooted AHU code: a leaf attached at every vertex of every (d-1)-vertex
+    representative, the first tree of each code kept. The centre, or the two of
+    a bicentre, is what is left once leaves are peeled off while three remain."""
+    def code(tree: Tree) -> bytes:
+        alive = set(tree.vertices)
+        while len(alive) > 2:
+            alive -= {x for x in alive if sum(y in alive for y in tree.neighbors[x]) <= 1}
+        return min(ahu_encoding(root_at(tree, c)) for c in alive)
+
+    reps = [Tree.of(1, [])]
+    for n in range(2, d + 1):
+        found: dict[bytes, Tree] = {}
+        for smaller in reps:
+            for v in smaller.vertices:
+                cand = Tree.of(n, list(smaller.edges) + [(v, n)])
+                found.setdefault(code(cand), cand)
+        reps = [found[c] for c in sorted(found)]
+    return reps
 
 
 def tree_on(vertices, edges) -> Tree:

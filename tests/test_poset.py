@@ -19,9 +19,11 @@ from treemrf.poset import (
     maximal_elements,
     minimal_elements,
 )
-from treemrf.tree_core import Tree, canonical_code, enumerate_shapes, root_at
+from treemrf import poset
+from treemrf.orders import _dominance
+from treemrf.tree_core import Tree, _ahu_codes, canonical_code, enumerate_shapes, root_at
 
-from helpers import all_moves, eta_by_hand, prune, reachable_by_bfs, tree_on
+from helpers import ahu_encoding, all_moves, eta_by_hand, prune, reachable_by_bfs, tree_on
 
 GRID = (0.1, 0.5, 0.9)
 
@@ -134,20 +136,59 @@ class TestResidualMoves:
         reps = enumerate_shapes(d)
         index = {canonical_code(t): i for i, t in enumerate(reps)}
         seen = set()
-        for i, u, v, at, moves in _residual_moves(reps):
-            residual, _detached = prune(reps[i], u, v)
-            assert sorted(at) == list(residual.vertices)
-            assert [w for w, _j in moves] == [w for w in residual.vertices if w != v]
-            for w, j in moves:
-                edges = [e for e in reps[i].edges if e != (min(u, v), max(u, v))]
-                assert j == index[canonical_code(tree_on(reps[i].vertices, edges + [(u, w)]))]
-                seen.add((i, u, v, w))
+        for i, u, v, residual, moves in _residual_moves(reps):
+            part, _detached = prune(reps[i], u, v)
+            at = {x: ahu_encoding(root_at(part, x)) for x in part.vertices}
+            assert residual == at[v]
+            targets = dict(moves)  # one move per distinct code at w
+            assert len(targets) == len(moves) and set(targets) == {at[w] for w in at if w != v}
+            for w in part.vertices:
+                if w != v:
+                    edges = [e for e in reps[i].edges if e != (min(u, v), max(u, v))]
+                    moved = tree_on(reps[i].vertices, edges + [(u, w)])
+                    assert targets[at[w]] == index[canonical_code(moved)]
+                    seen.add((i, u, v, w))
         assert seen == {(i, u, v, w) for i, t in enumerate(reps) for _m, u, v, w in all_moves(t)}
 
     def test_d9_build_roots_one_tree_per_shape(self, root_calls):
         ps = build_poset(9)
         # neither the moves nor the twin check root a tree: both read codes
         assert len(ps.shapes) == 47 and root_calls == []
+
+    def test_d9_compares_each_distinct_code_pair_once(self, monkeypatch):
+        rows, parsed, labelled = [], [], []
+
+        def counting_dominance(fa, fb, *args):
+            rows.append(len(fb))
+            return _dominance(fa, fb, *args)
+
+        def counting_ahu_codes(adj, root, away=None):
+            at, side = _ahu_codes(adj, root, away)
+            if root == 0:  # a parsed residual code's tree; trees label from 1
+                parsed.append(at[0])
+            if away is not None:  # a labelled residual
+                labelled.append(away)
+            return at, side
+
+        monkeypatch.setattr(poset, "_dominance", counting_dominance)
+        monkeypatch.setattr(poset, "_ahu_codes", counting_ahu_codes)
+        ps = build_poset(9)
+        moves, pairs = 0, set()
+        for tree in enumerate_shapes(9):
+            for _moved, u, v, w in all_moves(tree):
+                part = prune(tree, u, v)[0]
+                pairs.add((ahu_encoding(root_at(part, v)), ahu_encoding(root_at(part, w))))
+                moves += 1
+        residuals = {cv for cv, _cw in pairs}
+        assert (moves, len(pairs), len(residuals)) == (2632, 861, 199)
+        # one _dominance row per distinct (code at v, code at w), one call per
+        # distinct residual code, and one all-roots pass per distinct residual
+        # code, a lone v's (a leaf's, with no move) included
+        assert sum(rows) == 861 and len(rows) == 199
+        assert len(parsed) == 200 and set(parsed) == residuals | {b"()"}
+        # the labelled residual is walked only to name the w's of its records
+        records = {(r.source, r.u, r.v) for r in ps.flags + ps.undecided}
+        assert len(labelled) == len(records) == 51
 
 
 class TestCodeKeyedLaws:
@@ -156,20 +197,24 @@ class TestCodeKeyedLaws:
         alphas = np.array(grid)[:, None]
         checked = 0
         for d in range(4, 10):
-            reps = enumerate_shapes(d)
             memo = {}
-            for i, u, _v, at, _moves in _residual_moves(reps):
-                for x, code in at.items():  # the residual rooted at each of its vertices
-                    got = _h_pmfs(code, alphas, memo).cumsum(axis=1)
-                    rooted = root_at(reps[i], x, away=u)
-                    want = np.zeros((len(grid), len(rooted.order) + 1))  # H lives on {1..d}
-                    for row, a in zip(want, grid):
-                        p = _root_eta(rooted, a)
-                        row[: len(p)] = p
-                    want = want.cumsum(axis=1)
-                    assert got.shape == want.shape
-                    assert np.max(np.abs(got - want)) <= 1e-15
-                    checked += 1
+            for tree in enumerate_shapes(d):
+                for (a, b) in tree.edges:
+                    for u, v in ((a, b), (b, a)):
+                        at = _ahu_codes(tree.neighbors, v, away=u)[0]
+                        if len(at) == 1:
+                            continue  # a lone v has no move
+                        for x, code in at.items():  # the residual rooted at each of its vertices
+                            got = _h_pmfs(code, alphas, memo).cumsum(axis=1)
+                            rooted = root_at(tree, x, away=u)
+                            want = np.zeros((len(grid), len(rooted.order) + 1))  # H lives on {1..d}
+                            for row, a in zip(want, grid):
+                                p = _root_eta(rooted, a)
+                                row[: len(p)] = p
+                            want = want.cumsum(axis=1)
+                            assert got.shape == want.shape
+                            assert np.max(np.abs(got - want)) <= 1e-15
+                            checked += 1
         assert checked == 4993
 
 

@@ -1,4 +1,4 @@
-"""Layer timings of the aggregate on a size ladder of trees.
+"""Layer timings of the aggregate on a size ladder of trees, and of the shape poset.
 
 Usage, from the root of a checkout:
 
@@ -22,9 +22,21 @@ of every vertex:
 The layers that call _exponent root the tree afresh each time, as every
 call did before a tree kept its rooting (Tree.rooted).
 
-A round times every layer of every cell once, cells and layers in a fixed
-order, so the rounds interleave; each value is the median over the rounds
-(default 7, --quick 3). The trees are a path and a star hung from vertex 1
+For each poset cell, d in {7, 8, 9} (--quick: 7, 8), it times the layers of
+`treemrf.poset.build_poset(d)` on the default alpha grid:
+
+    enum_s        enumerate_shapes with its cache cleared
+    moves_s       the build up to its closure: the shapes' codes and every
+                  move's evaluation (_residual_moves, the H laws, _dominance)
+    closure_s     Warshall's closure, the antisymmetry check and the Hasse edges
+    twins_s       _assert_distinct_aggregates, the twin check on Q at alpha = 1/2
+
+The last three come from one build, told apart by the times at which it
+calls and leaves _transitive_closure and _assert_distinct_aggregates.
+
+A round times every layer of every cell once, cells (the poset's last) and
+layers in a fixed order, so the rounds interleave; each value is the median
+over the rounds (default 7, --quick 3). The trees are a path and a star hung from vertex 1
 and a random recursive tree (vertex i joins a uniform earlier vertex, from a
 fixed seed), all at lambda = 0.5, alpha = 0.5 and the default tol. It
 imports treemrf from src/ and uses the standard library and numpy only, with
@@ -55,6 +67,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from collections import deque  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from treemrf import mpmrf  # noqa: E402
+from treemrf import mpmrf, poset, tree_core  # noqa: E402
 from treemrf.tree_core import Tree, root_at  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -77,6 +90,10 @@ QUICK_MAX_D = 1000
 LAM, ALPHA, SEED, KAPPA = 0.5, 0.5, 0, 0.99
 LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "rows_s")
 REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in LAYERS)
+POSET_SIZES = (7, 8, 9)
+QUICK_MAX_POSET_D = 8
+POSET_LAYERS = ("enum_s", "moves_s", "closure_s", "twins_s")
+POSET_REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in POSET_LAYERS)
 
 
 def tree_of(shape: str, d: int) -> Tree:
@@ -122,45 +139,90 @@ def time_cell(tree: Tree) -> dict:
     return {"times": times, "j_max": len(q) - 1, "k_max": dist.k_max}
 
 
-def time_cell_at_ref(tree: Tree, span: float) -> dict:
-    """time_cell between two readings of the reference task, each of
+def stamped(fn, stamps: list):
+    """fn, appending the clock to stamps as each call starts and ends."""
+    def wrapped(*args):
+        stamps.append(time.perf_counter())
+        out = fn(*args)
+        stamps.append(time.perf_counter())
+        return out
+    return wrapped
+
+
+def time_poset(d: int) -> dict:
+    """One timing of every layer of one poset cell: the enumeration, then one
+    build split at the calls of its closure and of its twin check."""
+    times = {}
+    tree_core._enumerate_shapes_cached.cache_clear()
+    times["enum_s"], _ = clock(tree_core.enumerate_shapes, d)
+    stamps: list[float] = []
+    closure, twins = poset._transitive_closure, poset._assert_distinct_aggregates
+    poset._transitive_closure = stamped(closure, stamps)
+    poset._assert_distinct_aggregates = stamped(twins, stamps)
+    try:
+        t0 = time.perf_counter()
+        ps = poset.build_poset(d)
+        t_end = time.perf_counter()
+    finally:
+        poset._transitive_closure, poset._assert_distinct_aggregates = closure, twins
+    closure_in, _closure_out, twins_in, twins_out = stamps
+    times["moves_s"] = closure_in - t0
+    times["twins_s"] = twins_out - twins_in
+    times["closure_s"] = (t_end - t0) - times["moves_s"] - times["twins_s"]
+    return {"times": times, "shapes": len(ps.shapes), "hasse": len(ps.hasse)}
+
+
+def time_at_ref(timing, span: float) -> dict:
+    """timing() between two readings of the reference task, each of
     SPAN_SHARE of span (the cell's time the round before), with the factor
     that turns the cell's times into times at the reference speed."""
     before = reference.reading(reference.SPAN_SHARE * span)
-    cell = time_cell(tree)
+    cell = timing()
     after = reference.reading(reference.SPAN_SHARE * sum(cell["times"].values()))
     cell["scale"] = reference.speed_scale(before, after)
     return cell
 
 
-def run(sizes, rounds: int) -> list[dict]:
-    cells = [(shape, d, tree_of(shape, d)) for d in sizes for shape in SHAPES]
-    samples = {(shape, d): [] for shape, d, _ in cells}
+def medians(runs: list[dict], layers, ref_layers) -> dict:
+    """Each layer's median over the rounds, raw and at the reference speed."""
+    row = {k: statistics.median(r["times"][k] for r in runs) for k in layers}
+    row.update({ref: statistics.median(r["times"][k] * r["scale"] for r in runs)
+                for k, ref in zip(layers, ref_layers)})
+    row["speed_scale"] = statistics.median(r["scale"] for r in runs)
+    return row
+
+
+def run(sizes, poset_sizes, rounds: int) -> tuple[list[dict], list[dict]]:
+    cells = [((shape, d), partial(time_cell, tree_of(shape, d))) for d in sizes for shape in SHAPES]
+    cells += [(("poset", d), partial(time_poset, d)) for d in poset_sizes]
+    samples = {key: [] for key, _ in cells}
     for _ in range(rounds):
-        for shape, d, tree in cells:
-            runs = samples[shape, d]
+        for key, timing in cells:
+            runs = samples[key]
             span = sum(runs[-1]["times"].values()) if runs else 0.0
-            runs.append(time_cell_at_ref(tree, span))
-    rows = []
-    for shape, d, _ in cells:
+            runs.append(time_at_ref(timing, span))
+    rows, poset_rows = [], []
+    for (shape, d), _ in cells:
         runs = samples[shape, d]
-        row = {"shape": shape, "d": d, "j_max": runs[0]["j_max"], "k_max": runs[0]["k_max"]}
-        row.update({k: statistics.median(r["times"][k] for r in runs) for k in LAYERS})
-        row.update({ref: statistics.median(r["times"][k] * r["scale"] for r in runs)
-                    for k, ref in zip(LAYERS, REF_LAYERS)})
-        row["speed_scale"] = statistics.median(r["scale"] for r in runs)
-        rows.append(row)
-    return rows
+        if shape == "poset":
+            row = {"d": d, "shapes": runs[0]["shapes"], "hasse": runs[0]["hasse"]}
+            poset_rows.append(row | medians(runs, POSET_LAYERS, POSET_REF_LAYERS))
+        else:
+            row = {"shape": shape, "d": d, "j_max": runs[0]["j_max"], "k_max": runs[0]["k_max"]}
+            rows.append(row | medians(runs, LAYERS, REF_LAYERS))
+    return rows, poset_rows
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true", help=f"only d <= {QUICK_MAX_D}, in 3 rounds")
+    ap.add_argument("--quick", action="store_true",
+                    help=f"only d <= {QUICK_MAX_D} (posets: d <= {QUICK_MAX_POSET_D}), in 3 rounds")
     ap.add_argument("-o", "--output", default=str(ROOT / "BENCH_layers.json"))
     args = ap.parse_args(argv)
     rounds = 3 if args.quick else 7
-    sizes = [d for d in SIZES if d <= QUICK_MAX_D] if args.quick else list(SIZES)
-    rows = run(sizes, rounds)
+    sizes = [d for d in SIZES if not args.quick or d <= QUICK_MAX_D]
+    poset_sizes = [d for d in POSET_SIZES if not args.quick or d <= QUICK_MAX_POSET_D]
+    rows, poset_rows = run(sizes, poset_sizes, rounds)
     report = {
         "tool": "tools/ladder.py",
         "rounds": rounds,
@@ -175,12 +237,20 @@ def main(argv=None) -> int:
         "layers": list(LAYERS),
         "ref_layers": list(REF_LAYERS),
         "cells": rows,
+        "poset_alpha_grid": list(poset.DEFAULT_ALPHA_GRID),
+        "poset_layers": list(POSET_LAYERS),
+        "poset_ref_layers": list(POSET_REF_LAYERS),
+        "poset_cells": poset_rows,
     }
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for row in rows:
         print(f"{row['shape']:>6} d={row['d']:<6} K={row['k_max']:<6} scale={row['speed_scale']:.2f} "
               + " ".join(f"{k[:-2]}={row[k] * 1e3:.3f}/{row[ref] * 1e3:.3f}ms"
                          for k, ref in zip(LAYERS, REF_LAYERS)))
+    for row in poset_rows:
+        print(f" poset d={row['d']:<6} shapes={row['shapes']:<4} scale={row['speed_scale']:.2f} "
+              + " ".join(f"{k[:-2]}={row[k] * 1e3:.3f}/{row[ref] * 1e3:.3f}ms"
+                         for k, ref in zip(POSET_LAYERS, POSET_REF_LAYERS)))
     return 0
 
 
