@@ -144,7 +144,7 @@ def cmd_poset(ns: argparse.Namespace) -> None:
 def cmd_mc(ns: argparse.Namespace) -> None:
     model = _require_model(ns)
     n, lam = ns.n, model.lam
-    draws = mpmrf.sample(model, model.tree.vertices[0], ns.seed, n)
+    draws = mpmrf.sample(model, ns.seed, n)
     total = draws.sum(axis=1)
     agg = mpmrf.aggregate_dist(model, ns.tol)
     k_hi = max(int(total.max()), agg.k_max)

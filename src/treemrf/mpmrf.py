@@ -501,12 +501,13 @@ def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
                          f"float rounding (compound-Poisson rate {float(rate)!r})")
 
 
-def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
+def sample(model: MpmrfModel, rng_seed: int, n: int) -> np.ndarray:
     """n draws of the full vector, as an (n, d) column-major array in vertex-label order.
 
     Reproducible across platforms: PCG64 stream, all variates by inversion.
     Consumption order is pinned: one Poisson block per vertex in BFS order
-    (children ascending), each non-root block followed by its thinning block.
+    from the smallest label (children ascending), each non-root block
+    followed by its thinning block.
     Each vertex's n draws are one contiguous column, filled in place;
     ValueError, before allocating, when the n * d draws would pass MAX_K.
     """
@@ -516,10 +517,10 @@ def sample(model: MpmrfModel, root: int, rng_seed: int, n: int) -> np.ndarray:
     if n * tree.d > MAX_K:
         raise ValueError(f"{n:,} draws of {tree.d} vertices pass MAX_K = {MAX_K:,} entries")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    rooted = root_at(tree, root)
+    rooted = tree.rooted
     col = {v: i for i, v in enumerate(tree.vertices)}
     out = np.empty((n, tree.d), dtype=np.int64, order="F")
-    _poisson_inverse(rng, model.lam, out[:, col[root]])
+    _poisson_inverse(rng, model.lam, out[:, 0])  # the root, the smallest label
     ends = np.empty(n, dtype=np.int64)
     for p in rooted.order:  # BFS order lists each vertex's children together, ascending
         if rooted.children[p]:

@@ -11,15 +11,16 @@ The move criterion is `orders.shape_compare`'s at every grid alpha: H_v
 against H_w on the move's residual tree (`orders._dominance`). An H law
 depends only on the rooted shape, so moves are keyed by AHU codes. The
 residual's code at v and the detached subtree's are sides of the shape's
-all-roots pass (`tree_core._ahu_codes`); each distinct residual code takes
-one pass over its parsed tree for its codes at w, and H_v meets each
+all-roots pass (`tree_core._ahu_codes`); the first residual with a code is
+walked once with its labels for its codes at w, and H_v meets each
 distinct H_w once per build, their stacked cdfs in one array operation. A
-move's target is a lookup among the rooted codes of all representatives,
-and only a residual that writes a record is walked with its labels, to name
-its w's. Each rooted code's H law is computed once per build for the whole
-grid, as t times the product of its subtrees' thinned laws (`_h_pmfs`).
+move's target is a lookup among the rooted codes of all representatives. A
+later residual with the same code is walked only when it writes a record,
+to name its w's. Each rooted code's H law is computed once per build, one
+row per grid alpha plus a last row at alpha = 1/2, as t times the product
+of its subtrees' thinned laws (`_h_pmfs`).
 
-The twin check reads the aggregate M off the same laws: at one d and one
+The twin check reads the aggregate M off that last row: at one d and one
 homogeneous alpha all shapes give M the same compound-Poisson rate, so its
 exponent Q fixes its law (`_aggregate_exponent`). A build roots no tree.
 """
@@ -37,7 +38,6 @@ from .tree_core import (
     _ahu_children,
     _ahu_codes,
     _ahu_node,
-    _ahu_tree,
     canonical_code,
     enumerate_shapes,
 )
@@ -102,15 +102,17 @@ class ShapePoset:
 def _residual_moves(reps):
     """Every residual of every shape representative, with the moves off it.
 
-    Yields (i, u, v, residual, moves) per directed edge (u, v) of reps[i]
-    whose residual, v's side once edge u-v is cut, is more than v: residual
-    is its AHU code rooted at v, and moves lists (code, j) per distinct code
-    of it rooted at a w other than v, j being the shape index of the tree
-    with u's subtree re-anchored at such a w. That tree rooted at w has the
-    code's subtrees and u's subtree as its root's subtrees, so j is a lookup
-    among the rooted codes of all representatives. Both sides of u-v are in
-    the shape's all-roots AHU pass; a residual code's codes at w come from
-    one pass over its parsed tree (_ahu_tree) per build. No tree is built.
+    Yields (i, u, v, residual, moves, at) per directed edge (u, v) of
+    reps[i] whose residual, v's side once edge u-v is cut, is more than v:
+    residual is its AHU code rooted at v, and moves lists (code, j) per
+    distinct code of it rooted at a w other than v, j being the shape index
+    of the tree with u's subtree re-anchored at such a w. That tree rooted
+    at w has the code's subtrees and u's subtree as its root's subtrees, so
+    j is a lookup among the rooted codes of all representatives. Both sides
+    of u-v are in the shape's all-roots AHU pass; a residual code's codes at
+    w come from one labelled pass over the first residual with that code,
+    and at is that pass's code per label (None for the later ones). No tree
+    is built.
     """
     shape_of: dict[bytes, int] = {}
     sides = []
@@ -123,12 +125,13 @@ def _residual_moves(reps):
         for (a, b) in tree.edges:
             for u, v in ((a, b), (b, a)):
                 residual, detached = sides[i][u, v], sides[i][v, u]
+                at = None
                 if residual not in at_w:
-                    at = _ahu_codes(_ahu_tree(residual), 0)[0]
-                    at_w[residual] = list(dict.fromkeys(at[w] for w in range(1, len(at))))
+                    at = _ahu_codes(tree.neighbors, v, away=u)[0]
+                    at_w[residual] = list(dict.fromkeys(at[w] for w in at if w != v))
                 if at_w[residual]:
                     yield i, u, v, residual, [(c, shape_of[_ahu_node([detached, *_ahu_children(c)])])
-                                              for c in at_w[residual]]
+                                              for c in at_w[residual]], at
 
 
 def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
@@ -152,16 +155,16 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     codes = tuple(canonical_code(t) for t in reps)
     n = len(reps)
 
-    alphas = np.array(grid)[:, None]
-    pmfs: dict[bytes, np.ndarray] = {}  # H pmfs over the grid, by rooted code
+    alphas = np.array(grid + (0.5,))[:, None]  # the grid, then the twin check's alpha
+    pmfs: dict[bytes, np.ndarray] = {}  # H pmfs over alphas, by rooted code
     arcs = np.eye(n, dtype=bool)
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
     verdicts: dict[bytes, list] = {}  # per residual code, (le, ge, relations) per code at w
-    for i, u, v, residual, moves in _residual_moves(reps):
+    for i, u, v, residual, moves, at in _residual_moves(reps):
         if residual not in verdicts:  # (W, G, k): H_v against each distinct H_w, at every grid alpha
-            fw = np.stack([_h_pmfs(c, alphas, pmfs) for c, _j in moves]).cumsum(axis=2)
-            not_le, not_ge = _dominance(_h_pmfs(residual, alphas, pmfs).cumsum(axis=1), fw)
+            fw = np.stack([_h_pmfs(c, alphas, pmfs)[:-1] for c, _j in moves]).cumsum(axis=2)
+            not_le, not_ge = _dominance(_h_pmfs(residual, alphas, pmfs)[:-1].cumsum(axis=1), fw)
             verdicts[residual] = [
                 (le, ge, None if le or ge else tuple(vd.relation.value for vd in _verdicts(nl, ng)))
                 for le, ge, nl, ng in zip((~not_le.any(axis=(1, 2))).tolist(),
@@ -171,7 +174,8 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
             arcs[j, i] |= ge
         records = {c: (j, rels) for (c, j), (*_, rels) in zip(moves, verdicts[residual]) if rels}
         if records:  # the labelled residual names the w's of the recorded moves
-            at = _ahu_codes(reps[i].neighbors, v, away=u)[0]
+            if at is None:
+                at = _ahu_codes(reps[i].neighbors, v, away=u)[0]
             for w in sorted(w for w in at if w != v and at[w] in records):
                 j, rels = records[at[w]]
                 rec = MoveRecord(i, j, u, v, w, rels)
@@ -182,7 +186,7 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise AntisymmetryError(f"shapes {codes[i].hex} and {codes[j].hex} compare both ways")
-    _assert_distinct_aggregates(codes)
+    _assert_distinct_aggregates(codes, alphas, pmfs)
 
     strict = relation & ~np.eye(n, dtype=bool)
     # on booleans, strict @ strict marks the pairs two strict steps apart
@@ -227,29 +231,30 @@ def _transitive_closure(arcs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _assert_distinct_aggregates(codes) -> None:
-    # at alpha = 1/2 every H coefficient is a dyadic rational (Q * 2**d is
-    # integral), so each Q row is exact in floats and twins share its bytes
-    memo: dict[bytes, np.ndarray] = {}  # H laws at alpha = 1/2 only
+def _assert_distinct_aggregates(codes, alphas: np.ndarray, memo: dict[bytes, np.ndarray]) -> None:
+    """Raise AntisymmetryError when two shapes share Q at the last alpha of
+    the column `alphas`, which must be 1/2: there every H coefficient is a
+    dyadic rational (Q * 2**d is integral), so each Q row is exact in floats
+    and twins share its bytes. memo is _h_pmfs's, kept for the same column."""
     seen: dict[bytes, int] = {}
     for j, c in enumerate(codes):
-        i = seen.setdefault(_aggregate_exponent(c.code, memo).tobytes(), j)
+        i = seen.setdefault(_aggregate_exponent(c.code, alphas, memo).tobytes(), j)
         if i != j:
             raise AntisymmetryError(
                 f"shapes {codes[i].hex} and {codes[j].hex} share an aggregate law")
 
 
-def _aggregate_exponent(code: bytes, memo: dict[bytes, np.ndarray]) -> np.ndarray:
+def _aggregate_exponent(code: bytes, alphas: np.ndarray, memo: dict[bytes, np.ndarray]) -> np.ndarray:
     """Q(t) = H_root + (1 - alpha) * the H laws of every proper subtree, at
-    alpha = 1/2, for the rooted shape with AHU code `code`. M's pgf is
-    exp(lambda (Q(t) - Q(1))) (mpmrf._exponent) and Q(1) = (d + 1) / 2
-    for every d-vertex shape, so d-vertex shapes share M's law iff they share Q."""
-    half = np.array([[0.5]])
-    q = _h_pmfs(code, half, memo)[0].copy()
+    the last alpha of the column `alphas`, for the rooted shape with AHU
+    code `code`. M's pgf is exp(lambda (Q(t) - Q(1))) (mpmrf._exponent) and
+    Q(1) is the same for every d-vertex shape at one alpha ((d + 1) / 2 at
+    alpha = 1/2), so d-vertex shapes share M's law iff they share Q."""
+    q = _h_pmfs(code, alphas, memo)[-1].copy()
     subs = _ahu_children(code)
     for sub in subs:  # the list grows while it is walked: every proper subtree once
-        h = _h_pmfs(sub, half, memo)[0]
-        q[:len(h)] += 0.5 * h
+        h = _h_pmfs(sub, alphas, memo)[-1]
+        q[:len(h)] += (1.0 - alphas[-1, 0]) * h
         subs.extend(_ahu_children(sub))
     return q
 

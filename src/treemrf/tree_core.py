@@ -172,21 +172,6 @@ def _ahu_children(code: bytes) -> list[bytes]:
     return parts
 
 
-def _ahu_tree(code: bytes) -> dict[int, list[int]]:
-    """The tree with AHU code `code` as adjacency lists over 0..n-1 in the code's order, root 0."""
-    adj: dict[int, list[int]] = {0: []}
-    path = [0]  # the open vertices, root first
-    for c in code[1:-1]:  # inside the root's brackets
-        if c == 40:  # b"(" opens a child of the innermost open vertex
-            x = len(adj)
-            adj[x] = [path[-1]]
-            adj[path[-1]].append(x)
-            path.append(x)
-        else:
-            path.pop()
-    return adj
-
-
 def _ahu_up(adj, root: int, away: int | None = None):
     """_walk's order and parents of root's side of a tree, seen from its
     neighbour `away` (the whole tree when away is None), and the AHU code of

@@ -199,7 +199,7 @@ class TestCriterion7Properties:
     def test_monte_carlo_total_variation(self, star10):
         m = MpmrfModel.homogeneous(star10, 1.0, 0.5)
         n = 1_000_000
-        draws = sample(m, 1, rng_seed=20240901, n=n)
+        draws = sample(m, rng_seed=20240901, n=n)
         emp = np.bincount(draws.sum(axis=1)) / n
         agg = aggregate_dist(m)
         tv = tv_distance(emp, agg.pmf)

@@ -421,7 +421,7 @@ class TestMc:
         wrong = mpmrf.MpmrfModel.homogeneous(Tree.of(6, edges), 1.0, 0.55)
         sample = mpmrf.sample
         monkeypatch.setattr(mpmrf, "sample",
-                            lambda _model, root, seed, n: sample(wrong, root, seed, n))
+                            lambda _model, seed, n: sample(wrong, seed, n))
         model = write_model(tmp_path / "m.json", 6, edges, alpha=0.5)
         out = tmp_path / "mc.json"
         assert main(["mc", "--model", model, "--n", "200000", "--seed", "4",
@@ -484,7 +484,7 @@ class TestMcReport:
                      "-o", str(out)])
         obj = json.loads(out.read_text(), parse_constant=_no_nan)
         m = mpmrf.MpmrfModel.from_json(json.loads((tmp_path / "m.json").read_text()))
-        draws = mpmrf.sample(m, m.tree.vertices[0], seed, n)
+        draws = mpmrf.sample(m, seed, n)
         total = draws.sum(axis=1)
         z = statistics.NormalDist().inv_cdf(1 - 0.0027 / (4 * d))
         ok = obj["tv_distance"] < obj["tv_limit"]

@@ -736,26 +736,26 @@ class TestAggregateDist:
 class TestSample:
     def test_full_dependence_copies_the_root(self, star10):
         m = MpmrfModel.homogeneous(star10, 1.0, 1.0)
-        draws = sample(m, 1, rng_seed=42, n=500)
+        draws = sample(m, rng_seed=42, n=500)
         assert (draws == draws[:, [0]]).all()
 
     def test_deterministic_given_seed(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
-        a = sample(m, 1, rng_seed=7, n=200)
-        b = sample(m, 1, rng_seed=7, n=200)
+        a = sample(m, rng_seed=7, n=200)
+        b = sample(m, rng_seed=7, n=200)
         assert (a == b).all()
 
     def test_independent_case_mean_bands(self):
         m = MpmrfModel.homogeneous(path_tree(4), 1.0, 0.0)
         n = 100_000
-        draws = sample(m, 1, rng_seed=3, n=n)
+        draws = sample(m, rng_seed=3, n=n)
         band = 3.0 * np.sqrt(m.lam / n)
         assert np.all(np.abs(draws.mean(axis=0) - m.lam) < band)
 
     def test_marginals_pass_chi_square(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
         n = 100_000
-        draws = sample(m, 1, rng_seed=12345, n=n)
+        draws = sample(m, rng_seed=12345, n=n)
         k_cut = 8  # pool the tail so every expected count is comfortably large
         expected = poisson_pmf(m.lam, k_cut - 1)
         expected = np.append(expected, 1.0 - expected.sum()) * n
@@ -767,7 +767,7 @@ class TestSample:
     def test_bad_n(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
         with pytest.raises(ValueError):
-            sample(m, 1, rng_seed=1, n=0)
+            sample(m, rng_seed=1, n=0)
 
     def test_thinning_past_max_k_raises_before_drawing(self):
         # 10^11 uniforms: without the check numpy fails to allocate them at
@@ -809,7 +809,7 @@ class TestBlockedSampler:
     ])
     def test_equals_the_whole_array_sampler(self, tree, lam, alpha, n):
         m = _model(tree, lam, alpha)
-        draws = sample(m, 1, 20240901, n)
+        draws = sample(m, 20240901, n)
         expected = reference_sample(m, 1, 20240901, n)
         assert draws.dtype == expected.dtype and draws.shape == expected.shape
         assert np.array_equal(draws, expected)
@@ -826,7 +826,7 @@ class TestBlockedSampler:
     def test_stream_is_pinned(self, tree, lam, alpha, seed, n, digest):
         # digests of the draws in row-major bytes, taken from the whole-array sampler
         m = _model(tree, lam, alpha)
-        assert hashlib.sha256(sample(m, 1, seed, n).tobytes()).hexdigest() == digest
+        assert hashlib.sha256(sample(m, seed, n).tobytes()).hexdigest() == digest
 
     # at mu = ln 2 the first cdf entry, exp(-mu), is the bin edge 1/2 exactly
     @pytest.mark.parametrize("mu", [0.05, math.log(2), 3.0, 50.0, 1e4])
@@ -891,7 +891,7 @@ class TestBlockedSampler:
     def test_past_max_k_draws_raise_before_allocating(self):
         m = MpmrfModel.homogeneous(Tree.of(2, [(1, 2)]), 1.0, 0.5)
         with pytest.raises(ValueError, match="MAX_K"):
-            sample(m, 1, rng_seed=1, n=10**12)
+            sample(m, rng_seed=1, n=10**12)
 
 
 class TestCovWithSum:
@@ -1181,7 +1181,7 @@ class TestMonteCarloAgainstAnalytic:
     def test_total_distribution_close_in_tv(self, hub6):
         m = MpmrfModel.homogeneous(hub6, 1.0, 0.5)
         n = 200_000
-        draws = sample(m, 1, rng_seed=2024, n=n)
+        draws = sample(m, rng_seed=2024, n=n)
         total = draws.sum(axis=1)
         emp = np.bincount(total) / n
         agg = aggregate_dist(m)
@@ -1189,7 +1189,7 @@ class TestMonteCarloAgainstAnalytic:
 
     def test_star_cov_matches(self, star10):
         m = MpmrfModel.homogeneous(star10, 1.0, 0.5)
-        draws = sample(m, 1, rng_seed=99, n=200_000)
+        draws = sample(m, rng_seed=99, n=200_000)
         total = draws.sum(axis=1)
         cov = float(np.cov(draws[:, 0], total)[0, 1])
         assert abs(cov - 5.5) < 0.15

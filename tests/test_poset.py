@@ -26,6 +26,7 @@ from treemrf.tree_core import Tree, _ahu_codes, canonical_code, enumerate_shapes
 from helpers import ahu_encoding, all_moves, eta_by_hand, prune, reachable_by_bfs, tree_on
 
 GRID = (0.1, 0.5, 0.9)
+HALF = np.array([[0.5]])  # the twin check's one-row alpha column
 
 
 def star_tree(d):
@@ -94,7 +95,7 @@ class TestBuildPoset:
     def test_duplicate_aggregate_detection(self):
         reps = [path_tree(5), Tree.of(5, [(2, 1), (1, 3), (3, 4), (4, 5)])]
         with pytest.raises(AntisymmetryError):
-            _assert_distinct_aggregates([canonical_code(t) for t in reps])
+            _assert_distinct_aggregates([canonical_code(t) for t in reps], HALF, {})
 
     def test_composite_pair_in_closure(self, composite9):
         t, tp = composite9
@@ -135,11 +136,14 @@ class TestResidualMoves:
     def test_targets_match_canonical_codes_of_the_moved_trees(self, d):
         reps = enumerate_shapes(d)
         index = {canonical_code(t): i for i, t in enumerate(reps)}
-        seen = set()
-        for i, u, v, residual, moves in _residual_moves(reps):
+        seen, walked = set(), set()
+        for i, u, v, residual, moves, labelled in _residual_moves(reps):
             part, _detached = prune(reps[i], u, v)
             at = {x: ahu_encoding(root_at(part, x)) for x in part.vertices}
             assert residual == at[v]
+            # the first residual with a code comes with its codes per label, later ones without
+            assert labelled == (None if residual in walked else at)
+            walked.add(residual)
             targets = dict(moves)  # one move per distinct code at w
             assert len(targets) == len(moves) and set(targets) == {at[w] for w in at if w != v}
             for w in part.vertices:
@@ -164,10 +168,10 @@ class TestResidualMoves:
 
         def counting_ahu_codes(adj, root, away=None):
             at, side = _ahu_codes(adj, root, away)
-            if root == 0:  # a parsed residual code's tree; trees label from 1
+            if root == 0:  # a tree parsed from a code; trees label from 1
                 parsed.append(at[0])
             if away is not None:  # a labelled residual
-                labelled.append(away)
+                labelled.append(at[root])
             return at, side
 
         monkeypatch.setattr(poset, "_dominance", counting_dominance)
@@ -181,14 +185,23 @@ class TestResidualMoves:
                 moves += 1
         residuals = {cv for cv, _cw in pairs}
         assert (moves, len(pairs), len(residuals)) == (2632, 861, 199)
-        # one _dominance row per distinct (code at v, code at w), one call per
-        # distinct residual code, and one all-roots pass per distinct residual
-        # code, a lone v's (a leaf's, with no move) included
+        # one _dominance row per distinct (code at v, code at w) and one call
+        # per distinct residual code
         assert sum(rows) == 861 and len(rows) == 199
-        assert len(parsed) == 200 and set(parsed) == residuals | {b"()"}
-        # the labelled residual is walked only to name the w's of its records
+        # one labelled walk per distinct residual code, a lone v's (a leaf's,
+        # with no move) included, at the first residual with it; a later
+        # residual is walked only to name the w's of its records
         records = {(r.source, r.u, r.v) for r in ps.flags + ps.undecided}
-        assert len(labelled) == len(records) == 51
+        first, later = set(), 0
+        for i, tree in enumerate(enumerate_shapes(9)):
+            for (a, b) in tree.edges:
+                for u, v in ((a, b), (b, a)):
+                    code = ahu_encoding(root_at(tree, v, away=u))
+                    later += code in first and (i, u, v) in records
+                    first.add(code)
+        assert first == residuals | {b"()"} and len(first) == 200
+        assert (len(records), later) == (51, 22)
+        assert parsed == [] and len(labelled) == 222 and set(labelled) == first
 
 
 class TestCodeKeyedLaws:
@@ -226,23 +239,36 @@ class TestAggregateTwins:
         codes = [canonical_code(t) for t in twins11]
         assert codes[0] != codes[1]
         with pytest.raises(AntisymmetryError, match="share an aggregate law"):
-            _assert_distinct_aggregates(codes)
+            _assert_distinct_aggregates(codes, HALF, {})
+
+    def test_d11_build_without_half_on_its_grid_raises(self, twins11, monkeypatch):
+        # the build adds alpha = 1/2 to its law table for the twin check, so
+        # the check runs inside a build whose grid lacks it
+        monkeypatch.setattr(poset, "POSET_D_RANGE", (4, 11))
+        grid = tuple(a for a in DEFAULT_ALPHA_GRID if a != 0.5)
+        assert len(grid) == len(DEFAULT_ALPHA_GRID) - 1
+        a, b = sorted(canonical_code(t).hex for t in twins11)
+        with pytest.raises(AntisymmetryError, match=f"shapes {a} and {b} share an aggregate law"):
+            build_poset(11, grid)
 
     def test_every_d10_shape_passes(self):
         codes = [canonical_code(t) for t in enumerate_shapes(10)]
         assert len(codes) == 106
-        _assert_distinct_aggregates(codes)
+        _assert_distinct_aggregates(codes, HALF, {})
 
     def test_exponent_is_rate_times_severity(self):
-        # at alpha = 1/2 both sums are exact in floats, so Q's bytes agree
+        # at alpha = 1/2 both sums are exact in floats, so Q's bytes agree;
+        # the rows of a law table are independent, so the build's column,
+        # the grid then 1/2, gives the same last row as 1/2 alone
         checked = 0
-        for d in range(1, 13):
-            memo = {}
-            for t in enumerate_shapes(d):
-                q = _aggregate_exponent(canonical_code(t).code, memo)
-                assert np.array_equal(q, _exponent(t, 0.5))
-                checked += 1
-        assert checked == 987
+        for alphas in (HALF, np.array(DEFAULT_ALPHA_GRID + (0.5,))[:, None]):
+            for d in range(1, 13):
+                memo = {}
+                for t in enumerate_shapes(d):
+                    q = _aggregate_exponent(canonical_code(t).code, alphas, memo)
+                    assert np.array_equal(q, _exponent(t, 0.5))
+                    checked += 1
+        assert checked == 2 * 987
 
     @pytest.mark.parametrize("alpha, hasse", [(0.001, 77), (0.999, 79)])
     def test_d9_builds_on_a_grid_near_0_or_1(self, alpha, hasse):

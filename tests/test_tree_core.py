@@ -5,7 +5,6 @@ from treemrf.tree_core import (
     Tree,
     _ahu_children,
     _ahu_codes,
-    _ahu_tree,
     _centers,
     _enumerate_shapes_cached,
     _walk,
@@ -407,23 +406,6 @@ class TestAhuCodes:
                     # the same residual as a tree of its own, labels not 1..m
                     residual = prune(t, u, v)[0]
                     self._check(residual, residual.vertices[0])
-
-
-class TestAhuTree:
-    def test_every_rooted_code_up_to_d9_round_trips(self):
-        codes = {c for d in range(1, 10) for t in enumerate_shapes(d)
-                 for c in _ahu_codes(t.neighbors, t.vertices[0])[0].values()}
-        assert len(codes) == sum((1, 1, 2, 4, 9, 20, 48, 115, 286))  # rooted trees, A000081
-        for code in codes:
-            adj = _ahu_tree(code)
-            n = len(code) // 2
-            assert sorted(adj) == list(range(n))
-            edges = {(a, b) for a in adj for b in adj[a] if a < b}
-            assert len(edges) == n - 1 and all(a in adj[b] for a, b in edges)
-            assert _ahu_codes(adj, 0)[0][0] == code
-            # and, labelled 1..n as a Tree, one rooting at 1 encodes it the same
-            tree = Tree.of(n, [(a + 1, b + 1) for a, b in edges])
-            assert ahu_encoding(root_at(tree, 1)) == code
 
 
 class TestDegreeVector:

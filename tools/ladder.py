@@ -29,7 +29,9 @@ For each poset cell, d in {7, 8, 9} (--quick: 7, 8), it times the layers of
     moves_s       the build up to its closure: the shapes' codes and every
                   move's evaluation (_residual_moves, the H laws, _dominance)
     closure_s     Warshall's closure, the antisymmetry check and the Hasse edges
-    twins_s       _assert_distinct_aggregates, the twin check on Q at alpha = 1/2
+    twins_s       _assert_distinct_aggregates, the twin check on Q at alpha = 1/2,
+                  read off the last row of the build's H law table: the moves'
+                  laws already hold that row, and it forms the whole shapes'
 
 The last three come from one build, told apart by the times at which it
 calls and leaves _transitive_closure and _assert_distinct_aggregates.
