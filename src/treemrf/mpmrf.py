@@ -101,48 +101,47 @@ class MpmrfModel:
     tree: Tree
     lam: float
     alpha: dict = field(repr=False)
+    _alpha: float | dict = field(init=False, repr=False, compare=False)  # alpha as the passes take it
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, not {self.lam!r}")
-        a = {_norm_edge(*e): float(v) for e, v in self.alpha.items()}
-        if set(a) != set(self.tree.edges):
+        given, edges = self.alpha, set(self.tree.edges)
+        a = (dict(zip(given, map(float, given.values()))) if given.keys() == edges  # keys normalised
+             else {_norm_edge(*e): float(v) for e, v in given.items()})
+        if a.keys() != edges:
             raise ValueError("alpha must be given for exactly the tree's edges")
-        for e, v in a.items():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"alpha[{e}] = {v} outside [0, 1]")
+        values = set(a.values())
+        if not all(0.0 <= v <= 1.0 for v in values):  # NaN too
+            e, v = next((e, v) for e, v in a.items() if not 0.0 <= v <= 1.0)
+            raise ValueError(f"alpha[{e}] = {v} outside [0, 1]")
         object.__setattr__(self, "alpha", a)
+        # the one float every edge has (0.0 with no edge) when there is one, else the edge map
+        object.__setattr__(self, "_alpha", a if len(values) > 1 else next(iter(a.values()), 0.0))
 
     @classmethod
     def homogeneous(cls, tree: Tree, lam: float, alpha: float) -> "MpmrfModel":
-        return cls(tree, lam, {e: alpha for e in tree.edges})
+        return cls(tree, lam, dict.fromkeys(tree.edges, alpha))
 
     def edge_alpha(self, a: int, b: int) -> float:
         return self.alpha[_norm_edge(a, b)]
 
     def is_homogeneous(self) -> bool:
-        return len(set(self.alpha.values())) <= 1
+        return not isinstance(self._alpha, dict)
 
     def to_json(self) -> dict:
         obj = self.tree.to_json()
         obj["lambda"] = self.lam
-        if self.is_homogeneous() and self.alpha:  # a 1-vertex tree writes "alpha": {}
-            obj["alpha"] = next(iter(self.alpha.values()))
-        else:
-            obj["alpha"] = {f"{a}-{b}": v for (a, b), v in sorted(self.alpha.items())}
+        obj["alpha"] = (self._alpha if self.is_homogeneous() and self.alpha  # a 1-vertex tree: {}
+                        else {f"{a}-{b}": v for (a, b), v in sorted(self.alpha.items())})
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "MpmrfModel":
-        tree = Tree.from_json(obj)
-        lam = _number(obj["lambda"])
-        raw = obj["alpha"]
-        if isinstance(raw, dict):
-            alpha = {}
-            for key, v in raw.items():
-                a, b = key.split("-")
-                alpha[_norm_edge(int(a), int(b))] = _number(v)
-            return cls(tree, lam, alpha)
+        tree, lam, raw = Tree.from_json(obj), _number(obj["lambda"]), obj["alpha"]
+        if isinstance(raw, dict):  # "a-b": alpha, normalised by the constructor
+            return cls(tree, lam, {(int(a), int(b)): _number(v) for key, v in raw.items()
+                                   for a, b in [key.split("-")]})
         return cls.homogeneous(tree, lam, _number(raw))
 
 
@@ -329,7 +328,7 @@ def h_poly(tree: Tree, root: int, alpha) -> np.ndarray:
 
 def h_dist(model: MpmrfModel, root: int) -> DiscreteDist:
     """Exact law of H_root: support within {1..d}, no mass at 0."""
-    return DiscreteDist(h_poly(model.tree, root, model.alpha))
+    return DiscreteDist(h_poly(model.tree, root, model._alpha))
 
 
 def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -341,11 +340,12 @@ def _exponent(tree: Tree, alpha, laws: dict[int, np.ndarray] | None = None) -> n
     the caller bounds them); otherwise each law is dropped once its parent has used it.
     """
     rooted = tree.rooted
+    ups = ([alpha[_norm_edge(rooted.parent[v], v)] for v in reversed(rooted.order[1:])]
+           if isinstance(alpha, dict) else [float(alpha)] * (tree.d - 1))  # the pass's order
     q = np.zeros(tree.d + 1)
-    for v, eta in _eta(rooted, alpha):
+    for (v, eta), a in zip(_eta(rooted, alpha), ups + [0.0]):  # alpha_pa(v), the root's last
         if laws is not None:
             laws[v] = eta
-        a = _alpha_of(alpha, rooted.parent[v], v) if v in rooted.parent else 0.0
         if eta is _T:  # a leaf: q[0] += 0.0 would change no bit
             q[1] += 1.0 - a
         else:
@@ -422,7 +422,7 @@ def aggregate_dist(model: MpmrfModel, tol: float = DEFAULT_TOL) -> DiscreteDist:
     at the first K where 1 - sum(p_0..p_K) < tol. ToleranceError is raised
     only at K*, where the true tail is at most tol / 2: the rest is rounding.
     """
-    return _panjer(model.lam, _exponent(model.tree, model.alpha), tol)
+    return _panjer(model.lam, _exponent(model.tree, model._alpha), tol)
 
 
 def _panjer(lam: float, expo: np.ndarray, tol: float) -> DiscreteDist:
@@ -526,7 +526,7 @@ def sample(model: MpmrfModel, rng_seed: int, n: int) -> np.ndarray:
         if rooted.children[p]:
             np.cumsum(out[:, col[p]], out=ends)  # one cumsum serves all of p's children
         for v in rooted.children[p]:
-            a = model.edge_alpha(p, v)
+            a = _alpha_of(model._alpha, p, v)
             _poisson_inverse(rng, model.lam * (1.0 - a), out[:, col[v]])
             _binomial_thinning(rng, ends, a, out[:, col[v]])
     return out
@@ -621,7 +621,7 @@ def _path_sums(rooted: RootedTree, alpha) -> dict[int, float]:
 
 def cov_with_sum(model: MpmrfModel) -> dict[int, float]:
     """Cov(N_v, M) = lambda * sum_j prod_{e in path(v,j)} alpha_e for every v: one rooting, O(d)."""
-    sums = _path_sums(model.tree.rooted, model.alpha)
+    sums = _path_sums(model.tree.rooted, model._alpha)
     return {v: model.lam * sums[v] for v in model.tree.vertices}
 
 
@@ -683,7 +683,7 @@ def tvar_contribution_table(model: MpmrfModel, kappas, tol: float = DEFAULT_TOL
     Past MAX_K, a pass that keeps no law counts their entries, so a long path
     is refused before its laws are kept.
     """
-    tree, lam, alpha, kappas, eta = model.tree, model.lam, model.alpha, list(kappas), {}
+    tree, lam, alpha, kappas, eta = model.tree, model.lam, model._alpha, list(kappas), {}
     rooted, n = tree.rooted, tree.d + 1
     budget = MAX_K - (8 * len(kappas) + 4 * (tree.d - 1).bit_length() + 4) * n
     size = dict.fromkeys(rooted.order, 1)
@@ -736,13 +736,12 @@ def closeness_indices(model: MpmrfModel) -> dict[int, Closeness]:
     """
     if not model.is_homogeneous():
         raise ValueError("exponential-transform closeness needs homogeneous alpha")
-    tree = model.tree
-    rooted = tree.rooted
+    tree, rooted = model.tree, model.tree.rooted
     size = {}
     for v in reversed(rooted.order):
         size[v] = 1 + sum(size[c] for c in rooted.children[v])
     freeman = {rooted.order[0]: sum(size.values()) - tree.d}  # the sum of all depths
     for c in rooted.order[1:]:
         freeman[c] = freeman[rooted.parent[c]] + tree.d - 2 * size[c]
-    exp = _path_sums(rooted, model.alpha)
+    exp = _path_sums(rooted, model._alpha)
     return {v: Closeness(freeman[v], exp[v]) for v in tree.vertices}

@@ -157,7 +157,7 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
 
     alphas = np.array(grid + (0.5,))[:, None]  # the grid, then the twin check's alpha
     pmfs: dict[bytes, np.ndarray] = {}  # H pmfs over alphas, by rooted code
-    arcs = np.eye(n, dtype=bool)
+    arcs: list[int] = []  # i * n + j per arc i -> j, shape i below shape j
     flags: list[MoveRecord] = []
     undecided: list[MoveRecord] = []
     verdicts: dict[bytes, list] = {}  # per residual code, (le, ge, relations) per code at w
@@ -169,9 +169,8 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
                 (le, ge, None if le or ge else tuple(vd.relation.value for vd in _verdicts(nl, ng)))
                 for le, ge, nl, ng in zip((~not_le.any(axis=(1, 2))).tolist(),
                                           (~not_ge.any(axis=(1, 2))).tolist(), not_le, not_ge)]
-        for (_c, j), (le, ge, _rels) in zip(moves, verdicts[residual]):
-            arcs[i, j] |= le
-            arcs[j, i] |= ge
+        arcs += [i * n + j for (_c, j), (le, _ge, _rels) in zip(moves, verdicts[residual]) if le]
+        arcs += [j * n + i for (_c, j), (_le, ge, _rels) in zip(moves, verdicts[residual]) if ge]
         records = {c: (j, rels) for (c, j), (*_, rels) in zip(moves, verdicts[residual]) if rels}
         if records:  # the labelled residual names the w's of the recorded moves
             if at is None:
@@ -181,7 +180,9 @@ def build_poset(d: int, alpha_grid=DEFAULT_ALPHA_GRID) -> ShapePoset:
                 rec = MoveRecord(i, j, u, v, w, rels)
                 (undecided if all(r == "INCOMPARABLE" for r in rels) else flags).append(rec)
 
-    relation = _transitive_closure(arcs)
+    relation = np.eye(n, dtype=bool)
+    relation.flat[arcs] = True  # every move's arc in one assignment
+    relation = _transitive_closure(relation)
     bad = relation & relation.T & ~np.eye(n, dtype=bool)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
@@ -272,22 +273,15 @@ def maximal_elements(poset: ShapePoset) -> list[int]:
 def _unique_bound(relation: np.ndarray, a: int, b: int, upper: bool) -> bool:
     r = relation if upper else relation.T
     bounds = np.nonzero(r[a] & r[b])[0]
-    if bounds.size == 0:
-        return False
-    # the bound set must contain an element preceding all its other members
+    # the bound set must be non-empty and contain an element preceding all its other members
     return any(bool(r[u, bounds].all()) for u in bounds)
 
 
 def is_lattice(poset: ShapePoset) -> bool:
     """True when every pair of shapes has a unique join and a unique meet."""
-    n = len(poset.shapes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not _unique_bound(poset.relation, a, b, upper=True):
-                return False
-            if not _unique_bound(poset.relation, a, b, upper=False):
-                return False
-    return True
+    n, r = len(poset.shapes), poset.relation
+    return all(_unique_bound(r, a, b, upper=True) and _unique_bound(r, a, b, upper=False)
+               for a in range(n) for b in range(a + 1, n))
 
 
 def hasse_dot(poset: ShapePoset) -> str:
@@ -314,8 +308,7 @@ def _attach(edges: list, base: int, subtree: Tree, anchor: int) -> int:
     if subtree.vertices != tuple(range(1, subtree.d + 1)):
         raise ValueError("attached subtrees must be labeled 1..m")
     edges.append((anchor, base + 1))
-    for (a, b) in subtree.edges:
-        edges.append((base + a, base + b))
+    edges += [(base + a, base + b) for (a, b) in subtree.edges]
     return base + subtree.d
 
 

@@ -2,7 +2,8 @@
 
 Vertices are positive integer labels: {1..d} for Tree.of and JSON, any sorted
 set for the direct constructor. root_at(tree, x, away=u) roots x's side of an
-edge and keeps the tree's labels. Shapes (isomorphism classes) are
+edge and keeps the tree's labels; the walk that checks a Tree connected is its
+rooting at the smallest label (Tree.rooted). Shapes (isomorphism classes) are
 identified by a canonical code computed from a center-rooted AHU encoding.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 
 Edge = tuple[int, int]
@@ -31,16 +33,17 @@ def _walk(adj, root: int, away: int | None = None):
     `away` (root's side of a tree, seen from its neighbour away).
 
     Neighbours are taken in the order adj lists them, ascending for
-    Tree.neighbors; parent[root] is away. Each vertex is entered once, so
-    the walk also ends on a graph with a cycle.
+    Tree.neighbors; parent[root] is away (which is not root). Each vertex is
+    entered once, so the walk also ends on a graph with a cycle.
     """
-    parent = {root: away}
+    parent = {away: None, root: away}  # away counts as entered until the end
     order = [root]
     for x in order:  # the list grows while it is walked
         for y in adj[x]:
-            if y not in parent and y != away:
+            if y not in parent:
                 parent[y] = x
                 order.append(y)
+    del parent[away]
     return order, parent
 
 
@@ -66,16 +69,17 @@ class Tree:
                 raise ValueError(f"self-loop at vertex {a}")
             if a not in vs or b not in vs:
                 raise ValueError(f"edge ({a},{b}) uses unknown vertex")
-            e = _norm_edge(a, b)
+            e = (a, b) if a < b else (b, a)  # _norm_edge, without a call per edge
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen[e] = None
         object.__setattr__(self, "edges", tuple(sorted(seen)))  # the class is frozen
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("a tree on d vertices has exactly d-1 edges")
-        # d - 1 edges and connected make a tree
-        if len(_walk(self.neighbors, self.vertices[0])[0]) != len(vs):
+        walk = _walk(self.neighbors, self.vertices[0])
+        if len(walk[0]) != len(vs):  # d - 1 edges and connected make a tree
             raise ValueError("edge set is not connected")
+        self.__dict__["_root_walk"] = walk  # root_at at the smallest label takes it
 
     @classmethod
     def of(cls, d: int, edges) -> "Tree":
@@ -90,16 +94,16 @@ class Tree:
 
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's neighbours in ascending order, built once per tree."""
+        """Each vertex's neighbours, ascending as the sorted (smaller, larger) edges list them."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for (a, b) in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return {v: tuple(ns) for v, ns in adj.items()}
 
     @cached_property
     def rooted(self) -> "RootedTree":
-        """The rooting at the smallest label, made once: every pass over the whole tree reads it."""
+        """The rooting at the smallest label, made once from the walk that checked the tree."""
         return root_at(self, self.vertices[0])
 
     def to_json(self) -> dict:
@@ -110,7 +114,10 @@ class Tree:
     @classmethod
     def from_json(cls, obj: dict) -> "Tree":
         """d and the labels must be JSON integers: ValueError for 3.9, "3" or true."""
-        return cls.of(_integer(obj["d"]), [(_integer(a), _integer(b)) for a, b in obj["edges"]])
+        d, edges = _integer(obj["d"]), obj["edges"]  # the labels in one pass, else one by one
+        ints = (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
+                and set(map(type, chain.from_iterable(edges))) <= {int})
+        return cls.of(d, edges if ints else [(_integer(a), _integer(b)) for a, b in edges])
 
 
 class RootedTree:
@@ -127,14 +134,15 @@ class RootedTree:
     def __init__(self, tree: Tree, root: int, away: int | None = None):
         if root not in tree.vertices or root == away:
             raise ValueError(f"invalid root {root}")
-        adj = tree.neighbors
-        order, parent = _walk(adj, root, away)
+        kept = (tree.__dict__.pop("_root_walk", None)  # the walk that checked the tree, taken once
+                if root == tree.vertices[0] and away is None else None)
+        order, parent = kept or _walk(tree.neighbors, root, away)
         del parent[root]
-        self.parent = parent
-        # every neighbour but the parent and away is a child, in ascending order
-        self.children = {v: tuple(u for u in adj[v] if u != parent.get(v) and u != away)
-                         for v in order}
-        self.order = tuple(order)
+        self.parent, self.order = parent, tuple(order)
+        children: dict[int, list[int]] = {v: [] for v in order}  # each found in ascending order
+        for v in order[1:]:
+            children[parent[v]].append(v)
+        self.children = {v: tuple(cs) for v, cs in children.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -211,7 +219,7 @@ def _centers(tree: Tree) -> list[int]:
     longest path. A walk ends at a vertex farthest from its root, so a walk
     from the last vertex of a first walk ends at the far end of such a path.
     """
-    a = _walk(tree.neighbors, tree.vertices[0])[0][-1]
+    a = (tree.__dict__.get("_root_walk") or _walk(tree.neighbors, tree.vertices[0]))[0][-1]
     order, parent = _walk(tree.neighbors, a)
     path = [order[-1]]
     while path[-1] != a:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -101,6 +102,62 @@ class TestModelValidation:
         assert obj["alpha"] == {}
         back = MpmrfModel.from_json(obj)
         assert (back.tree, back.lam, back.alpha) == (m.tree, m.lam, m.alpha)
+
+
+def model_json(edges, alpha=0.5, d=None) -> dict:
+    return {"d": len(edges) + 1 if d is None else d, "edges": edges, "lambda": 1.0, "alpha": alpha}
+
+
+# every rejecting branch of a tree's and a model's checks, with its whole message
+REJECTIONS = [
+    ("self-loop", lambda: Tree.of(3, [(1, 2), (2, 2)]), "self-loop at vertex 2"),
+    ("unknown vertex", lambda: Tree.of(3, [(1, 2), (2, 4)]), "edge (2,4) uses unknown vertex"),
+    ("unknown vertex, direct", lambda: Tree((2, 5, 9), ((2, 5), (5, 7))), "edge (5,7) uses unknown vertex"),
+    ("duplicate given reversed", lambda: Tree.of(3, [(1, 2), (2, 1)]), "duplicate edge (1, 2)"),
+    ("first fault in the order given", lambda: Tree.of(4, [(1, 2), (3, 9), (4, 4), (2, 1)]),
+     "edge (3,9) uses unknown vertex"),
+    ("too few edges", lambda: Tree.of(4, [(1, 2), (2, 3)]), "a tree on d vertices has exactly d-1 edges"),
+    ("too many edges", lambda: Tree.of(3, [(1, 2), (2, 3), (1, 3)]),
+     "a tree on d vertices has exactly d-1 edges"),
+    ("disconnected", lambda: Tree.of(4, [(1, 2), (2, 3), (1, 3)]), "edge set is not connected"),
+    ("self-loop, JSON", lambda: MpmrfModel.from_json(model_json([[1, 2], [3, 3]])), "self-loop at vertex 3"),
+    ("duplicate given reversed, JSON", lambda: MpmrfModel.from_json(model_json([[1, 2], [2, 1]], d=3)),
+     "duplicate edge (1, 2)"),
+    ("bool label", lambda: MpmrfModel.from_json(model_json([[1, 2], [True, 3]])),
+     "vertex counts and labels must be integers, not True"),
+    ("float label", lambda: MpmrfModel.from_json(model_json([[1, 2.0], [2, 3]])),
+     "vertex counts and labels must be integers, not 2.0"),
+    ("bool d", lambda: Tree.from_json({"d": True, "edges": []}),
+     "vertex counts and labels must be integers, not True"),
+    ("float d", lambda: Tree.from_json({"d": 3.0, "edges": [[1, 2], [2, 3]]}),
+     "vertex counts and labels must be integers, not 3.0"),
+    ("a pair of three", lambda: Tree.from_json({"d": 0, "edges": [[1, 2, 3]]}),
+     "too many values to unpack (expected 2)"),
+    ("d below 1", lambda: Tree.from_json({"d": 0, "edges": []}), "d must be >= 1"),
+    ("alpha missing", lambda: MpmrfModel(path_tree(3), 1.0, {(1, 2): 0.5}),
+     "alpha must be given for exactly the tree's edges"),
+    ("alpha for an extra edge", lambda: MpmrfModel(path_tree(3), 1.0, {(1, 2): 0.5, (2, 3): 0.5, (1, 3): 0.5}),
+     "alpha must be given for exactly the tree's edges"),
+    ("alpha missing, JSON", lambda: MpmrfModel.from_json(model_json([[1, 2], [2, 3]], {"2-1": 0.5})),
+     "alpha must be given for exactly the tree's edges"),
+    ("alpha above 1", lambda: MpmrfModel.homogeneous(path_tree(3), 1.0, 1.5), "alpha[(1, 2)] = 1.5 outside [0, 1]"),
+    ("alpha below 0", lambda: MpmrfModel(path_tree(3), 1.0, {(3, 2): -0.25, (1, 2): 0.5}),
+     "alpha[(2, 3)] = -0.25 outside [0, 1]"),
+    ("alpha NaN, JSON", lambda: MpmrfModel.from_json(model_json([[1, 2], [2, 3]], {"1-2": 0.5, "3-2": math.nan})),
+     "alpha[(2, 3)] = nan outside [0, 1]"),
+    ("alpha NaN everywhere", lambda: MpmrfModel.homogeneous(path_tree(3), 1.0, math.nan),
+     "alpha[(1, 2)] = nan outside [0, 1]"),
+    ("alpha a string, JSON", lambda: MpmrfModel.from_json(model_json([[1, 2]], "0.5")),
+     "lambda and alpha must be numbers, not '0.5'"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("build, message", [case[1:] for case in REJECTIONS],
+                             ids=[case[0] for case in REJECTIONS])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestHDist:
@@ -1175,6 +1232,52 @@ class TestCloseness:
         m = MpmrfModel(path_tree(3), 1.0, {(1, 2): 0.2, (2, 3): 0.7})
         with pytest.raises(ValueError):
             closeness_indices(m)
+
+
+class TestHomogeneousAlpha:
+    """A model records once whether one alpha covers every edge; the passes then
+    take that float, and give the bytes that the edge map gives."""
+
+    @staticmethod
+    def outputs(m: MpmrfModel) -> tuple:
+        agg, table = tvar_contribution_table(m, [0.0, 0.5, 0.99])
+        return (aggregate_dist(m).pmf.tobytes(), agg.pmf.tobytes(),
+                tuple(table[v].tobytes() for v in m.tree.vertices),
+                tuple(x.hex() for x in cov_with_sum(m).values()),
+                hashlib.sha256(sample(m, 5, 2000).tobytes()).hexdigest())
+
+    @pytest.mark.parametrize("shape", ["random", "star", "path", "broom"])
+    def test_a_per_edge_dict_of_one_value(self, shape):
+        tree = {"random": lambda: random_tree(np.random.default_rng(51), 300), "star": lambda: star_tree(400),
+                "path": lambda: path_tree(120), "broom": lambda: broom_tree(90)}[shape]()
+        lam, alpha = 0.4, 0.45
+        want = self.outputs(MpmrfModel.homogeneous(tree, lam, alpha))
+        keys = list(tree.edges)
+        random.Random(52).shuffle(keys)
+        shuffled = {e: alpha for e in keys}
+        half_reversed = {(b, a) if k % 2 else (a, b): alpha for k, (a, b) in enumerate(keys)}
+        for given in (shuffled, half_reversed):
+            m = MpmrfModel(tree, lam, given)
+            assert m.is_homogeneous() and m._alpha == alpha and type(m._alpha) is float
+            assert m.to_json()["alpha"] == alpha
+            assert self.outputs(m) == want
+            object.__setattr__(m, "_alpha", m.alpha)  # the passes' edge-map branches
+            assert self.outputs(m) == want
+
+    def test_one_ulp_apart_is_not_homogeneous(self):
+        tree = random_tree(np.random.default_rng(53), 60)
+        alpha = dict.fromkeys(tree.edges, 0.45)
+        alpha[tree.edges[17]] = math.nextafter(0.45, 1.0)
+        m = MpmrfModel(tree, 0.4, alpha)
+        assert not m.is_homogeneous() and m._alpha is m.alpha
+        assert m.to_json()["alpha"] == {f"{a}-{b}": x for (a, b), x in sorted(alpha.items())}
+        with pytest.raises(ValueError, match="needs homogeneous alpha"):
+            closeness_indices(m)
+        assert mpmrf._exponent(tree, m._alpha).tobytes() == reference_exponent(tree, alpha).tobytes()
+
+    def test_no_edge(self):
+        m = MpmrfModel(Tree.of(1, []), 1.0, {})
+        assert m.is_homogeneous() and m._alpha == 0.0 and m.to_json()["alpha"] == {}
 
 
 class TestMonteCarloAgainstAnalytic:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treemrf import tree_core
 from treemrf.tree_core import (
     Tree,
     _ahu_children,
@@ -84,6 +85,64 @@ class TestTreeValidation:
         t = Tree((1, 2, 3, 4), ((4, 2), (2, 1), (3, 2)))
         assert t.edges == ((1, 2), (2, 3), (2, 4))
         assert t == Tree.of(4, [(1, 2), (2, 3), (2, 4)])
+
+
+class TestKeptRooting:
+    """A Tree keeps the walk that checked it connected as its rooting at the
+    smallest label: Tree.rooted builds its children from that walk, and the
+    neighbours need no sort, the edges being sorted (smaller, larger) pairs."""
+
+    @staticmethod
+    def check(tree, monkeypatch):
+        walks = []
+
+        def counting_walk(adj, root, away=None):
+            walks.append(root)
+            return _walk(adj, root, away)
+
+        monkeypatch.setattr(tree_core, "_walk", counting_walk)
+        kept = tree.rooted  # first, so the kept walk is there to take
+        assert walks == []
+        fresh = root_at(tree, tree.vertices[0])  # the walk was taken: this one walks again
+        assert walks == [tree.vertices[0]]
+        assert kept.order == fresh.order
+        assert kept.parent == fresh.parent
+        assert kept.children == fresh.children
+        adj = {v: [] for v in tree.vertices}
+        for a, b in tree.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        assert tree.neighbors == {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    def test_every_shape_up_to_d9(self, monkeypatch):
+        for d in range(1, 10):
+            for t in enumerate_shapes(d):
+                # a fresh copy: the cached representatives may be rooted already
+                self.check(Tree(t.vertices, t.edges), monkeypatch)
+
+    @pytest.mark.parametrize("shape", ["path", "star", "random"])
+    def test_d10000(self, shape, monkeypatch):
+        d = 10_000
+        if shape == "random":
+            tree = random_tree(np.random.default_rng(41), d)
+        else:
+            tree = path_tree(d) if shape == "path" else star_tree(d)
+        # the edges given shuffled, each larger label first
+        edges = [(b, a) for a, b in tree.edges]
+        np.random.default_rng(42).shuffle(edges)
+        self.check(Tree.of(d, edges), monkeypatch)
+
+    def test_non_contiguous_labels(self, monkeypatch):
+        t = Tree((3, 8, 20, 41, 57, 90), ((41, 3), (8, 57), (20, 8), (3, 20), (90, 20)))
+        self.check(t, monkeypatch)
+        assert t.rooted.order == (3, 20, 41, 8, 90, 57)
+        assert t.rooted.children == {3: (20, 41), 20: (8, 90), 41: (), 8: (57,), 90: (), 57: ()}
+
+    def test_rooting_elsewhere_keeps_it(self, monkeypatch):
+        t = random_tree(np.random.default_rng(43), 30)
+        root_at(t, 7)
+        root_at(t, t.vertices[0], away=t.neighbors[t.vertices[0]][0])
+        self.check(t, monkeypatch)
 
 
 class TestRootAt:

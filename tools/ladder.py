@@ -6,10 +6,13 @@ Usage, from the root of a checkout:
 
 For each cell (shape, d), shape in {path, star, random} and d in
 {10, 100, 1000, 10^4} (--quick: d <= 1000), it times the layers of
-`treemrf.mpmrf.aggregate_dist`, of writing its pmf and of the TVaR rows
-of every vertex:
+`treemrf.mpmrf.aggregate_dist`, of loading its model, of writing its pmf
+and of the TVaR rows of every vertex:
 
-    root_s        root_at at the smallest label
+    load_s        the model's JSON text to MpmrfModel.from_json and its tree's
+                  rooting (Tree.rooted): the text's edges in the order the
+                  tree was drawn, as perfbench writes them
+    root_s        root_at at the smallest label, on the loaded tree
     eta_s         the eta pass on that rooting, every law formed and dropped
     q_s           _exponent: the rooting, the eta pass and the sums into Q
     tail_bound_s  _tail_bound, the Chernoff size of the Panjer pass
@@ -20,7 +23,8 @@ of every vertex:
                   the reverse pass _h_rows on them (g from the cell's aggregate)
 
 The layers that call _exponent root the tree afresh each time, as every
-call did before a tree kept its rooting (Tree.rooted).
+call did before a tree kept its rooting (Tree.rooted): they are handed the
+tree without its rooting or the walk that checked it (unrooted).
 
 For each poset cell, d in {7, 8, 9} (--quick: 7, 8), it times the layers of
 `treemrf.poset.build_poset(d)` on the default alpha grid:
@@ -90,7 +94,7 @@ SHAPES = ("path", "star", "random")
 SIZES = (10, 100, 1000, 10_000)
 QUICK_MAX_D = 1000
 LAM, ALPHA, SEED, KAPPA = 0.5, 0.5, 0, 0.99
-LAYERS = ("root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "rows_s")
+LAYERS = ("load_s", "root_s", "eta_s", "q_s", "tail_bound_s", "panjer_s", "csv_s", "rows_s")
 REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in LAYERS)
 POSET_SIZES = (7, 8, 9)
 QUICK_MAX_POSET_D = 8
@@ -98,13 +102,18 @@ POSET_LAYERS = ("enum_s", "moves_s", "closure_s", "twins_s")
 POSET_REF_LAYERS = tuple(f"{k[:-2]}_ref_s" for k in POSET_LAYERS)
 
 
-def tree_of(shape: str, d: int) -> Tree:
+def edges_of(shape: str, d: int) -> list[tuple[int, int]]:
     if shape == "path":
-        return Tree.of(d, [(i, i + 1) for i in range(1, d)])
+        return [(i, i + 1) for i in range(1, d)]
     if shape == "star":
-        return Tree.of(d, [(1, i) for i in range(2, d + 1)])
+        return [(1, i) for i in range(2, d + 1)]
     rng = random.Random(SEED)
-    return Tree.of(d, [(rng.randint(1, i - 1), i) for i in range(2, d + 1)])
+    return [(rng.randint(1, i - 1), i) for i in range(2, d + 1)]
+
+
+def model_text(shape: str, d: int) -> str:
+    """The cell's model as JSON text, as a model file holds it."""
+    return json.dumps({"d": d, "edges": edges_of(shape, d), "lambda": LAM, "alpha": ALPHA})
 
 
 def clock(fn, *args):
@@ -114,9 +123,18 @@ def clock(fn, *args):
     return time.perf_counter() - t0, out
 
 
+def load(text: str) -> Tree:
+    """The tree of the model in JSON text, rooted at its smallest label."""
+    tree = mpmrf.MpmrfModel.from_json(json.loads(text)).tree
+    tree.rooted
+    return tree
+
+
 def unrooted(tree: Tree) -> Tree:
-    """tree without the rooting it keeps, so the next _exponent call makes it."""
-    tree.__dict__.pop("rooted", None)
+    """tree without the rooting it keeps, or the walk that checked it (which
+    the rooting takes when made), so the next _exponent call makes it whole."""
+    for kept in ("rooted", "_root_walk"):
+        tree.__dict__.pop(kept, None)
     return tree
 
 
@@ -126,10 +144,11 @@ def tvar_rows(tree: Tree, g: np.ndarray) -> dict:
     return mpmrf._h_rows(tree.rooted, ALPHA, eta, g)
 
 
-def time_cell(tree: Tree) -> dict:
+def time_cell(text: str) -> dict:
     """One timing of every layer of one cell, each on the previous layer's result."""
     tol = mpmrf.DEFAULT_TOL
     times = {}
+    times["load_s"], tree = clock(load, text)
     times["root_s"], rooted = clock(root_at, tree, tree.vertices[0])
     times["eta_s"], _ = clock(deque, mpmrf._eta(rooted, ALPHA), 0)
     times["q_s"], q = clock(mpmrf._exponent, unrooted(tree), ALPHA)
@@ -195,7 +214,8 @@ def medians(runs: list[dict], layers, ref_layers) -> dict:
 
 
 def run(sizes, poset_sizes, rounds: int) -> tuple[list[dict], list[dict]]:
-    cells = [((shape, d), partial(time_cell, tree_of(shape, d))) for d in sizes for shape in SHAPES]
+    cells = [((shape, d), partial(time_cell, model_text(shape, d)))
+             for d in sizes for shape in SHAPES]
     cells += [(("poset", d), partial(time_poset, d)) for d in poset_sizes]
     samples = {key: [] for key, _ in cells}
     for _ in range(rounds):
