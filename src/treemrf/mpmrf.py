@@ -106,10 +106,8 @@ class MpmrfModel:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, not {self.lam!r}")
-        given, edges = self.alpha, set(self.tree.edges)
-        a = (dict(zip(given, map(float, given.values()))) if given.keys() == edges  # keys normalised
-             else {_norm_edge(*e): float(v) for e, v in given.items()})
-        if a.keys() != edges:
+        a = {_norm_edge(*e): float(v) for e, v in self.alpha.items()}
+        if a.keys() != set(self.tree.edges):
             raise ValueError("alpha must be given for exactly the tree's edges")
         values = set(a.values())
         if not all(0.0 <= v <= 1.0 for v in values):  # NaN too
@@ -132,16 +130,23 @@ class MpmrfModel:
     def to_json(self) -> dict:
         obj = self.tree.to_json()
         obj["lambda"] = self.lam
-        obj["alpha"] = (self._alpha if self.is_homogeneous() and self.alpha  # a 1-vertex tree: {}
-                        else {f"{a}-{b}": v for (a, b), v in sorted(self.alpha.items())})
+        if self.is_homogeneous() and self.alpha:  # a 1-vertex tree writes "alpha": {}
+            obj["alpha"] = self._alpha
+        else:
+            obj["alpha"] = {f"{a}-{b}": v for (a, b), v in sorted(self.alpha.items())}
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "MpmrfModel":
-        tree, lam, raw = Tree.from_json(obj), _number(obj["lambda"]), obj["alpha"]
-        if isinstance(raw, dict):  # "a-b": alpha, normalised by the constructor
-            return cls(tree, lam, {(int(a), int(b)): _number(v) for key, v in raw.items()
-                                   for a, b in [key.split("-")]})
+        tree = Tree.from_json(obj)
+        lam = _number(obj["lambda"])
+        raw = obj["alpha"]
+        if isinstance(raw, dict):
+            alpha = {}
+            for key, v in raw.items():
+                a, b = key.split("-")
+                alpha[int(a), int(b)] = _number(v)  # normalised by the constructor
+            return cls(tree, lam, alpha)
         return cls.homogeneous(tree, lam, _number(raw))
 
 
@@ -736,7 +741,8 @@ def closeness_indices(model: MpmrfModel) -> dict[int, Closeness]:
     """
     if not model.is_homogeneous():
         raise ValueError("exponential-transform closeness needs homogeneous alpha")
-    tree, rooted = model.tree, model.tree.rooted
+    tree = model.tree
+    rooted = tree.rooted
     size = {}
     for v in reversed(rooted.order):
         size[v] = 1 + sum(size[c] for c in rooted.children[v])

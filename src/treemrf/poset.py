@@ -273,15 +273,22 @@ def maximal_elements(poset: ShapePoset) -> list[int]:
 def _unique_bound(relation: np.ndarray, a: int, b: int, upper: bool) -> bool:
     r = relation if upper else relation.T
     bounds = np.nonzero(r[a] & r[b])[0]
-    # the bound set must be non-empty and contain an element preceding all its other members
+    if bounds.size == 0:
+        return False
+    # the bound set must contain an element preceding all its other members
     return any(bool(r[u, bounds].all()) for u in bounds)
 
 
 def is_lattice(poset: ShapePoset) -> bool:
     """True when every pair of shapes has a unique join and a unique meet."""
-    n, r = len(poset.shapes), poset.relation
-    return all(_unique_bound(r, a, b, upper=True) and _unique_bound(r, a, b, upper=False)
-               for a in range(n) for b in range(a + 1, n))
+    n = len(poset.shapes)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not _unique_bound(poset.relation, a, b, upper=True):
+                return False
+            if not _unique_bound(poset.relation, a, b, upper=False):
+                return False
+    return True
 
 
 def hasse_dot(poset: ShapePoset) -> str:
@@ -308,7 +315,8 @@ def _attach(edges: list, base: int, subtree: Tree, anchor: int) -> int:
     if subtree.vertices != tuple(range(1, subtree.d + 1)):
         raise ValueError("attached subtrees must be labeled 1..m")
     edges.append((anchor, base + 1))
-    edges += [(base + a, base + b) for (a, b) in subtree.edges]
+    for (a, b) in subtree.edges:
+        edges.append((base + a, base + b))
     return base + subtree.d
 
 

@@ -79,7 +79,7 @@ class Tree:
         walk = _walk(self.neighbors, self.vertices[0])
         if len(walk[0]) != len(vs):  # d - 1 edges and connected make a tree
             raise ValueError("edge set is not connected")
-        self.__dict__["_root_walk"] = walk  # root_at at the smallest label takes it
+        self.__dict__["_root_walk"] = walk  # read by _walk_from until Tree.rooted is made
 
     @classmethod
     def of(cls, d: int, edges) -> "Tree":
@@ -104,7 +104,17 @@ class Tree:
     @cached_property
     def rooted(self) -> "RootedTree":
         """The rooting at the smallest label, made once from the walk that checked the tree."""
-        return root_at(self, self.vertices[0])
+        rooted = root_at(self, self.vertices[0])
+        self.__dict__.pop("_root_walk", None)  # the rooting holds what the walk found
+        return rooted
+
+    def _walk_from(self, root: int, away: int | None = None):
+        """_walk(self.neighbors, root, away): the walk that checked the tree,
+        when it is that one and Tree.rooted is not made yet, is not walked again."""
+        kept = self.__dict__.get("_root_walk")
+        if kept is None or root != self.vertices[0] or away is not None:
+            return _walk(self.neighbors, root, away)
+        return kept[0], dict(kept[1])  # a copy: the caller may change its parent map
 
     def to_json(self) -> dict:
         if self.vertices != tuple(range(1, self.d + 1)):
@@ -134,15 +144,14 @@ class RootedTree:
     def __init__(self, tree: Tree, root: int, away: int | None = None):
         if root not in tree.vertices or root == away:
             raise ValueError(f"invalid root {root}")
-        kept = (tree.__dict__.pop("_root_walk", None)  # the walk that checked the tree, taken once
-                if root == tree.vertices[0] and away is None else None)
-        order, parent = kept or _walk(tree.neighbors, root, away)
+        order, parent = tree._walk_from(root, away)
         del parent[root]
-        self.parent, self.order = parent, tuple(order)
+        self.parent = parent
         children: dict[int, list[int]] = {v: [] for v in order}  # each found in ascending order
         for v in order[1:]:
             children[parent[v]].append(v)
         self.children = {v: tuple(cs) for v, cs in children.items()}
+        self.order = tuple(order)
 
 
 @dataclass(frozen=True, order=True)
@@ -219,7 +228,7 @@ def _centers(tree: Tree) -> list[int]:
     longest path. A walk ends at a vertex farthest from its root, so a walk
     from the last vertex of a first walk ends at the far end of such a path.
     """
-    a = (tree.__dict__.get("_root_walk") or _walk(tree.neighbors, tree.vertices[0]))[0][-1]
+    a = tree._walk_from(tree.vertices[0])[0][-1]
     order, parent = _walk(tree.neighbors, a)
     path = [order[-1]]
     while path[-1] != a:

@@ -142,7 +142,19 @@ class TestKeptRooting:
         t = random_tree(np.random.default_rng(43), 30)
         root_at(t, 7)
         root_at(t, t.vertices[0], away=t.neighbors[t.vertices[0]][0])
+        root_at(t, t.vertices[0])  # only Tree.rooted takes the kept walk
         self.check(t, monkeypatch)
+
+    def test_rooted_again_walks_again(self, monkeypatch):
+        t = random_tree(np.random.default_rng(44), 30)
+        first = t.rooted
+        t.__dict__.pop("rooted")  # as the ladder drops it
+        walks = []
+        monkeypatch.setattr(tree_core, "_walk",
+                            lambda adj, root, away=None: walks.append(root) or _walk(adj, root, away))
+        again = t.rooted
+        assert walks == [t.vertices[0]]
+        assert (again.order, again.parent, again.children) == (first.order, first.parent, first.children)
 
 
 class TestRootAt:

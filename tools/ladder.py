@@ -24,7 +24,7 @@ and of the TVaR rows of every vertex:
 
 The layers that call _exponent root the tree afresh each time, as every
 call did before a tree kept its rooting (Tree.rooted): they are handed the
-tree without its rooting or the walk that checked it (unrooted).
+loaded tree without its rooting (unrooted), so each makes it with a walk.
 
 For each poset cell, d in {7, 8, 9} (--quick: 7, 8), it times the layers of
 `treemrf.poset.build_poset(d)` on the default alpha grid:
@@ -131,10 +131,9 @@ def load(text: str) -> Tree:
 
 
 def unrooted(tree: Tree) -> Tree:
-    """tree without the rooting it keeps, or the walk that checked it (which
-    the rooting takes when made), so the next _exponent call makes it whole."""
-    for kept in ("rooted", "_root_walk"):
-        tree.__dict__.pop(kept, None)
+    """tree without the rooting it keeps, so the next _exponent call makes it
+    with a walk of its own (the walk that checked the tree went to the first)."""
+    tree.__dict__.pop("rooted", None)
     return tree
 
 
